@@ -39,7 +39,7 @@ spec = pg.PanelSpec(
     law=pg.InnovationLaw.normal(), seed=9,
     offsets=tuple((i, 0.6) for i in range(1, 21)),
 )
-marginal = mtc.StudentTMarginal(spec.n - 1)
+marginal = mtc.StudentizedNormalMarginal(spec.n)  # exact law of the divisor-n T
 rows = stu.studentize_panel(pg.generate(spec))
 pv = mtc.one_sided_p_values(rows, marginal)
 nonnull = spec.nonnull_rows()

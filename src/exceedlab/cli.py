@@ -46,6 +46,8 @@ common flags (after the subcommand):
   --jobs INT      worker processes (0 = auto; env EXCEEDLAB_JOBS overrides)
   --out DIR       output directory (default runs/<kind>)
   --format F      csv | json for the main table (summaries are JSON)
+  --sampler S     auto | explicit | sufficiency: how cluster and mtc draw
+                  their panels (replay: override the recorded sampler)
 
 environment:
   EXCEEDLAB_JOBS  default parallelism when --jobs is 0 or absent
@@ -74,6 +76,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--out")
     sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    sub.add_argument("--sampler", choices=experiments.SAMPLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--work-dir", dest="work_dir")
     sub.add_argument("--jobs", type=int)
+    sub.add_argument("--sampler", choices=experiments.SAMPLERS)
     return parser
 
 
@@ -199,6 +203,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.out = args.out
     if args.fmt is not None:
         cfg.fmt = args.fmt
+    if args.sampler is not None:
+        cfg.sampler = args.sampler
 
     if getattr(args, "s", None) is not None:
         cfg.s_level = args.s
@@ -278,7 +284,8 @@ def main(argv=None) -> int:
     if args.command == "replay":
         try:
             ok, report = experiments.replay(
-                args.manifest, work_dir=args.work_dir, jobs=args.jobs
+                args.manifest, work_dir=args.work_dir, jobs=args.jobs,
+                sampler=args.sampler,
             )
         except (OSError, ValueError) as exc:
             print(f"replay failed: {exc}", file=sys.stderr)

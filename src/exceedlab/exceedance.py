@@ -344,6 +344,11 @@ def _exponent(estimate: float, s: float) -> float:
     return -math.log(estimate) / (0.5 * s * s)
 
 
+def _check_row(spec: _pg.PanelSpec, name: str, i: int) -> None:
+    if not 1 <= i <= spec.p:
+        raise _pg.SpecError(f"{name} = {i} outside the rows [1, {spec.p}]")
+
+
 def _single_guard_reference(spec: _pg.PanelSpec, s: float) -> float:
     n = spec.n
     if s == 0.0:
@@ -373,6 +378,7 @@ def tail_probability_single(
     otherwise), ``"sufficiency"`` or ``"explicit"``.
     """
     spec.validate()
+    _check_row(spec, "i", i)
     if s < 0.0:
         raise ValueError(f"level s must be nonnegative, got {s!r}")
     _guard(reps, _single_guard_reference(spec, s), min_expected_hits,
@@ -427,6 +433,8 @@ def tail_probability_pair(
     (mean vector and Bartlett-decomposed scatter) and needs n >= 3.
     """
     spec.validate()
+    _check_row(spec, "i1", i1)
+    _check_row(spec, "i2", i2)
     if s < 0.0:
         raise ValueError(f"level s must be nonnegative, got {s!r}")
     n = spec.n

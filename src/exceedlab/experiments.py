@@ -5,8 +5,8 @@ key per line) or built programmatically as an :class:`ExperimentConfig`.
 Running one executes the named experiment kind, writes its table
 (CSV by default) plus a JSON summary into the output directory, and
 finishes with a ``manifest.json`` listing every emitted file with its
-SHA-256 digest, the resolved config snapshot, the code version, and
-per-stage timings.
+SHA-256 digest, the resolved config snapshot, the code version, the
+environment that fixes the random streams, and per-stage timings.
 
 Determinism contract: the data outputs (tables and summaries) are a pure
 function of (config, seed), independent of the parallelism degree.
@@ -27,11 +27,13 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from exceedlab import __version__ as _CODE_VERSION
 from exceedlab import exceedance as xc
@@ -52,15 +54,19 @@ __all__ = [
     "EXPERIMENT_KINDS",
     "ExperimentConfig",
     "RunManifest",
+    "SAMPLERS",
     "default_jobs",
+    "environment",
     "load_manifest",
     "replay",
     "resolve_level",
+    "resolve_sampler",
     "run",
     "validate_config",
 ]
 
 EXPERIMENT_KINDS = ("calibrate", "tails", "coupling", "cluster", "mtc", "paper-table")
+SAMPLERS = ("auto", "explicit", "sufficiency")
 
 _JOBS_ENV = "EXCEEDLAB_JOBS"
 
@@ -87,7 +93,11 @@ class ExperimentConfig:
     ``"ma-refined"`` (the moving-average log-log refinement) or
     ``"explicit"`` (use ``level_t`` as given).  ``s_level`` optionally
     fixes the R-scale level for tails/coupling; by default it is the
-    mapped t-level.
+    mapped t-level.  ``sampler`` picks how cluster and mtc replicates are
+    drawn: ``"explicit"`` generates and studentizes every cell,
+    ``"sufficiency"`` draws each row's sum and sum of squares
+    (:func:`panelgen.row_sums`), ``"auto"`` takes sufficiency wherever it
+    applies.
     """
 
     kind: str
@@ -101,6 +111,7 @@ class ExperimentConfig:
     jobs: int = 0
     out: str | None = None
     fmt: str = "csv"
+    sampler: str = "auto"
     # tails
     s_level: float | None = None
     row: int = 1
@@ -137,6 +148,16 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 0 (0 means auto)")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.fmt!r}")
+        if self.sampler not in SAMPLERS:
+            raise pg.SpecError(
+                f"sampler must be one of {', '.join(SAMPLERS)}, got {self.sampler!r}"
+            )
+        if self.sampler == "sufficiency":
+            why = pg.row_sums_unsupported(self.panel)
+            if why is not None:
+                raise pg.SpecError(f"sampler = sufficiency does not apply: {why}")
+        if not 1 <= self.row <= self.panel.p:
+            raise pg.SpecError(f"row {self.row} outside [1, {self.panel.p}]")
         if self.pair is not None:
             i1, i2 = self.pair
             if i1 == i2 or not (1 <= i1 <= self.panel.p and 1 <= i2 <= self.panel.p):
@@ -157,6 +178,7 @@ class ExperimentConfig:
             "reps": str(self.reps),
             "jobs": str(self.jobs),
             "format": self.fmt,
+            "sampler": self.sampler,
         }
         if self.out:
             cp["experiment"]["out"] = self.out
@@ -195,6 +217,14 @@ class ExperimentConfig:
         cp = configparser.ConfigParser()
         cp.read_string(text)
         panel = pg.panel_spec_from_config(text)
+        for name in cp.sections():
+            if name == "panel":
+                continue  # checked by panel_spec_from_config
+            if name not in _CONFIG_KEYS:
+                raise pg.SpecError(f"unknown config section [{name}]")
+            unknown = set(cp[name]) - _CONFIG_KEYS[name]
+            if unknown:
+                raise pg.SpecError(f"unknown [{name}] keys: {sorted(unknown)}")
         exp = cp["experiment"] if "experiment" in cp else {}
         level = cp["level"] if "level" in cp else {}
         tails = cp["tails"] if "tails" in cp else {}
@@ -222,6 +252,7 @@ class ExperimentConfig:
             jobs=int(exp.get("jobs", 0)),
             out=exp.get("out") or None,
             fmt=exp.get("format", "csv"),
+            sampler=exp.get("sampler", "auto"),
             s_level=float(level["s"]) if level.get("s") else None,
             row=int(tails.get("row", 1)),
             pair=pair,
@@ -240,6 +271,24 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_text(fh.read())
+
+
+_CONFIG_KEYS = {
+    "experiment": {"kind", "reps", "jobs", "format", "out", "sampler"},
+    "level": {"policy", "eta", "loglog_coeff", "t", "s", "rho_max", "ell"},
+    "tails": {"row", "pair"},
+    "coupling": {"se_cap", "match_draws"},
+    "mtc": {"bh_q", "fwer_a"},
+    "paper-table": {"p_list", "p0"},
+    "validate": {"logp_n_ratio_max"},
+}
+
+
+def resolve_sampler(cfg: ExperimentConfig) -> str:
+    """The sampler cluster and mtc replicates use: explicit or sufficiency."""
+    if cfg.sampler != "auto":
+        return cfg.sampler
+    return "explicit" if pg.row_sums_unsupported(cfg.panel) else "sufficiency"
 
 
 def _effective_rho_max(cfg: ExperimentConfig) -> float:
@@ -399,14 +448,31 @@ def _block_scheme_for(cfg: ExperimentConfig, r_level: float) -> xc.BlockScheme:
     return xc.block_scheme(cfg.panel.p, cfg.panel.model.kappa, s=r_level)
 
 
+def _studentized_replicates(cfg: ExperimentConfig, start: int, stop: int):
+    """Yield (rep, StudentizedRows) for replicates start..stop-1 in order.
+
+    The sufficiency sampler draws a few replicates at a time, so that its
+    working arrays stay within the size of one explicit p x n panel.
+    """
+    spec = cfg.panel
+    if resolve_sampler(cfg) == "explicit":
+        for rep in range(start, stop):
+            yield rep, stu.studentize_panel(pg.generate(spec.with_replicate(rep)))
+        return
+    batch = max(1, min(64, spec.n // 4))
+    for lo in range(start, stop, batch):
+        reps = range(lo, min(lo + batch, stop))
+        sum1, sum2 = pg.row_sums(spec, reps)
+        for k, rep in enumerate(reps):
+            yield rep, stu.studentize_sums(sum1[k], sum2[k], spec.n)
+
+
 def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
     t_level, r_level, _ = resolve_level(cfg)
     kappa = cfg.panel.model.kappa
     scheme = _block_scheme_for(cfg, r_level)
     records = []
-    for rep in range(start, stop):
-        panel = pg.generate(cfg.panel.with_replicate(rep))
-        rows = stu.studentize_panel(panel)
+    for rep, rows in _studentized_replicates(cfg, start, stop):
         exc = xc.extract(rows.t, t_level)
         cs = xc.cluster_stats(exc, scheme)
         within = cs.total >= 2 and 0 < cs.min_gap <= kappa
@@ -418,12 +484,10 @@ def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]
 
 def _mtc_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
     t_level, _, gamma = resolve_level(cfg)
-    marginal = mtc.StudentTMarginal(cfg.panel.n - 1)
+    marginal = mtc.StudentizedNormalMarginal(cfg.panel.n)
     nonnull = cfg.panel.nonnull_rows()
     records = []
-    for rep in range(start, stop):
-        panel = pg.generate(cfg.panel.with_replicate(rep))
-        rows = stu.studentize_panel(panel)
+    for rep, rows in _studentized_replicates(cfg, start, stop):
         pv = mtc.one_sided_p_values(rows, marginal)
         reports = (
             mtc.bh_fdr(pv, cfg.bh_q, nonnull=nonnull),
@@ -603,6 +667,7 @@ def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[li
     phi = phi_bound(t_level, cfg.panel.p, gamma).phi_nominal
     summary = {
         "schema_version": "exceedlab.cluster.v1",
+        "sampler": resolve_sampler(cfg),
         "replicates": reps,
         "t_level": t_level,
         "r_level": r_level,
@@ -630,9 +695,11 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
               "false_rejections", "fdp"]
     table = _emit(cfg, out, "mtc", "exceedlab.mtc.v1", header, records)
 
-    marginal = mtc.StudentTMarginal(cfg.panel.n - 1)
+    marginal = mtc.StudentizedNormalMarginal(cfg.panel.n)
     summary: dict = {
         "schema_version": "exceedlab.mtc.v1",
+        "sampler": resolve_sampler(cfg),
+        "marginal": marginal.describe(),
         "replicates": cfg.reps,
         "t_level": t_level,
         "gamma": gamma,
@@ -673,9 +740,25 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
 # ---------------------------------------------------------------------------
 
 
+_MANIFEST_SCHEMAS = ("exceedlab.manifest.v1", "exceedlab.manifest.v2")
+
+
+def environment() -> dict:
+    """The software that fixes a run's random streams and arithmetic."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "bit_generator": type(pg.stream(0).bit_generator).__name__,
+    }
+
+
 @dataclass
 class RunManifest:
-    """Recorded provenance of one run; see module docstring for scope."""
+    """Recorded provenance of one run; see module docstring for scope.
+
+    ``environment`` is None for a v1 manifest, which did not record it.
+    """
 
     kind: str
     seed: int
@@ -684,7 +767,8 @@ class RunManifest:
     wall_clock_s: float
     timings: dict
     outputs: list[dict]
-    schema_version: str = "exceedlab.manifest.v1"
+    environment: dict | None = None
+    schema_version: str = "exceedlab.manifest.v2"
 
     def to_json_dict(self) -> dict:
         return {
@@ -692,6 +776,7 @@ class RunManifest:
             "kind": self.kind,
             "seed": self.seed,
             "code_version": self.code_version,
+            "environment": self.environment,
             "config": self.config_text,
             "wall_clock_s": self.wall_clock_s,
             "timings": self.timings,
@@ -740,10 +825,13 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         kind=cfg.kind,
         seed=cfg.panel.seed,
         code_version=_CODE_VERSION,
-        config_text=replace(cfg, out=None, jobs=0).to_text(),
+        config_text=replace(
+            cfg, out=None, jobs=0, sampler=resolve_sampler(cfg)
+        ).to_text(),
         wall_clock_s=time.perf_counter() - t_start,
         timings=timings,
         outputs=outputs,
+        environment=environment(),
     )
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest.to_json_dict(), fh, sort_keys=True, indent=1)
@@ -754,7 +842,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
 def load_manifest(path) -> RunManifest:
     with open(path) as fh:
         raw = json.load(fh)
-    if raw.get("schema_version") != "exceedlab.manifest.v1":
+    if raw.get("schema_version") not in _MANIFEST_SCHEMAS:
         raise ValueError(f"{path}: unsupported manifest schema")
     return RunManifest(
         kind=raw["kind"],
@@ -764,27 +852,45 @@ def load_manifest(path) -> RunManifest:
         wall_clock_s=raw["wall_clock_s"],
         timings=raw["timings"],
         outputs=raw["outputs"],
+        environment=raw.get("environment"),
+        schema_version=raw["schema_version"],
     )
 
 
-def replay(manifest_path, work_dir=None, jobs: int | None = None) -> tuple[bool, list[str]]:
+def _environment_line(recorded: dict | None, current: dict) -> str:
+    if recorded is None:
+        return "ENV not recorded (manifest v1)"
+    changed = [f"{key} {recorded.get(key)} -> {value}"
+               for key, value in current.items() if recorded.get(key) != value]
+    if changed:
+        return "ENV changed: " + ", ".join(changed)
+    return "ENV same: " + ", ".join(f"{key} {value}" for key, value in current.items())
+
+
+def replay(manifest_path, work_dir=None, jobs: int | None = None,
+           sampler: str | None = None) -> tuple[bool, list[str]]:
     """Re-run a manifest's config and verify the recorded output digests.
 
-    Returns (ok, per-file report lines).  The rerun happens in
-    ``work_dir`` (a temporary sibling directory by default); parallelism
-    may differ from the original run, the outputs may not.
+    Returns (ok, report lines): first an ``ENV`` line comparing the
+    recorded environment with this one, then one line per file.  Only
+    the digests decide ``ok``.  The rerun happens in ``work_dir`` (a
+    temporary sibling directory by default); parallelism may differ from
+    the original run, the outputs may not.  ``sampler`` overrides the
+    recorded sampler, e.g. to replay a manifest from before it was recorded.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     cfg = ExperimentConfig.from_text(manifest.config_text)
     if jobs is not None:
         cfg.jobs = jobs
+    if sampler is not None:
+        cfg.sampler = sampler
     if work_dir is None:
         work_dir = manifest_path.parent / "_replay"
     fresh = run(cfg, out_dir=work_dir)
     recorded = {entry["path"]: entry["sha256"] for entry in manifest.outputs}
     produced = {entry["path"]: entry["sha256"] for entry in fresh.outputs}
-    report = []
+    report = [_environment_line(manifest.environment, fresh.environment)]
     ok = True
     for name, digest in sorted(recorded.items()):
         new = produced.get(name)

@@ -57,6 +57,8 @@ __all__ = [
     "panel_spec_from_config",
     "panel_spec_to_config",
     "read_panel",
+    "row_sums",
+    "row_sums_unsupported",
     "sample_row_pairs",
     "sample_rows",
     "standardized_law_moments",
@@ -489,6 +491,15 @@ def _ma_window_weights(kappa: int) -> np.ndarray:
     return np.full(kappa, 1.0 / math.sqrt(kappa))
 
 
+def _driver_filter(model: DependenceModel) -> np.ndarray:
+    """The L taps w with data row i = sum_k w_k eps_{i+k} over driver rows."""
+    if model.kind == "gaussian-kdep":
+        return np.ascontiguousarray(ma_filter_weights(model.rho)[::-1])
+    if model.kind == "moving-average":
+        return _ma_window_weights(model.kappa)
+    return np.ones(1)
+
+
 def generate(spec: PanelSpec) -> Panel:
     """Generate the panel described by ``spec``.
 
@@ -498,21 +509,153 @@ def generate(spec: PanelSpec) -> Panel:
     spec.validate()
     rng = stream(spec.seed, spec.replicate)
     p, n = spec.p, spec.n
-    model = spec.model
-    if model.kind == "iid":
+    if spec.model.kind == "iid":
         data = spec.law.sample(rng, (p, n))
-    elif model.kind == "gaussian-kdep":
-        w = ma_filter_weights(model.rho)
-        eps = rng.standard_normal((p + model.kappa, n))
-        data = _window_filter(eps, np.ascontiguousarray(w[::-1]))
     else:
-        kappa = model.kappa
-        eps = spec.law.sample(rng, (p + kappa - 1, n))
-        data = _window_filter(eps, _ma_window_weights(kappa))
+        w = _driver_filter(spec.model)
+        eps = spec.law.sample(rng, (p + w.shape[0] - 1, n))
+        data = _window_filter(eps, w)
     for idx, d in spec.offsets:
         if d != 0.0:
             data[idx - 1] += d
     return Panel(spec=spec, data=data)
+
+
+# ---------------------------------------------------------------------------
+# Row sums of Gaussian panels, drawn without their cells
+# ---------------------------------------------------------------------------
+
+_SUMS_BLOCK = 16  # new driver rows per Bartlett block (fewer when n is small)
+_SUMS_CHUNK = 32  # blocks whose normals one replicate draws at a time
+
+
+def row_sums_unsupported(spec: PanelSpec) -> str | None:
+    """Why :func:`row_sums` cannot draw ``spec``'s panels, or None if it can."""
+    if not spec.law.is_gaussian:
+        return f"innovation law {spec.law.kind!r} is not standard-normal"
+    if spec.sizes is not None:
+        return "per-row sizes need the cells"
+    taps = _driver_filter(spec.model).shape[0]
+    if spec.n < taps + 1:
+        return f"n = {spec.n} is below L + 1 = {taps + 1} for a filter of L = {taps} taps"
+    return None
+
+
+def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and row sums of squares of whole panels, without their cells.
+
+    Returns (sum1, sum2), each of shape (len(replicates), p); entry [r, i]
+    belongs to row i + 1 of the panel of ``spec.with_replicate(replicates[r])``.
+    The pair is exact in law for every panel built from standard-normal
+    drivers with n >= L + 1, L being the number of filter taps (kappa + 1
+    for gaussian-kdep, kappa for moving-average, 1 for iid).
+
+    Each driver row eps_j splits into a_j = <eps_j, 1/sqrt(n)> ~ N(0, 1)
+    and its coordinates e_j ~ N(0, I_{n-1}) in the complement, all
+    independent.  Data row i = sum_k w_k eps_{i+k} then has
+    S1_i = sqrt(n) sum_k w_k a_{i+k} and
+    S2_i = (sum_k w_k a_{i+k})^2 + |sum_k w_k e_{i+k}|^2.  The e-part is
+    built in blocks of K new drivers in an orthonormal frame of dimension
+    L - 1 + K: the L - 1 drivers carried over from the previous block take
+    the Cholesky factor of their Gram matrix as coordinates, and new driver
+    j takes N(0, 1) coordinates on the first L - 1 + j directions plus a
+    residual of squared norm chi2(n - L - j) (Bartlett's decomposition).
+    Offsets enter in closed form.
+
+    Replicate r draws only from ``stream(seed, r)``, in a fixed order (the
+    a_j, the first frame, then the normals and chi-squares of the blocks,
+    a chunk of blocks at a time), and the arithmetic is separate per
+    replicate, so its sums are bit-identical in any batch of replicates.
+    """
+    spec.validate()
+    why = row_sums_unsupported(spec)
+    if why is not None:
+        raise SpecError(f"row sums cannot be drawn without the cells: {why}")
+    p, n = spec.p, spec.n
+    rngs = [stream(spec.seed, int(r)) for r in replicates]
+    if not rngs:
+        return np.zeros((0, p)), np.zeros((0, p))
+    w = _driver_filter(spec.model)
+    taps = w.shape[0]
+    a = np.stack([rng.standard_normal(p + taps - 1) for rng in rngs])
+    along = w[0] * a[:, :p]
+    for k in range(1, taps):
+        along += w[k] * a[:, k:k + p]
+    del a  # in place from here on: keep the batch within one explicit panel
+    if taps == 1:
+        across = np.stack([rng.chisquare(n - 1, p) for rng in rngs])
+    else:
+        across = _window_norms(rngs, w, p, n)
+    sum2 = along * along
+    sum2 += across
+    del across
+    sum1 = along
+    sum1 *= math.sqrt(n)
+    if spec.offsets:
+        d = spec.offset_vector()
+        sum2 += 2.0 * d * sum1 + n * d * d
+        sum1 += n * d
+    return sum1, sum2
+
+
+def _gram_cholesky(rows: np.ndarray) -> np.ndarray:
+    """Cholesky factors of the Gram matrices of stacked (c, D) row sets."""
+    return np.linalg.cholesky(rows @ rows.swapaxes(-1, -2))
+
+
+def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
+    """|sum_k w_k e_{i+k}|^2 for rows i < p of iid N(0, I_{n-1}) drivers e_j.
+
+    Works on frames of c = L - 1 carried rows followed by K new rows, one
+    frame per block; see :func:`row_sums`.
+    """
+    batch, taps = len(rngs), w.shape[0]
+    c = taps - 1
+    K = min(_SUMS_BLOCK, n - taps)
+    D = c + K
+    # Flat positions, within one frame, of the new rows' normal coordinates
+    # and residuals; new row j sits on frame row c + j.
+    j = np.arange(K)
+    normal_at = c * D + np.flatnonzero(np.arange(D)[None, :] < (c + j)[:, None])
+    resid_at = (c + j) * D + c + j
+    df = n - taps - j
+    band = np.zeros((K, D))  # output t sums frame rows t..t+c with weights w
+    for t in range(K):
+        band[t, t:t + taps] = w
+
+    # The first frame: the first c drivers in Bartlett form.
+    r = np.arange(c)
+    carry = np.zeros((batch, c * c))
+    first_at = np.flatnonzero(r[None, :] < r[:, None])
+    for b, rng in enumerate(rngs):
+        carry[b, first_at] = rng.standard_normal(first_at.size)
+        carry[b, r * c + r] = np.sqrt(rng.chisquare(n - 1 - r))
+    carry = carry.reshape(batch, c, c)
+
+    blocks = -(-p // K)
+    out = np.empty((batch, blocks * K))
+    for b0 in range(0, blocks, _SUMS_CHUNK):
+        nb = min(_SUMS_CHUNK, blocks - b0)
+        frame = np.zeros((batch, nb, D, D))
+        for b, rng in enumerate(rngs):
+            flat = frame[b].reshape(nb, D * D)  # a view: frame[b] is contiguous
+            flat[:, normal_at] = rng.standard_normal((nb, normal_at.size))
+            flat[:, resid_at] = np.sqrt(rng.chisquare(df, (nb, K)))
+        if K >= c:  # a block's last c rows are all new: carries need no chain
+            nxt = _gram_cholesky(frame[:, :, K:, :])
+            frame[:, 0, :c, :c] = carry
+            frame[:, 1:, :c, :c] = nxt[:, :-1]
+            carry = nxt[:, -1]
+        else:
+            for k in range(nb):
+                frame[:, k, :c, :c] = carry
+                carry = _gram_cholesky(frame[:, k, K:, :])
+        # matmul, cholesky and this einsum work one matrix or row at a
+        # time, so a replicate's values do not depend on its batch.
+        v = band @ frame
+        norms = np.einsum("...d,...d->...", v, v)
+        out[:, b0 * K:(b0 + nb) * K] = norms.reshape(batch, nb * K)
+    return out[:, :p]
 
 
 # ---------------------------------------------------------------------------

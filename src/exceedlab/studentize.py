@@ -42,6 +42,7 @@ __all__ = [
     "check_weights",
     "r_level_to_t_level",
     "studentize_panel",
+    "studentize_sums",
     "t_level_to_r_level",
     "weighted_studentize",
     "write_row_stats_csv",
@@ -182,10 +183,20 @@ def _studentize_values(y: np.ndarray, sizes: np.ndarray | None) -> StudentizedRo
         ymax = np.where(mask, y, -np.inf).max(axis=1)
         ymin = np.where(mask, y, np.inf).min(axis=1)
 
+    return _finish(sum1, sum2, n_eff, constant=ymax == ymin)
+
+
+def _finish(sum1: np.ndarray, sum2: np.ndarray, n_eff: np.ndarray,
+            constant: np.ndarray | None = None) -> StudentizedRows:
+    """T, R and the degenerate-row conventions from the row sums.
+
+    A row is degenerate when its variance s2 is 0 or, if ``constant`` is
+    given, when that mask flags it (all its values equal).
+    """
     mean = sum1 / n_eff
     msq = sum2 / n_eff
     s2 = np.maximum(msq - mean * mean, 0.0)
-    degenerate = (ymax == ymin) | (s2 == 0.0)
+    degenerate = s2 == 0.0 if constant is None else constant | (s2 == 0.0)
 
     scale = np.sqrt(s2)
     scale[degenerate] = 0.0
@@ -209,6 +220,23 @@ def _studentize_values(y: np.ndarray, sizes: np.ndarray | None) -> StudentizedRo
         mean=mean, scale=scale, t=t, r=r, degenerate=degenerate,
         sizes=n_eff.astype(np.int64),
     )
+
+
+def studentize_sums(sum1, sum2, n: int) -> StudentizedRows:
+    """Studentize rows of n values given only their sums and sums of squares.
+
+    ``sum1[i]`` and ``sum2[i]`` are the sum and the sum of squares of row
+    i.  The arithmetic is that of :func:`studentize_panel`; a row is
+    degenerate iff its variance s2 is 0, since no cell is available to
+    show that its values are all equal.
+    """
+    sum1 = np.asarray(sum1, dtype=float)
+    sum2 = np.asarray(sum2, dtype=float)
+    if sum1.ndim != 1 or sum2.shape != sum1.shape:
+        raise ValueError("sum1 and sum2 must be equal-length vectors")
+    if n < 2:
+        raise ValueError("group size n must be >= 2")
+    return _finish(sum1, sum2, np.full(sum1.shape[0], float(n)))
 
 
 def studentize_panel(panel, sizes=None) -> StudentizedRows:

@@ -207,6 +207,18 @@ def test_single_tail_guard():
     xc.tail_probability_single(spec, 3.5, err.value.required, chunk=10**6)
 
 
+def test_tail_row_indices_range_checked():
+    spec = _normal_spec(p=5, n=20, offsets=((5, 3.0),))
+    for i in (0, 6):
+        with pytest.raises(pg.SpecError, match=r"\bi = "):
+            xc.tail_probability_single(spec, 2.0, 10_000, i=i)
+    kdep = pg.PanelSpec(p=5, n=20, model=pg.DependenceModel.gaussian_kdep((0.3,)),
+                        law=pg.InnovationLaw.normal())
+    for i1, i2, name in ((0, 2, "i1"), (6, 2, "i1"), (1, 0, "i2"), (1, 6, "i2")):
+        with pytest.raises(pg.SpecError, match=name):
+            xc.tail_probability_pair(kdep, i1, i2, 1.0, 10_000, method="sufficiency")
+
+
 def test_single_tail_symmetric_level():
     spec = _normal_spec(n=64)
     est = xc.tail_probability_single(spec, 0.0, 40_000)

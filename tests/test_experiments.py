@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,3 +297,139 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert rc == 0
     lines = (out / "cluster.csv").read_text().splitlines()
     assert len(lines) == 2 + 10
+
+
+# ---------------------------------------------------------------------------
+# Config parsing, samplers, manifest environment
+# ---------------------------------------------------------------------------
+
+
+def test_config_rejects_unknown_keys_and_sections():
+    text = _cfg(kind="mtc").to_text()
+    cases = [
+        (text.replace("bh_q = ", "bhq = "), ["[mtc]", "bhq"]),
+        (text.replace("sampler = ", "samplr = "), ["[experiment]", "samplr"]),
+        (text + "\n[mtcc]\nbh_q = 0.2\n", ["[mtcc]"]),
+    ]
+    for bad, words in cases:
+        with pytest.raises(pg.SpecError) as err:
+            ex.ExperimentConfig.from_text(bad)
+        assert all(word in str(err.value) for word in words), err.value
+
+
+@pytest.mark.parametrize("kind", ex.EXPERIMENT_KINDS)
+def test_config_text_round_trip_every_kind(kind):
+    cfg = _cfg(kind=kind, reps=9, pair=(2, 4), s_level=2.0, block_ell=12,
+               level_policy="explicit", level_t=3.5, sampler="explicit", row=3)
+    back = ex.ExperimentConfig.from_text(cfg.to_text())
+    assert back == cfg
+    assert back.to_text() == cfg.to_text()
+
+
+def test_config_row_range_checked():
+    for row in (0, 301):
+        with pytest.raises(pg.SpecError, match="row"):
+            _cfg(kind="tails", row=row).validate()
+
+
+def test_sampler_resolution_and_fallback():
+    assert ex.resolve_sampler(_cfg()) == "sufficiency"
+    assert ex.resolve_sampler(_cfg(sampler="explicit")) == "explicit"
+    kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
+    assert ex.resolve_sampler(_cfg(model=kdep, n=4)) == "sufficiency"  # n = L + 1
+    cannot = [
+        replace(_cfg(), panel=replace(_cfg().panel, law=pg.InnovationLaw.rademacher())),
+        replace(_cfg(p=3), panel=replace(_cfg(p=3).panel, sizes=(5, 40, 9))),
+        _cfg(model=kdep, n=3),  # n = L
+    ]
+    for cfg in cannot:
+        cfg.validate()
+        assert ex.resolve_sampler(cfg) == "explicit"
+        cfg.sampler = "sufficiency"
+        with pytest.raises(pg.SpecError, match="sampler"):
+            cfg.validate()
+    with pytest.raises(pg.SpecError, match="sampler"):
+        _cfg(sampler="fast").validate()
+
+
+def test_samplers_tag_their_outputs(tmp_path):
+    for sampler in ("explicit", "sufficiency"):
+        for kind in ("cluster", "mtc"):
+            out = tmp_path / f"{kind}-{sampler}"
+            m = ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, sampler=sampler),
+                       out_dir=out)
+            summary = json.loads((out / f"{kind}_summary.json").read_text())
+            assert summary["sampler"] == sampler
+            assert ex.ExperimentConfig.from_text(m.config_text).sampler == sampler
+    # auto is recorded as what it resolved to
+    m = ex.run(_cfg(reps=5, eta=0.1, jobs=1), out_dir=tmp_path / "auto")
+    assert ex.ExperimentConfig.from_text(m.config_text).sampler == "sufficiency"
+
+
+def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
+    from exceedlab import mtc
+    from exceedlab import studentize as stu
+
+    n = 40
+    marginal = mtc.StudentizedNormalMarginal(n)
+    us = np.array([0.3, 1e-3, 5e-5, 5e-6, 1e-6])
+    t = np.array([marginal.upper_quantile(u) for u in us])
+    # rows with mean t / sqrt(n) and variance 1 have T = t
+    rows = stu.studentize_sums(t * math.sqrt(n), n + t * t, n)
+    assert np.allclose(rows.t, t, rtol=1e-13)
+    assert np.allclose(mtc.one_sided_p_values(rows, marginal), us, rtol=1e-9, atol=0)
+    ex.run(_cfg(kind="mtc", reps=5, eta=0.1, jobs=1, n=n), out_dir=tmp_path)
+    summary = json.loads((tmp_path / "mtc_summary.json").read_text())
+    assert summary["marginal"] == marginal.describe()
+
+
+def test_manifest_records_environment_and_replay_reports_it(tmp_path):
+    out = tmp_path / "run"
+    m = ex.run(_cfg(reps=10, eta=0.1, jobs=1, sampler="explicit"), out_dir=out)
+    assert m.environment == ex.environment()
+    assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator"}
+    assert m.environment["bit_generator"] == "PCG64"
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r1")
+    assert ok and report[0].startswith("ENV same")
+
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["environment"]["numpy"] = "0.0.1"
+    (out / "manifest.json").write_text(json.dumps(raw))
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r2")
+    assert ok, report  # the digests decide; the environment is reported apart
+    assert report[0] == f"ENV changed: numpy 0.0.1 -> {np.__version__}"
+    assert not any(line.startswith("MISMATCH") for line in report)
+
+    # a v1 manifest: no environment, no sampler in its config snapshot
+    raw["schema_version"] = "exceedlab.manifest.v1"
+    del raw["environment"]
+    raw["config"] = raw["config"].replace("sampler = explicit\n", "")
+    (out / "manifest.json").write_text(json.dumps(raw))
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r3")
+    assert report[0] == "ENV not recorded (manifest v1)"
+    assert not ok and any(line.startswith("MISMATCH cluster.csv") for line in report)
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r4",
+                           sampler="explicit")
+    assert ok and "OK cluster.csv" in report
+
+
+def test_cli_sampler_flag(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main([
+        "cluster", "--p", "200", "--n", "30", "--model", "moving-average",
+        "--kappa", "2", "--reps", "12", "--seed", "9", "--eta", "0.1",
+        "--sampler", "explicit", "--out", str(out),
+    ])
+    assert rc == 0
+    assert json.loads((out / "cluster_summary.json").read_text())["sampler"] == "explicit"
+    rc = cli.main([
+        "cluster", "--p", "200", "--n", "30", "--law", "standardized-rademacher",
+        "--model", "moving-average", "--kappa", "2", "--reps", "12",
+        "--sampler", "sufficiency", "--out", str(tmp_path / "bad"),
+    ])
+    assert rc == 2
+    assert "sampler" in capsys.readouterr().err
+    rc = cli.main(["replay", "--manifest", str(out / "manifest.json"),
+                   "--work-dir", str(tmp_path / "w"), "--sampler", "sufficiency"])
+    assert rc == 1
+    assert "MISMATCH cluster.csv" in capsys.readouterr().out

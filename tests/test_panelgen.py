@@ -1,12 +1,15 @@
 """Panel generation tests: determinism, dependence control, law moments, IO."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from exceedlab import panelgen as pg
+from exceedlab import studentize as stu
 
 
 def _se(x):
@@ -313,3 +316,163 @@ def test_spec_config_unknown_key_rejected():
     text = "[panel]\np = 4\nn = 3\nbogus = 1\n"
     with pytest.raises(pg.SpecError, match="bogus"):
         pg.panel_spec_from_config(text)
+
+
+# ---------------------------------------------------------------------------
+# Row sums drawn without cells
+# ---------------------------------------------------------------------------
+
+# A strong band, so that a lost carry between blocks shows in the moments.
+STRONG = pg.DependenceModel.gaussian_kdep((0.6, 0.3))
+Z_MAX = 4.5
+
+
+def _strong_spec(p, n, seed, **kw):
+    return pg.PanelSpec(p=p, n=n, model=STRONG, law=pg.InnovationLaw.normal(),
+                        seed=seed, **kw)
+
+
+def _sums(spec, reps, batch=50):
+    parts = [pg.row_sums(spec, range(a, min(a + batch, reps)))
+             for a in range(0, reps, batch)]
+    return (np.concatenate([s1 for s1, _ in parts]),
+            np.concatenate([s2 for _, s2 in parts]))
+
+
+def _z(per_rep, expected):
+    """Mean of per-replicate values (iid across replicates) in SE units."""
+    return (per_rep.mean() - expected) / (per_rep.std(ddof=1) / math.sqrt(per_rep.size))
+
+
+def _moment_z(s1, s2, spec, rows, pair_rows):
+    """z-scores of the exact second moments of the row sums.
+
+    ``rows`` selects the rows for E S2 and Var S2; ``pair_rows(m)`` the
+    first rows i of the lag-m pairs (i, i + m).
+    """
+    n, model = spec.n, spec.model
+    c2 = s2 - n
+    z = {"E S2": _z(c2[:, rows].mean(axis=1), 0.0),
+         "Var S2": _z((c2[:, rows] ** 2).mean(axis=1), 2.0 * n)}
+    i = pair_rows(1)
+    z["Cov(S1_i, S2_i+1)"] = _z((s1[:, i] * c2[:, i + 1]).mean(axis=1), 0.0)
+    for m in range(1, model.kappa + 2):
+        rho = model.lag_correlation(m)
+        i = pair_rows(m)
+        z[f"Cov(S1_i, S1_i+{m})"] = _z((s1[:, i] * s1[:, i + m]).mean(axis=1), n * rho)
+        z[f"Cov(S2_i, S2_i+{m})"] = _z((c2[:, i] * c2[:, i + m]).mean(axis=1),
+                                        2.0 * n * rho * rho)
+    return z
+
+
+def test_row_sums_exact_second_moments():
+    # n = 30: blocks of K = 16 new drivers; p = 640 rows span 40 blocks,
+    # more than one chunk of blocks.
+    spec = _strong_spec(640, 30, seed=41)
+    s1, s2 = _sums(spec, 2000)
+    K = 16
+    everywhere = _moment_z(s1, s2, spec, slice(None),
+                           lambda m: np.arange(spec.p - m))
+
+    def straddling(m):
+        i = np.arange(spec.p - m)
+        return i[i // K != (i + m) // K]
+
+    # rows whose window reaches into the carried drivers, and pairs that
+    # straddle a block boundary
+    straddle = _moment_z(s1, s2, spec,
+                         np.flatnonzero(np.arange(spec.p) % K < spec.model.kappa),
+                         straddling)
+    for label, z in (("all rows", everywhere), ("block boundaries", straddle)):
+        bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
+        assert not bad, (label, bad)
+
+
+def test_row_sums_smallest_group_size():
+    # n = L + 1: one new driver per block, the carries chained block by block
+    spec = _strong_spec(200, 4, seed=43)
+    s1, s2 = _sums(spec, 3000)
+    z = _moment_z(s1, s2, spec, slice(None), lambda m: np.arange(spec.p - m))
+    bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
+    assert not bad, bad
+
+
+def test_row_sums_studentized_marginal_is_scaled_t():
+    from scipy import stats
+
+    n = 8
+    spec = _strong_spec(600, n, seed=47)
+    s1, s2 = _sums(spec, 1000)
+    # rows L = kappa + 1 apart share no driver, so they are independent
+    t = stu.studentize_sums(s1[:, ::3].ravel(), s2[:, ::3].ravel(), n).t
+    ks = stats.kstest(t * math.sqrt((n - 1) / n), stats.t(n - 1).cdf)
+    assert ks.pvalue > 1e-3, ks
+
+
+def test_row_sums_max_t_matches_explicit_panels():
+    from scipy import stats
+
+    spec = _strong_spec(300, 20, seed=53, offsets=((7, 0.4), (150, 0.8)))
+    reps = 800
+    s1, s2 = _sums(spec, reps)
+    fast = [stu.studentize_sums(s1[k], s2[k], spec.n).t.max() for k in range(reps)]
+    slow = [stu.studentize_panel(pg.generate(spec.with_replicate(reps + k))).t.max()
+            for k in range(reps)]
+    ks = stats.ks_2samp(fast, slow)
+    assert ks.pvalue > 1e-3, ks
+
+
+_SPLIT_SPECS = (
+    _strong_spec(1100, 30, seed=0),  # more blocks than one chunk
+    _strong_spec(90, 4, seed=0),  # chained carries
+    pg.PanelSpec(p=257, n=9, model=pg.DependenceModel.moving_average(4),
+                 law=pg.InnovationLaw.normal(), offsets=((3, 1.0), (257, 0.5))),
+    pg.PanelSpec(p=60, n=5, model=pg.DependenceModel.iid(),
+                 law=pg.InnovationLaw.normal()),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    which=st.integers(0, len(_SPLIT_SPECS) - 1),
+    seed=st.integers(0, 2**64 - 1),
+    reps=st.lists(st.integers(0, 10**6), min_size=1, max_size=9, unique=True),
+    cuts=st.lists(st.integers(1, 8), max_size=4),
+)
+def test_row_sums_bit_identical_across_batch_splits(which, seed, reps, cuts):
+    spec = replace(_SPLIT_SPECS[which], seed=seed)
+    whole = pg.row_sums(spec, reps)
+    bounds = sorted({0, len(reps), *(c for c in cuts if c < len(reps))})
+    parts = [pg.row_sums(spec, reps[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    for k in (0, 1):
+        joined = np.concatenate([part[k] for part in parts])
+        assert joined.shape == (len(reps), spec.p)
+        assert joined.tobytes() == whole[k].tobytes()
+
+
+def test_row_sums_offsets_shift_in_closed_form():
+    spec = _strong_spec(40, 12, seed=59)
+    shifted = replace(spec, offsets=((1, 0.5), (40, 2.0)))
+    s1, s2 = pg.row_sums(spec, [3])
+    t1, t2 = pg.row_sums(shifted, [3])
+    d = shifted.offset_vector()
+    assert np.allclose(t1[0], s1[0] + spec.n * d, rtol=0, atol=1e-12)
+    assert np.allclose(t2[0], s2[0] + 2.0 * d * s1[0] + spec.n * d * d,
+                       rtol=0, atol=1e-12)
+
+
+def test_row_sums_refuses_what_it_cannot_draw():
+    ma = pg.DependenceModel.moving_average(3)
+    cases = [
+        pg.PanelSpec(p=10, n=20, model=ma, law=pg.InnovationLaw.rademacher()),
+        pg.PanelSpec(p=3, n=20, model=ma, law=pg.InnovationLaw.normal(),
+                     sizes=(5, 20, 9)),
+        _strong_spec(10, 3, seed=0),  # n = L
+    ]
+    for spec in cases:
+        assert pg.row_sums_unsupported(spec)
+        with pytest.raises(pg.SpecError):
+            pg.row_sums(spec, [0])
+    assert pg.row_sums_unsupported(_strong_spec(10, 4, seed=0)) is None
+    s1, s2 = pg.row_sums(_strong_spec(10, 4, seed=0), [])
+    assert s1.shape == s2.shape == (0, 10)

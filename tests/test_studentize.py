@@ -211,3 +211,20 @@ def test_row_stats_csv(tmp_path):
     assert parsed[0]["i"] == "1"
     assert float(parsed[0]["T"]) == pytest.approx(rows.t[0])
     assert parsed[1]["degenerate"] == "1"
+
+
+def test_studentize_sums_matches_panel_arithmetic():
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((50, 12)) + np.linspace(-1.0, 1.0, 50)[:, None]
+    data[3] = 0.0
+    data[7] = 2.0  # a constant row whose variance is exactly 0 from its sums
+    data[9] = -0.5
+    sums = stu.studentize_sums(data.sum(axis=1), np.einsum("ij,ij->i", data, data), 12)
+    cells = stu.studentize_panel(data)
+    for field in ("mean", "scale", "t", "r", "degenerate", "sizes"):
+        assert getattr(sums, field).tobytes() == getattr(cells, field).tobytes(), field
+    assert sums.t[3] == 1.0 and sums.t[7] == math.inf and sums.t[9] == -math.inf
+    with pytest.raises(ValueError):
+        stu.studentize_sums(np.zeros(3), np.zeros(2), 12)
+    with pytest.raises(ValueError):
+        stu.studentize_sums(np.zeros(3), np.zeros(3), 1)
