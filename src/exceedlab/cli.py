@@ -46,8 +46,11 @@ common flags (after the subcommand):
   --jobs INT      worker processes (0 = auto; env EXCEEDLAB_JOBS overrides)
   --out DIR       output directory (default runs/<kind>)
   --format F      csv | json for the main table (summaries are JSON)
-  --sampler S     auto | explicit | sufficiency: how cluster and mtc draw
-                  their panels (replay: override the recorded sampler)
+
+cluster, mtc and replay also take:
+  --sampler S     auto | explicit: auto draws Gaussian panels by their row
+                  sums where that is exact and faster; replay: override
+                  the recorded sampler
 
 environment:
   EXCEEDLAB_JOBS  default parallelism when --jobs is 0 or absent
@@ -76,7 +79,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--out")
     sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    sub.add_argument("--sampler", choices=experiments.SAMPLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kind in ("cluster", "coupling"):
             sub.add_argument("--ell", type=int,
                              help="override the large-block length")
+        if kind in ("cluster", "mtc"):
+            sub.add_argument("--sampler", choices=experiments.SAMPLERS)
         if kind == "mtc":
             sub.add_argument("--q", type=float, help="BH FDR level")
             sub.add_argument("--a", type=float, help="step-down FWER level")
@@ -203,7 +207,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.out = args.out
     if args.fmt is not None:
         cfg.fmt = args.fmt
-    if args.sampler is not None:
+    if getattr(args, "sampler", None) is not None:
         cfg.sampler = args.sampler
 
     if getattr(args, "s", None) is not None:

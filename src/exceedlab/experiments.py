@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("calibrate", "tails", "coupling", "cluster", "mtc", "paper-table")
-SAMPLERS = ("auto", "explicit", "sufficiency")
+SAMPLERS = ("auto", "explicit")
 
 _JOBS_ENV = "EXCEEDLAB_JOBS"
 
@@ -94,10 +94,10 @@ class ExperimentConfig:
     ``"explicit"`` (use ``level_t`` as given).  ``s_level`` optionally
     fixes the R-scale level for tails/coupling; by default it is the
     mapped t-level.  ``sampler`` picks how cluster and mtc replicates are
-    drawn: ``"explicit"`` generates and studentizes every cell,
-    ``"sufficiency"`` draws each row's sum and sum of squares
-    (:func:`panelgen.row_sums`), ``"auto"`` takes sufficiency wherever it
-    applies.
+    drawn: ``"auto"`` draws each row's sum and sum of squares
+    (:func:`panelgen.row_sums`) wherever that is exact and faster than the
+    cells (:func:`panelgen.row_sums_preferred`), ``"explicit"`` always
+    generates and studentizes every cell.
     """
 
     kind: str
@@ -152,10 +152,6 @@ class ExperimentConfig:
             raise pg.SpecError(
                 f"sampler must be one of {', '.join(SAMPLERS)}, got {self.sampler!r}"
             )
-        if self.sampler == "sufficiency":
-            why = pg.row_sums_unsupported(self.panel)
-            if why is not None:
-                raise pg.SpecError(f"sampler = sufficiency does not apply: {why}")
         if not 1 <= self.row <= self.panel.p:
             raise pg.SpecError(f"row {self.row} outside [1, {self.panel.p}]")
         if self.pair is not None:
@@ -285,10 +281,10 @@ _CONFIG_KEYS = {
 
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
-    """The sampler cluster and mtc replicates use: explicit or sufficiency."""
-    if cfg.sampler != "auto":
-        return cfg.sampler
-    return "explicit" if pg.row_sums_unsupported(cfg.panel) else "sufficiency"
+    """How cluster and mtc replicates are drawn: explicit or sufficiency."""
+    if cfg.sampler == "auto" and pg.row_sums_preferred(cfg.panel):
+        return "sufficiency"
+    return "explicit"
 
 
 def _effective_rho_max(cfg: ExperimentConfig) -> float:
@@ -825,9 +821,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         kind=cfg.kind,
         seed=cfg.panel.seed,
         code_version=_CODE_VERSION,
-        config_text=replace(
-            cfg, out=None, jobs=0, sampler=resolve_sampler(cfg)
-        ).to_text(),
+        config_text=replace(cfg, out=None, jobs=0).to_text(),
         wall_clock_s=time.perf_counter() - t_start,
         timings=timings,
         outputs=outputs,

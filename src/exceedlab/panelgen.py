@@ -58,6 +58,7 @@ __all__ = [
     "panel_spec_to_config",
     "read_panel",
     "row_sums",
+    "row_sums_preferred",
     "row_sums_unsupported",
     "sample_row_pairs",
     "sample_rows",
@@ -525,8 +526,12 @@ def generate(spec: PanelSpec) -> Panel:
 # Row sums of Gaussian panels, drawn without their cells
 # ---------------------------------------------------------------------------
 
-_SUMS_BLOCK = 16  # new driver rows per Bartlett block (fewer when n is small)
-_SUMS_CHUNK = 32  # blocks whose normals one replicate draws at a time
+_SUMS_BLOCK = 16  # new driver rows per Bartlett block, at least L - 1, at most n - L
+_SUMS_CHUNK_ROWS = 512  # driver rows whose normals one replicate draws at a time
+# With fewer new drivers per block than this, the per-block Gram and
+# Cholesky work of row_sums costs more than drawing the n cells of a row
+# (measured over filters of 2 to 21 taps; BENCH_4.json, "crossover").
+_SUMS_MIN_NEW = 6
 
 
 def row_sums_unsupported(spec: PanelSpec) -> str | None:
@@ -536,9 +541,22 @@ def row_sums_unsupported(spec: PanelSpec) -> str | None:
     if spec.sizes is not None:
         return "per-row sizes need the cells"
     taps = _driver_filter(spec.model).shape[0]
-    if spec.n < taps + 1:
-        return f"n = {spec.n} is below L + 1 = {taps + 1} for a filter of L = {taps} taps"
+    if spec.n < max(2, 2 * taps - 1):
+        return (f"n = {spec.n} is below 2L - 1 = {2 * taps - 1} "
+                f"for a filter of L = {taps} taps")
     return None
+
+
+def row_sums_preferred(spec: PanelSpec) -> bool:
+    """Whether :func:`row_sums` applies to ``spec`` and beats drawing cells.
+
+    It does for iid panels from n = 2, and for filters of L >= 2 taps from
+    n >= max(2L - 1, L + 6), where blocks get at least 6 new drivers.
+    """
+    if row_sums_unsupported(spec) is not None:
+        return False
+    taps = _driver_filter(spec.model).shape[0]
+    return taps == 1 or spec.n - taps >= _SUMS_MIN_NEW
 
 
 def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
@@ -547,8 +565,8 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
     Returns (sum1, sum2), each of shape (len(replicates), p); entry [r, i]
     belongs to row i + 1 of the panel of ``spec.with_replicate(replicates[r])``.
     The pair is exact in law for every panel built from standard-normal
-    drivers with n >= L + 1, L being the number of filter taps (kappa + 1
-    for gaussian-kdep, kappa for moving-average, 1 for iid).
+    drivers with n >= 2L - 1 (and n >= 2), L being the number of filter
+    taps (kappa + 1 for gaussian-kdep, kappa for moving-average, 1 for iid).
 
     Each driver row eps_j splits into a_j = <eps_j, 1/sqrt(n)> ~ N(0, 1)
     and its coordinates e_j ~ N(0, I_{n-1}) in the complement, all
@@ -560,11 +578,13 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
     the Cholesky factor of their Gram matrix as coordinates, and new driver
     j takes N(0, 1) coordinates on the first L - 1 + j directions plus a
     residual of squared norm chi2(n - L - j) (Bartlett's decomposition).
-    Offsets enter in closed form.
+    With K >= L - 1, which n >= 2L - 1 allows, a block's last L - 1 drivers
+    are all new, so every carry of a chunk of blocks comes from one batched
+    Gram and Cholesky step.  Offsets enter in closed form.
 
     Replicate r draws only from ``stream(seed, r)``, in a fixed order (the
     a_j, the first frame, then the normals and chi-squares of the blocks,
-    a chunk of blocks at a time), and the arithmetic is separate per
+    about 512 drivers at a time), and the arithmetic is separate per
     replicate, so its sums are bit-identical in any batch of replicates.
     """
     spec.validate()
@@ -611,7 +631,7 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
     """
     batch, taps = len(rngs), w.shape[0]
     c = taps - 1
-    K = min(_SUMS_BLOCK, n - taps)
+    K = min(max(_SUMS_BLOCK, c), n - taps)
     D = c + K
     # Flat positions, within one frame, of the new rows' normal coordinates
     # and residuals; new row j sits on frame row c + j.
@@ -634,22 +654,19 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
 
     blocks = -(-p // K)
     out = np.empty((batch, blocks * K))
-    for b0 in range(0, blocks, _SUMS_CHUNK):
-        nb = min(_SUMS_CHUNK, blocks - b0)
+    chunk = max(1, _SUMS_CHUNK_ROWS // K)
+    for b0 in range(0, blocks, chunk):
+        nb = min(chunk, blocks - b0)
         frame = np.zeros((batch, nb, D, D))
         for b, rng in enumerate(rngs):
             flat = frame[b].reshape(nb, D * D)  # a view: frame[b] is contiguous
             flat[:, normal_at] = rng.standard_normal((nb, normal_at.size))
             flat[:, resid_at] = np.sqrt(rng.chisquare(df, (nb, K)))
-        if K >= c:  # a block's last c rows are all new: carries need no chain
-            nxt = _gram_cholesky(frame[:, :, K:, :])
-            frame[:, 0, :c, :c] = carry
-            frame[:, 1:, :c, :c] = nxt[:, :-1]
-            carry = nxt[:, -1]
-        else:
-            for k in range(nb):
-                frame[:, k, :c, :c] = carry
-                carry = _gram_cholesky(frame[:, k, K:, :])
+        # K >= c: a block's last c rows are all new, so no carry is chained.
+        nxt = _gram_cholesky(frame[:, :, K:, :])
+        frame[:, 0, :c, :c] = carry
+        frame[:, 1:, :c, :c] = nxt[:, :-1]
+        carry = nxt[:, -1]
         # matmul, cholesky and this einsum work one matrix or row at a
         # time, so a replicate's values do not depend on its batch.
         v = band @ frame

@@ -336,34 +336,31 @@ def test_sampler_resolution_and_fallback():
     assert ex.resolve_sampler(_cfg()) == "sufficiency"
     assert ex.resolve_sampler(_cfg(sampler="explicit")) == "explicit"
     kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
-    assert ex.resolve_sampler(_cfg(model=kdep, n=4)) == "sufficiency"  # n = L + 1
-    cannot = [
+    assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency"  # n = L + 6
+    explicit = [
         replace(_cfg(), panel=replace(_cfg().panel, law=pg.InnovationLaw.rademacher())),
         replace(_cfg(p=3), panel=replace(_cfg(p=3).panel, sizes=(5, 40, 9))),
-        _cfg(model=kdep, n=3),  # n = L
+        _cfg(model=kdep, n=8),  # exact, but slower than the cells
+        _cfg(model=kdep, n=4),  # n = 2L - 2
     ]
-    for cfg in cannot:
+    for cfg in explicit:
         cfg.validate()
         assert ex.resolve_sampler(cfg) == "explicit"
-        cfg.sampler = "sufficiency"
+    for bad in ("fast", "sufficiency"):
         with pytest.raises(pg.SpecError, match="sampler"):
-            cfg.validate()
-    with pytest.raises(pg.SpecError, match="sampler"):
-        _cfg(sampler="fast").validate()
+            _cfg(sampler=bad).validate()
 
 
 def test_samplers_tag_their_outputs(tmp_path):
-    for sampler in ("explicit", "sufficiency"):
+    # the summaries record how the panels were drawn, the snapshot the knob
+    for sampler, drawn in (("explicit", "explicit"), ("auto", "sufficiency")):
         for kind in ("cluster", "mtc"):
             out = tmp_path / f"{kind}-{sampler}"
             m = ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, sampler=sampler),
                        out_dir=out)
             summary = json.loads((out / f"{kind}_summary.json").read_text())
-            assert summary["sampler"] == sampler
+            assert summary["sampler"] == drawn
             assert ex.ExperimentConfig.from_text(m.config_text).sampler == sampler
-    # auto is recorded as what it resolved to
-    m = ex.run(_cfg(reps=5, eta=0.1, jobs=1), out_dir=tmp_path / "auto")
-    assert ex.ExperimentConfig.from_text(m.config_text).sampler == "sufficiency"
 
 
 def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
@@ -422,14 +419,14 @@ def test_cli_sampler_flag(tmp_path, capsys):
     ])
     assert rc == 0
     assert json.loads((out / "cluster_summary.json").read_text())["sampler"] == "explicit"
-    rc = cli.main([
-        "cluster", "--p", "200", "--n", "30", "--law", "standardized-rademacher",
-        "--model", "moving-average", "--kappa", "2", "--reps", "12",
-        "--sampler", "sufficiency", "--out", str(tmp_path / "bad"),
-    ])
-    assert rc == 2
-    assert "sampler" in capsys.readouterr().err
+    # only cluster, mtc and replay draw panels that a sampler could change
+    for argv in (["cluster", "--sampler", "sufficiency"],
+                 ["calibrate", "--sampler", "explicit"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+    assert "--sampler" in capsys.readouterr().err
     rc = cli.main(["replay", "--manifest", str(out / "manifest.json"),
-                   "--work-dir", str(tmp_path / "w"), "--sampler", "sufficiency"])
+                   "--work-dir", str(tmp_path / "w"), "--sampler", "auto"])
     assert rc == 1
     assert "MISMATCH cluster.csv" in capsys.readouterr().out

@@ -389,8 +389,9 @@ def test_row_sums_exact_second_moments():
 
 
 def test_row_sums_smallest_group_size():
-    # n = L + 1: one new driver per block, the carries chained block by block
-    spec = _strong_spec(200, 4, seed=43)
+    # n = 2L - 1: blocks of K = L - 1 new drivers, the fewest that leave
+    # no carry chained; p = 600 rows span 300 blocks, more than one chunk.
+    spec = _strong_spec(600, 5, seed=43)
     s1, s2 = _sums(spec, 3000)
     z = _moment_z(s1, s2, spec, slice(None), lambda m: np.arange(spec.p - m))
     bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
@@ -424,7 +425,7 @@ def test_row_sums_max_t_matches_explicit_panels():
 
 _SPLIT_SPECS = (
     _strong_spec(1100, 30, seed=0),  # more blocks than one chunk
-    _strong_spec(90, 4, seed=0),  # chained carries
+    _strong_spec(600, 5, seed=0),  # n = 2L - 1, more blocks than one chunk
     pg.PanelSpec(p=257, n=9, model=pg.DependenceModel.moving_average(4),
                  law=pg.InnovationLaw.normal(), offsets=((3, 1.0), (257, 0.5))),
     pg.PanelSpec(p=60, n=5, model=pg.DependenceModel.iid(),
@@ -467,12 +468,37 @@ def test_row_sums_refuses_what_it_cannot_draw():
         pg.PanelSpec(p=10, n=20, model=ma, law=pg.InnovationLaw.rademacher()),
         pg.PanelSpec(p=3, n=20, model=ma, law=pg.InnovationLaw.normal(),
                      sizes=(5, 20, 9)),
-        _strong_spec(10, 3, seed=0),  # n = L
+        _strong_spec(10, 4, seed=0),  # n = 2L - 2
     ]
     for spec in cases:
         assert pg.row_sums_unsupported(spec)
+        assert not pg.row_sums_preferred(spec)
         with pytest.raises(pg.SpecError):
             pg.row_sums(spec, [0])
-    assert pg.row_sums_unsupported(_strong_spec(10, 4, seed=0)) is None
-    s1, s2 = pg.row_sums(_strong_spec(10, 4, seed=0), [])
+    assert pg.row_sums_unsupported(_strong_spec(10, 5, seed=0)) is None
+    s1, s2 = pg.row_sums(_strong_spec(10, 5, seed=0), [])
     assert s1.shape == s2.shape == (0, 10)
+
+
+def test_row_sums_preferred_from_six_new_drivers_per_block():
+    normal = pg.InnovationLaw.normal()
+    iid = pg.DependenceModel.iid()
+    assert pg.row_sums_preferred(pg.PanelSpec(p=10, n=2, model=iid, law=normal))
+    # L = 3: exact from n = 5, preferred from n = L + 6
+    assert pg.row_sums_unsupported(_strong_spec(10, 8, seed=0)) is None
+    assert not pg.row_sums_preferred(_strong_spec(10, 8, seed=0))
+    assert pg.row_sums_preferred(_strong_spec(10, 9, seed=0))
+    # L = 21: preferred as soon as it is exact, at n = 2L - 1
+    wide = pg.DependenceModel.gaussian_kdep((0.01,) * 20)
+    assert not pg.row_sums_preferred(pg.PanelSpec(p=10, n=40, model=wide, law=normal))
+    assert pg.row_sums_preferred(pg.PanelSpec(p=10, n=41, model=wide, law=normal))
+
+
+def test_row_sums_wide_filter_moments():
+    # L = 21 > 16 taps: blocks grow to K = L - 1 new drivers
+    model = pg.DependenceModel.gaussian_kdep(tuple(0.6 * (20 - m) / 20 for m in range(20)))
+    spec = pg.PanelSpec(p=200, n=41, model=model, law=pg.InnovationLaw.normal(), seed=61)
+    s1, s2 = _sums(spec, 2000)
+    z = _moment_z(s1, s2, spec, slice(None), lambda m: np.arange(spec.p - m))
+    bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
+    assert not bad, bad
