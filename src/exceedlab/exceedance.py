@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,10 +140,16 @@ class BlockScheme:
     def m(self) -> int:
         return sum(1 for kind, _, _ in self.blocks if kind == "large")
 
-    def large_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = [s for kind, s, _ in self.blocks if kind == "large"]
-        ends = [e for kind, _, e in self.blocks if kind == "large"]
-        return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+    def bounds(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Inclusive 1-based (starts, ends) of every block of ``kind``."""
+        return self._bounds[kind]
+
+    @cached_property
+    def _bounds(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        table = np.array([(s, e) for _, s, e in self.blocks], dtype=np.int64).reshape(-1, 2)
+        kinds = np.array([kind for kind, _, _ in self.blocks])
+        return {k: (table[kinds == k, 0], table[kinds == k, 1])
+                for k in ("large", "small", "fragment")}
 
 
 def block_scheme(
@@ -232,25 +239,17 @@ def cluster_stats(exc: ExceedanceSet, scheme: BlockScheme) -> ClusterStats:
         )
     idx = exc.indices
     total = int(idx.shape[0])
+    if total == 0:
+        return ClusterStats(0, 0, 0, 0, 0, 0, 0, event_f=True)
 
-    starts_l, ends_l = scheme.large_bounds()
-    counts_l = _counts_in(idx, starts_l, ends_l) if starts_l.size else np.zeros(0, int)
+    counts_l = _counts_in(idx, *scheme.bounds("large"))
     hit = int((counts_l >= 1).sum())
     multi = int((counts_l >= 2).sum())
-
-    small_raw = 0
-    frag_raw = 0
-    frag_attached = 0
-    for kind, start, end in scheme.blocks:
-        if kind == "large":
-            continue
-        c = int(_counts_in(idx, np.array([start]), np.array([end]))[0])
-        if kind == "small":
-            small_raw += c
-        else:
-            frag_raw += c
-            if end - start + 1 < scheme.kappa + 1:
-                frag_attached += c
+    small_raw = int(_counts_in(idx, *scheme.bounds("small")).sum())
+    frag_raw = int(_counts_in(idx, *scheme.bounds("fragment")).sum())
+    kind, start, end = scheme.blocks[-1]
+    stub = kind == "fragment" and end - start + 1 < scheme.kappa + 1
+    frag_attached = frag_raw if stub else 0
 
     if total >= 2:
         gaps = np.diff(idx)
@@ -578,40 +577,20 @@ class CouplingEstimate:
         }
 
 
-def _matched_r_values(
-    spec: _pg.PanelSpec, replicate: int
+def _coupling_hits(
+    spec: _pg.PanelSpec, starts: np.ndarray, ends: np.ndarray, s: float,
+    start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R vectors of one dependent panel and its matched independent panel.
-
-    gaussian-kdep shares the driver array between arms (filtered vs
-    identity weights); moving-average draws fresh per-row windows from
-    the same stream; iid panels are their own independent counterpart.
-    """
-    spec = spec.with_replicate(replicate)
-    model = spec.model
-    p, n = spec.p, spec.n
-    rng = _pg.stream(spec.seed, replicate)
-    if model.kind == "gaussian-kdep":
-        w = _pg.ma_filter_weights(model.rho)
-        eps = rng.standard_normal((p + model.kappa, n))
-        dep = _pg._window_filter(eps, np.ascontiguousarray(w[::-1]))
-        ind = eps[:p].copy()
-    elif model.kind == "moving-average":
-        kappa = model.kappa
-        eps = spec.law.sample(rng, (p + kappa - 1, n))
-        dep = _pg._window_filter(eps, _pg._ma_window_weights(kappa))
-        fresh = spec.law.sample(rng, (p, kappa, n))
-        ind = fresh.sum(axis=1) / math.sqrt(kappa)
-    else:
-        dep = spec.law.sample(rng, (p, n))
-        ind = dep
-    d = spec.offset_vector()
-    if d.any():
-        dep = dep + d[:, None]
-        ind = dep if ind is dep else ind + d[:, None]
-    r_dep = _stu.studentize_panel(dep).r
-    r_ind = r_dep if ind is dep else _stu.studentize_panel(ind).r
-    return r_dep, r_ind
+    """(dependent, independent) any-hit counts per large block, start..stop-1."""
+    hits_dep = np.zeros(starts.size, dtype=np.int64)
+    hits_ind = np.zeros(starts.size, dtype=np.int64)
+    for rep in range(start, stop):
+        dep, ind = _pg.matched_panels(spec.with_replicate(rep))
+        r_dep = _stu.studentize_panel(dep).r
+        r_ind = r_dep if ind is dep else _stu.studentize_panel(ind).r
+        hits_dep += _counts_in(np.flatnonzero(r_dep > s) + 1, starts, ends) >= 1
+        hits_ind += _counts_in(np.flatnonzero(r_ind > s) + 1, starts, ends) >= 1
+    return hits_dep, hits_ind
 
 
 def coupling_estimate(
@@ -621,6 +600,7 @@ def coupling_estimate(
     reps: int,
     se_cap: float = 0.02,
     match_draws: int = 100_000,
+    jobs: int = 1,
 ) -> CouplingEstimate:
     """Estimate the count-match coupling bound for ``spec`` at level ``s``.
 
@@ -629,7 +609,9 @@ def coupling_estimate(
     computes the lower bound 1 - sum |pi_j - pi'_j| and verifies it by
     the shared-uniform construction with ``match_draws`` draws.  The call
     is rejected unless ``reps`` caps every estimate's worst-case standard
-    error at ``se_cap``.
+    error at ``se_cap``.  The panel pairs are split over ``jobs`` worker
+    processes (:func:`panelgen.map_replicates`); hit counts are integers,
+    so the estimate does not depend on ``jobs``.
     """
     spec.validate()
     if scheme.width != spec.p:
@@ -643,18 +625,11 @@ def coupling_estimate(
             f"got {reps}",
             required=required,
         )
-    starts, ends = scheme.large_bounds()
+    starts, ends = scheme.bounds("large")
     if starts.size == 0:
         raise ValueError("block scheme has no complete large block")
-    m = starts.size
-    hits_dep = np.zeros(m, dtype=np.int64)
-    hits_ind = np.zeros(m, dtype=np.int64)
-    for rep in range(reps):
-        r_dep, r_ind = _matched_r_values(spec, rep)
-        idx_dep = np.flatnonzero(r_dep > s) + 1
-        idx_ind = np.flatnonzero(r_ind > s) + 1
-        hits_dep += _counts_in(idx_dep, starts, ends) >= 1
-        hits_ind += _counts_in(idx_ind, starts, ends) >= 1
+    parts = _pg.map_replicates(_coupling_hits, reps, jobs, spec, starts, ends, s)
+    hits_dep, hits_ind = np.sum(parts, axis=0)
     pi = hits_dep / reps
     pp = hits_ind / reps
     se_pi = np.sqrt(pi * (1.0 - pi) / reps)

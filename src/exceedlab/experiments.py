@@ -25,10 +25,10 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -420,22 +420,10 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _chunks(reps: int, jobs: int) -> list[tuple[int, int]]:
-    bounds = [i * reps // jobs for i in range(jobs + 1)]
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_chunked(cfg: ExperimentConfig, worker, jobs: int) -> list:
-    spans = _chunks(cfg.reps, max(1, jobs))
-    if len(spans) <= 1 or jobs <= 1:
-        return worker(cfg, 0, cfg.reps)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        parts = pool.starmap(worker, [(cfg, a, b) for a, b in spans])
-    records: list = []
-    for part in parts:
-        records.extend(part)
-    return records
+def _map_records(cfg: ExperimentConfig, worker, jobs: int) -> list:
+    """The records of ``worker`` over all replicates, in replicate order."""
+    parts = pg.map_replicates(worker, cfg.reps, jobs, cfg)
+    return [rec for part in parts for rec in part]
 
 
 def _block_scheme_for(cfg: ExperimentConfig, r_level: float) -> xc.BlockScheme:
@@ -463,7 +451,13 @@ def _studentized_replicates(cfg: ExperimentConfig, start: int, stop: int):
             yield rep, stu.studentize_sums(sum1[k], sum2[k], spec.n)
 
 
-def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
+# One row of cluster.csv; its fields are the table header.
+ClusterRecord = namedtuple("ClusterRecord", [
+    "replicate", *xc.ClusterStats.CSV_FIELDS, "any_exceedance", "within_kappa_cluster",
+])
+
+
+def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[ClusterRecord]:
     t_level, r_level, _ = resolve_level(cfg)
     kappa = cfg.panel.model.kappa
     scheme = _block_scheme_for(cfg, r_level)
@@ -473,7 +467,7 @@ def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]
         cs = xc.cluster_stats(exc, scheme)
         within = cs.total >= 2 and 0 < cs.min_gap <= kappa
         records.append(
-            (rep, *cs.to_csv_row(), int(cs.total >= 1), int(within))
+            ClusterRecord(rep, *cs.to_csv_row(), int(cs.total >= 1), int(within))
         )
     return records
 
@@ -619,12 +613,12 @@ def _experiment_tails(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dic
     return [table], summary
 
 
-def _experiment_coupling(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict]:
+def _experiment_coupling(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
     _, s, _ = resolve_level(cfg)
     scheme = _block_scheme_for(cfg, s)
     est = xc.coupling_estimate(
         cfg.panel, scheme, s, cfg.reps,
-        se_cap=cfg.se_cap, match_draws=cfg.match_draws,
+        se_cap=cfg.se_cap, match_draws=cfg.match_draws, jobs=jobs,
     )
     header = ["block", "pi_dependent", "se_dependent", "pi_independent",
               "se_independent", "abs_gap"]
@@ -642,19 +636,17 @@ def _experiment_coupling(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], 
 
 def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
     t_level, r_level, gamma = resolve_level(cfg)
-    records = _run_chunked(cfg, _cluster_worker, jobs)
-    records.sort(key=lambda rec: rec[0])
-    header = ["replicate", *xc.ClusterStats.CSV_FIELDS, "any_exceedance",
-              "within_kappa_cluster"]
-    table = _emit(cfg, out, "cluster", "exceedlab.cluster.v1", header, records)
+    records = _map_records(cfg, _cluster_worker, jobs)
+    table = _emit(cfg, out, "cluster", "exceedlab.cluster.v1",
+                  list(ClusterRecord._fields), records)
 
     reps = cfg.reps
-    any_hits = sum(rec[9] for rec in records)
-    within_hits = sum(rec[10] for rec in records)
-    f_holds = sum(rec[8] for rec in records)
+    any_hits = sum(rec.any_exceedance for rec in records)
+    within_hits = sum(rec.within_kappa_cluster for rec in records)
+    f_holds = sum(rec.event_f for rec in records)
     counts: dict[str, int] = {}
     for rec in records:
-        counts[str(rec[1])] = counts.get(str(rec[1]), 0) + 1
+        counts[str(rec.total)] = counts.get(str(rec.total), 0) + 1
     n = cfg.panel.n
     q_exact = None
     if cfg.panel.law.is_gaussian:
@@ -671,7 +663,7 @@ def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[li
         "phi_nominal": phi,
         "q_single_exact_normal": q_exact,
         "q_single_t_approx": q_t,
-        "p_any_empirical": math.fsum([rec[9] for rec in records]) / reps,
+        "p_any_empirical": any_hits / reps,
         "p_any_wilson": list(xc.wilson_interval(any_hits, reps)),
         "p_any_independent_ref": any_exceedence_prob(
             cfg.panel.p, q_exact if q_exact is not None else q_t
@@ -685,7 +677,7 @@ def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[li
 
 def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
     t_level, _, gamma = resolve_level(cfg)
-    records = _run_chunked(cfg, _mtc_worker, jobs)
+    records = _map_records(cfg, _mtc_worker, jobs)
     records.sort(key=lambda rec: (rec[0], rec[1]))
     header = ["replicate", "procedure", "nominal", "rejections",
               "false_rejections", "fdp"]
@@ -802,7 +794,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     elif cfg.kind == "tails":
         tables, summary = _experiment_tails(cfg, out)
     elif cfg.kind == "coupling":
-        tables, summary = _experiment_coupling(cfg, out)
+        tables, summary = _experiment_coupling(cfg, out, jobs)
     elif cfg.kind == "cluster":
         tables, summary = _experiment_cluster(cfg, out, jobs)
     else:

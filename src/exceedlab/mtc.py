@@ -15,7 +15,7 @@ up to the nominal phi bound; the procedures here lean on that license:
 
 One-sided p-values come from a pluggable marginal: Student t with n - 1
 degrees of freedom (default), standard normal, the exact finite-sample
-law of the divisor-n studentized normal mean, or an empirical sample.
+law of the divisor-n studentized normal mean.
 Degenerate rows flow through unchanged (T = +inf maps to p-value 0,
 T = -inf to 1).
 """
@@ -40,7 +40,6 @@ __all__ = [
     "BinCounts",
     "BinSpec",
     "DecisionReport",
-    "EmpiricalMarginal",
     "ErrorRateSummary",
     "NormalMarginal",
     "StudentTMarginal",
@@ -48,7 +47,6 @@ __all__ = [
     "bh_fdr",
     "bin_counts",
     "bin_thresholds",
-    "joint_exceedance_prob",
     "one_sided_p_values",
     "realized_error_rates",
     "single_threshold",
@@ -71,7 +69,7 @@ class StudentTMarginal:
         return student_t_sf(x, self.df)
 
     def upper_quantile(self, q: float) -> float:
-        return student_t_quantile(1.0 - q, self.df)
+        return -student_t_quantile(q, self.df)
 
     def describe(self) -> str:
         return f"student-t(df={self.df:g})"
@@ -87,7 +85,7 @@ class NormalMarginal:
         return float(out) if xs.ndim == 0 else out
 
     def upper_quantile(self, q: float) -> float:
-        return normal_quantile(1.0 - q)
+        return -normal_quantile(q)
 
     def describe(self) -> str:
         return "normal"
@@ -112,37 +110,10 @@ class StudentizedNormalMarginal:
         return student_t_sf(np.asarray(x, dtype=float) * self._scale, self.n - 1)
 
     def upper_quantile(self, q: float) -> float:
-        return student_t_quantile(1.0 - q, self.n - 1) / self._scale
+        return -student_t_quantile(q, self.n - 1) / self._scale
 
     def describe(self) -> str:
         return f"studentized-normal(n={self.n})"
-
-
-@dataclass(frozen=True)
-class EmpiricalMarginal:
-    """Marginal estimated from a reference sample of statistics."""
-
-    samples: tuple[float, ...]
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalMarginal":
-        return cls(tuple(sorted(float(v) for v in samples)))
-
-    def sf(self, x):
-        arr = np.asarray(self.samples)
-        xs = np.asarray(x, dtype=float)
-        out = 1.0 - np.searchsorted(arr, xs, side="right") / arr.size
-        return float(out) if xs.ndim == 0 else out
-
-    def upper_quantile(self, q: float) -> float:
-        arr = np.asarray(self.samples)
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile level must lie in (0, 1)")
-        k = int(math.ceil((1.0 - q) * arr.size)) - 1
-        return float(arr[min(max(k, 0), arr.size - 1)])
-
-    def describe(self) -> str:
-        return f"empirical(n={len(self.samples)})"
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +325,6 @@ def bh_fdr(
     if marginal is not None:
         _attach_phi(report, marginal, u_op, gamma)
     return report
-
-
-def joint_exceedance_prob(q_single: float, k: int) -> float:
-    """Joint probability of k simultaneous exceedances under independence."""
-    if not 0.0 <= q_single <= 1.0:
-        raise ValueError("q_single must lie in [0, 1]")
-    if k < 1:
-        raise ValueError("subset size k must be >= 1")
-    return q_single ** k
 
 
 def stepdown_fwer(

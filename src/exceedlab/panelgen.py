@@ -54,6 +54,8 @@ __all__ = [
     "SpecError",
     "generate",
     "ma_filter_weights",
+    "map_replicates",
+    "matched_panels",
     "panel_spec_from_config",
     "panel_spec_to_config",
     "read_panel",
@@ -482,14 +484,35 @@ def stream(seed: int, replicate: int = 0, lane: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
-def _window_filter(eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One-pass banded filter: out[i] = sum_j weights[j] * eps[i + j]."""
-    win = sliding_window_view(eps, weights.shape[0], axis=0)
-    return np.einsum("ijk,k->ij", win, weights)
+def map_replicates(fn, reps: int, jobs: int, *args) -> list:
+    """``fn(*args, start, stop)`` on ``jobs`` contiguous chunks of 0..reps-1.
 
+    Chunks run in forked workers (``fn`` must pickle: a top-level
+    function) and their results come back in chunk order; with one chunk
+    ``fn`` runs in this process.  Replicate r draws only from
+    ``stream(seed, r)``, so merged results do not depend on ``jobs``.  A
+    worker that dies raises RuntimeError naming the unfinished replicates.
+    """
+    jobs = max(1, int(jobs))
+    bounds = [i * reps // jobs for i in range(jobs + 1)]
+    spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if len(spans) <= 1:
+        return [fn(*args, a, b) for a, b in spans]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-def _ma_window_weights(kappa: int) -> np.ndarray:
-    return np.full(kappa, 1.0 / math.sqrt(kappa))
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(spans), mp_context=ctx) as pool:
+        futures = [pool.submit(fn, *args, a, b) for a, b in spans]
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            lost = [f"{a}..{b - 1}" for (a, b), f in zip(spans, futures)
+                    if isinstance(f.exception(), BrokenProcessPool)]
+            raise RuntimeError(
+                f"a replicate worker died; replicates {', '.join(lost)} did not finish"
+            ) from exc
 
 
 def _driver_filter(model: DependenceModel) -> np.ndarray:
@@ -497,8 +520,28 @@ def _driver_filter(model: DependenceModel) -> np.ndarray:
     if model.kind == "gaussian-kdep":
         return np.ascontiguousarray(ma_filter_weights(model.rho)[::-1])
     if model.kind == "moving-average":
-        return _ma_window_weights(model.kappa)
+        return np.full(model.kappa, 1.0 / math.sqrt(model.kappa))
     return np.ones(1)
+
+
+def _filtered_drivers(spec: PanelSpec, rng: np.random.Generator):
+    """One panel without offsets and the drivers it filters: (data, eps).
+
+    Data row i is sum_k w_k eps_{i+k}; an iid panel is its own drivers.
+    """
+    p, n = spec.p, spec.n
+    if spec.model.kind == "iid":
+        data = spec.law.sample(rng, (p, n))
+        return data, data
+    w = _driver_filter(spec.model)
+    eps = spec.law.sample(rng, (p + w.shape[0] - 1, n))
+    return np.einsum("ijk,k->ij", sliding_window_view(eps, w.shape[0], axis=0), w), eps
+
+
+def _add_offsets(data: np.ndarray, spec: PanelSpec) -> None:
+    for idx, d in spec.offsets:
+        if d != 0.0:
+            data[idx - 1] += d
 
 
 def generate(spec: PanelSpec) -> Panel:
@@ -508,18 +551,34 @@ def generate(spec: PanelSpec) -> Panel:
     order (drivers first, row-major), offsets added last.
     """
     spec.validate()
-    rng = stream(spec.seed, spec.replicate)
-    p, n = spec.p, spec.n
-    if spec.model.kind == "iid":
-        data = spec.law.sample(rng, (p, n))
-    else:
-        w = _driver_filter(spec.model)
-        eps = spec.law.sample(rng, (p + w.shape[0] - 1, n))
-        data = _window_filter(eps, w)
-    for idx, d in spec.offsets:
-        if d != 0.0:
-            data[idx - 1] += d
+    data, _ = _filtered_drivers(spec, stream(spec.seed, spec.replicate))
+    _add_offsets(data, spec)
     return Panel(spec=spec, data=data)
+
+
+def matched_panels(spec: PanelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The data of :func:`generate`'s panel and of a matched independent one.
+
+    The matched panel has the same law in every row, rows independent:
+    gaussian-kdep reuses the drivers (common random numbers),
+    moving-average then draws fresh per-row windows from the same stream,
+    and an iid panel is its own counterpart (the same array twice).
+    """
+    spec.validate()
+    rng = stream(spec.seed, spec.replicate)
+    dep, eps = _filtered_drivers(spec, rng)
+    if spec.model.kind == "gaussian-kdep":
+        ind = eps[: spec.p]
+    elif spec.model.kind == "moving-average":
+        kappa = spec.model.kappa
+        fresh = spec.law.sample(rng, (spec.p, kappa, spec.n))
+        ind = fresh.sum(axis=1) / math.sqrt(kappa)
+    else:
+        ind = dep
+    _add_offsets(dep, spec)
+    if ind is not dep:
+        _add_offsets(ind, spec)
+    return dep, ind
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,59 @@ def test_cluster_stats_small_block_and_fragment():
     assert not cs.event_f
 
 
+def _cluster_stats_by_block(exc, scheme):
+    # explicit per-block loop: the oracle of the vectorised cluster_stats
+    idx = exc.indices.tolist()
+    counts = {"large": [], "small": 0, "fragment": 0}
+    attached = 0
+    for kind, start, end in scheme.blocks:
+        c = sum(start <= i <= end for i in idx)
+        if kind == "large":
+            counts["large"].append(c)
+        else:
+            counts[kind] += c
+            if kind == "fragment" and end - start + 1 < scheme.kappa + 1:
+                attached += c
+    gaps = np.diff(idx)
+    runs = [1]
+    for g in gaps:
+        runs.append(runs[-1] + 1 if g == 1 else 1)
+    multi = sum(c >= 2 for c in counts["large"])
+    return xc.ClusterStats(
+        total=len(idx),
+        large_blocks_hit=sum(c >= 1 for c in counts["large"]),
+        large_blocks_multi=multi,
+        small_block_exceedances=counts["small"] + attached,
+        fragment_exceedances=counts["fragment"],
+        max_run_length=max(runs) if idx else 0,
+        min_gap=int(gaps.min()) if len(idx) >= 2 else 0,
+        event_f=counts["small"] == 0 and counts["fragment"] == 0 and multi == 0,
+    )
+
+
+def test_cluster_stats_matches_the_block_loop():
+    rng = np.random.default_rng(5)
+    # no fragment, a one-row stub (attached), partial large blocks of kappa + 1
+    # and 14 rows (raw), and a panel shorter than one large block
+    schemes = [xc.block_scheme(p, kappa, ell=ell) for p, kappa, ell in
+               [(120, 2, 57), (121, 3, 8), (119, 2, 55), (130, 2, 55), (9, 1, 20)]]
+    for scheme in schemes:
+        for level in (0.5, 1.5, 2.5, 9.0):
+            values = rng.standard_normal(scheme.width) * 1.5
+            exc = xc.extract(values, level)
+            assert xc.cluster_stats(exc, scheme) == _cluster_stats_by_block(exc, scheme)
+    # several hits in a short trailing stub
+    scheme = xc.block_scheme(61, 3, ell=55)
+    assert scheme.blocks[-1] == ("fragment", 60, 61)
+    values = np.zeros(61)
+    values[[0, 58, 59, 60]] = 9.0
+    exc = xc.extract(values, 1.0)
+    cs = xc.cluster_stats(exc, scheme)
+    assert cs == _cluster_stats_by_block(exc, scheme)
+    assert (cs.fragment_exceedances, cs.small_block_exceedances) == (2, 3)
+    assert (cs.large_blocks_hit, cs.max_run_length, cs.min_gap) == (1, 3, 1)
+
+
 def test_cluster_counts_consistency_property():
     rng = np.random.default_rng(12)
     scheme = xc.block_scheme(500, 3, ell=20)
@@ -403,6 +456,23 @@ def test_coupling_bound_tightens_with_level():
         bounds.append(est.lower_bound)
     assert bounds[-1] > bounds[0]
     assert bounds[-1] > 0.95
+
+
+@pytest.mark.parametrize("model, law", [
+    (pg.DependenceModel.gaussian_kdep((0.3, 0.1)), pg.InnovationLaw.normal()),
+    (pg.DependenceModel.moving_average(3), pg.InnovationLaw.rademacher()),
+])
+def test_coupling_estimate_is_the_same_at_every_jobs(model, law):
+    spec = pg.PanelSpec(p=120, n=30, model=model, law=law, seed=29,
+                        offsets=((5, 0.8),))
+    scheme = xc.block_scheme(120, model.kappa, s=1.8)
+    serial = xc.coupling_estimate(spec, scheme, 1.8, 101, se_cap=0.05,
+                                  match_draws=5000)
+    for jobs in (2, 3):
+        est = xc.coupling_estimate(spec, scheme, 1.8, 101, se_cap=0.05,
+                                   match_draws=5000, jobs=jobs)
+        for name, value in vars(serial).items():
+            assert np.array_equal(getattr(est, name), value), name
 
 
 def test_coupling_iid_panels_match_perfectly():

@@ -147,6 +147,20 @@ def test_tails_and_coupling_runs(tmp_path):
     assert summary["ell"] == 25
 
 
+def test_coupling_outputs_do_not_depend_on_jobs(tmp_path):
+    panel = pg.PanelSpec(p=150, n=30, model=pg.DependenceModel.moving_average(3),
+                         law=pg.InnovationLaw.rademacher(), seed=13)
+    outputs = set()
+    for jobs in (1, 2, 3):
+        cfg = ex.ExperimentConfig(kind="coupling", panel=panel, reps=100, jobs=jobs,
+                                  se_cap=0.05, s_level=1.8, match_draws=5000)
+        out = tmp_path / f"jobs{jobs}"
+        ex.run(cfg, out_dir=out)
+        outputs.add(tuple((out / name).read_bytes()
+                          for name in ("coupling.csv", "coupling_summary.json")))
+    assert len(outputs) == 1
+
+
 def test_paper_table_run(tmp_path):
     cfg = _cfg(kind="paper-table", n=100, model=pg.DependenceModel.iid())
     cfg.p_list = (10**4, 10**5, 10**6)

@@ -502,3 +502,82 @@ def test_row_sums_wide_filter_moments():
     z = _moment_z(s1, s2, spec, slice(None), lambda m: np.arange(spec.p - m))
     bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
     assert not bad, bad
+
+
+# ---------------------------------------------------------------------------
+# Matched panels and the replicate engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model, law", [
+    (pg.DependenceModel.gaussian_kdep((0.4, 0.2)), pg.InnovationLaw.normal()),
+    (pg.DependenceModel.moving_average(3), pg.InnovationLaw.rademacher()),
+    (pg.DependenceModel.iid(), pg.InnovationLaw.pareto(4.5)),
+])
+def test_matched_panels_draw_order(model, law):
+    spec = pg.PanelSpec(p=30, n=12, model=model, law=law, seed=8, replicate=5,
+                        offsets=((3, 0.5), (30, 1.25)))
+    dep, ind = pg.matched_panels(spec)
+    # the dependent arm is exactly the generated panel
+    assert np.array_equal(dep, pg.generate(spec).data)
+    # the independent arm, rebuilt from the same stream in the same order
+    rng = pg.stream(spec.seed, spec.replicate)
+    d = spec.offset_vector()[:, None]
+    if model.kind == "gaussian-kdep":
+        expect = rng.standard_normal((spec.p + model.kappa, spec.n))[: spec.p] + d
+    elif model.kind == "moving-average":
+        law.sample(rng, (spec.p + model.kappa - 1, spec.n))
+        fresh = law.sample(rng, (spec.p, model.kappa, spec.n))
+        expect = fresh.sum(axis=1) / math.sqrt(model.kappa) + d
+    else:
+        assert ind is dep
+        expect = dep
+    assert np.array_equal(ind, expect)
+
+
+def _span(start, stop):
+    return (start, stop)
+
+
+def _fail_at_six(start, stop):
+    if start <= 6 < stop:
+        raise pg.SpecError(f"replicate 6 is bad ({start}..{stop - 1})")
+    return stop - start
+
+
+def test_map_replicates_chunks_in_order():
+    assert pg.map_replicates(_span, 10, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert pg.map_replicates(_span, 10, 1) == [(0, 10)]
+    assert pg.map_replicates(_span, 10, 0) == [(0, 10)]
+    assert pg.map_replicates(_span, 2, 5) == [(0, 1), (1, 2)]
+    assert pg.map_replicates(_span, 0, 2) == []
+
+
+def test_map_replicates_reraises_a_worker_error():
+    with pytest.raises(pg.SpecError, match=r"replicate 6 is bad \(5\.\.9\)"):
+        pg.map_replicates(_fail_at_six, 10, 2)
+
+
+def test_map_replicates_dead_worker_raises_instead_of_hanging():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import os\n"
+        "from exceedlab import panelgen as pg\n"
+        "def die(start, stop):\n"
+        "    if start == 0:\n"
+        "        os._exit(1)\n"
+        "    return stop - start\n"
+        "try:\n"
+        "    pg.map_replicates(die, 10, 2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(pg.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "a replicate worker died; replicates 0..4" in proc.stdout
