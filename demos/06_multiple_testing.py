@@ -68,8 +68,8 @@ for rep in range(reps):
     pv = mtc.one_sided_p_values(rows, marginal)
     bh_reports.append(mtc.bh_fdr(pv, 0.1, nonnull=[]))
     sd_reports.append(mtc.stepdown_fwer(pv, 0.05, nonnull=[]))
-bh_summary = mtc.realized_error_rates(bh_reports)
-sd_summary = mtc.realized_error_rates(sd_reports)
+bh_summary = mtc.realized_error_rates(r.outcome for r in bh_reports)
+sd_summary = mtc.realized_error_rates(r.outcome for r in sd_reports)
 print(f"  {reps} replicates of a dependent all-null {null_spec.p} x "
       f"{null_spec.n} panel (gamma = {gamma})")
 print(f"  BH(q=0.1):        realized FDR  {bh_summary.fdr:.4f} "

@@ -319,7 +319,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 
     Checks every proxy it can: the log p = o(n) regime (warn when
     log(p)/n exceeds the configured ratio), kappa <= log p for the
-    moving-average generalization, correlation and weight constraints.
+    moving-average generalization and correlation constraints.
     """
     notes: list[str] = []
     try:
@@ -473,7 +473,7 @@ def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[Cluste
 
 
 def _mtc_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
-    t_level, _, gamma = resolve_level(cfg)
+    t_level, _, _ = resolve_level(cfg)
     marginal = mtc.StudentizedNormalMarginal(cfg.panel.n)
     nonnull = cfg.panel.nonnull_rows()
     records = []
@@ -482,15 +482,9 @@ def _mtc_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
         reports = (
             mtc.bh_fdr(pv, cfg.bh_q, nonnull=nonnull),
             mtc.stepdown_fwer(pv, cfg.fwer_a, nonnull=nonnull),
-            mtc.single_threshold(rows.t, t_level, nonnull=nonnull, gamma=gamma),
+            mtc.single_threshold(rows.t, t_level, nonnull=nonnull),
         )
-        for rpt in reports:
-            records.append(
-                (
-                    rep, rpt.kind, rpt.nominal, rpt.rejected.size,
-                    rpt.false_rejections, rpt.fdp,
-                )
-            )
+        records.extend((rep, rpt.kind, rpt.nominal, *rpt.outcome) for rpt in reports)
     return records
 
 
@@ -697,9 +691,6 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
         rows_k = [rec for rec in records if rec[1] == kind]
         if not rows_k:
             continue
-        reps = len(rows_k)
-        fwer_hits = sum(1 for rec in rows_k if rec[4] > 0)
-        fdps = [rec[5] for rec in rows_k]
         # operative level: the first-rejection p-value threshold of the
         # procedure, mapped back to a t-level for the phi shape
         if kind == "bh":
@@ -709,13 +700,14 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
             t_op = marginal.upper_quantile(u1)
         else:
             t_op = t_level
+        rates = mtc.realized_error_rates(rec[3:] for rec in rows_k)
         summary["procedures"][kind] = {
             "nominal": rows_k[0][2],
-            "fwer": fwer_hits / reps,
-            "fwer_wilson": list(xc.wilson_interval(fwer_hits, reps)),
-            "fdr": math.fsum(fdps) / reps,
-            "fdr_se": float(np.std(fdps, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-            "mean_rejections": math.fsum(rec[3] for rec in rows_k) / reps,
+            "fwer": rates.fwer,
+            "fwer_wilson": list(rates.fwer_wilson),
+            "fdr": rates.fdr,
+            "fdr_se": rates.fdr_se,
+            "mean_rejections": rates.mean_rejections,
             "phi_nominal_at_operative": phi_bound(
                 t_op, cfg.panel.p, gamma
             ).phi_nominal if t_op > 0 else None,

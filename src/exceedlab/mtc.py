@@ -14,8 +14,8 @@ up to the nominal phi bound; the procedures here lean on that license:
 * a plain single-threshold rule.
 
 One-sided p-values come from a pluggable marginal: Student t with n - 1
-degrees of freedom (default), standard normal, the exact finite-sample
-law of the divisor-n studentized normal mean.
+degrees of freedom, or the exact finite-sample law of the divisor-n
+studentized normal mean.
 Degenerate rows flow through unchanged (T = +inf maps to p-value 0,
 T = -inf to 1).
 """
@@ -27,21 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from exceedlab.numerics import (
-    normal_quantile,
-    normal_sf,
-    phi_bound,
-    student_t_quantile,
-    student_t_sf,
-    threshold_regime,
-)
+from exceedlab.exceedance import wilson_interval
+from exceedlab.numerics import student_t_quantile, student_t_sf, threshold_regime
 
 __all__ = [
     "BinCounts",
     "BinSpec",
     "DecisionReport",
     "ErrorRateSummary",
-    "NormalMarginal",
     "StudentTMarginal",
     "StudentizedNormalMarginal",
     "bh_fdr",
@@ -73,22 +66,6 @@ class StudentTMarginal:
 
     def describe(self) -> str:
         return f"student-t(df={self.df:g})"
-
-
-@dataclass(frozen=True)
-class NormalMarginal:
-    """Standard normal marginal."""
-
-    def sf(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.vectorize(normal_sf, otypes=[float])(xs)
-        return float(out) if xs.ndim == 0 else out
-
-    def upper_quantile(self, q: float) -> float:
-        return -normal_quantile(q)
-
-    def describe(self) -> str:
-        return "normal"
 
 
 @dataclass(frozen=True)
@@ -226,8 +203,6 @@ class DecisionReport:
 
     ``rejected`` holds 1-based indices.  ``false_rejections`` and ``fdp``
     are filled when the ground truth (the non-null index set) is known.
-    ``phi_nominal`` is attached at the operative threshold when a gamma
-    context is available.
     """
 
     procedure: str
@@ -235,23 +210,13 @@ class DecisionReport:
     nominal: float
     n_tests: int
     rejected: np.ndarray
-    p_values: np.ndarray | None = None
     false_rejections: int | None = None
     fdp: float | None = None
-    phi_nominal: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": "exceedlab.decision.v1",
-            "procedure": self.procedure,
-            "kind": self.kind,
-            "nominal": self.nominal,
-            "n_tests": self.n_tests,
-            "rejected": [int(i) for i in self.rejected],
-            "false_rejections": self.false_rejections,
-            "fdp": self.fdp,
-            "phi_nominal": self.phi_nominal,
-        }
+    @property
+    def outcome(self) -> tuple:
+        """(rejections, false_rejections, fdp): what the error rates read."""
+        return self.rejected.size, self.false_rejections, self.fdp
 
 
 def one_sided_p_values(rows, marginal) -> np.ndarray:
@@ -275,24 +240,7 @@ def _attach_truth(report: DecisionReport, nonnull) -> DecisionReport:
     return report
 
 
-def _attach_phi(
-    report: DecisionReport, marginal, u_operative: float, gamma: float | None
-) -> DecisionReport:
-    if gamma is None:
-        return report
-    t_op = marginal.upper_quantile(u_operative)
-    if t_op > 0.0:
-        report.phi_nominal = phi_bound(t_op, report.n_tests, gamma).phi_nominal
-    return report
-
-
-def bh_fdr(
-    p_values,
-    q: float,
-    nonnull=None,
-    marginal=None,
-    gamma: float | None = None,
-) -> DecisionReport:
+def bh_fdr(p_values, q: float, nonnull=None) -> DecisionReport:
     """Benjamini-Hochberg step-up at FDR level ``q``.
 
     Rejects the tests with the smallest i p-values where i is the largest
@@ -313,28 +261,16 @@ def bh_fdr(
     if np.any(ok):
         cut = int(np.flatnonzero(ok).max()) + 1
         rejected = np.sort(order[:cut]) + 1
-        u_op = q * cut / m
     else:
         rejected = np.empty(0, dtype=np.int64)
-        u_op = q / m
     report = DecisionReport(
         procedure=f"BH(q={q:g})", kind="bh", nominal=q, n_tests=m,
-        rejected=rejected.astype(np.int64), p_values=pv,
+        rejected=rejected.astype(np.int64),
     )
-    _attach_truth(report, nonnull)
-    if marginal is not None:
-        _attach_phi(report, marginal, u_op, gamma)
-    return report
+    return _attach_truth(report, nonnull)
 
 
-def stepdown_fwer(
-    rows,
-    a: float,
-    joint_model: str = "independence",
-    marginal=None,
-    nonnull=None,
-    gamma: float | None = None,
-) -> DecisionReport:
+def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
     """Step-down FWER control with independence-product joint probabilities.
 
     At stage k (k - 1 rejections so far, m - k + 1 tests remaining) the
@@ -345,22 +281,13 @@ def stepdown_fwer(
         1 - (1 - p_(k))^(m - k + 1) <= a,
 
     i.e. p_(k) <= 1 - (1 - a)^{1/(m - k + 1)}.  Stops at the first
-    failure.  ``rows`` is a StudentizedRows / statistic vector (p-values
-    taken under ``marginal``, default Student t is required) or a
-    precomputed p-value vector when ``marginal`` is None.
+    failure.
     """
-    if joint_model != "independence":
-        raise ValueError(f"unsupported joint model {joint_model!r}")
     if not 0.0 < a < 1.0:
         raise ValueError(f"FWER level a must lie in (0, 1), got {a!r}")
-    if marginal is not None:
-        pv = one_sided_p_values(rows, marginal)
-    else:
-        pv = np.asarray(getattr(rows, "t", rows), dtype=float)
-        if np.any((pv < 0.0) | (pv > 1.0)):
-            raise ValueError(
-                "without a marginal, stepdown_fwer expects p-values in [0, 1]"
-            )
+    pv = np.asarray(p_values, dtype=float)
+    if np.any((pv < 0.0) | (pv > 1.0)):
+        raise ValueError("p-values must lie in [0, 1]")
     m = pv.shape[0]
     order = np.argsort(pv, kind="stable")
     sorted_pv = pv[order]
@@ -369,23 +296,14 @@ def stepdown_fwer(
     ok = sorted_pv <= crit
     cut = m if bool(ok.all()) else int(np.argmin(ok))
     rejected = np.sort(order[:cut]) + 1
-    u_op = float(crit[max(cut - 1, 0)]) if cut > 0 else float(crit[0])
     report = DecisionReport(
         procedure=f"stepdown-FWER(a={a:g})", kind="stepdown-fwer", nominal=a,
-        n_tests=m, rejected=rejected.astype(np.int64), p_values=pv,
+        n_tests=m, rejected=rejected.astype(np.int64),
     )
-    _attach_truth(report, nonnull)
-    if marginal is not None:
-        _attach_phi(report, marginal, u_op, gamma)
-    return report
+    return _attach_truth(report, nonnull)
 
 
-def single_threshold(
-    rows,
-    t: float,
-    nonnull=None,
-    gamma: float | None = None,
-) -> DecisionReport:
+def single_threshold(rows, t: float, nonnull=None) -> DecisionReport:
     """Reject every test whose statistic strictly exceeds the level t."""
     values = np.asarray(getattr(rows, "t", rows), dtype=float)
     rejected = np.flatnonzero(values > t).astype(np.int64) + 1
@@ -393,10 +311,7 @@ def single_threshold(
         procedure=f"single-threshold(t={t:g})", kind="single-threshold",
         nominal=t, n_tests=values.shape[0], rejected=rejected,
     )
-    _attach_truth(report, nonnull)
-    if gamma is not None and t > 0.0:
-        report.phi_nominal = phi_bound(t, values.shape[0], gamma).phi_nominal
-    return report
+    return _attach_truth(report, nonnull)
 
 
 # ---------------------------------------------------------------------------
@@ -420,53 +335,32 @@ class ErrorRateSummary:
     fdr_se: float
     mean_rejections: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": "exceedlab.error-rates.v1",
-            "replicates": self.replicates,
-            "fwer": self.fwer,
-            "fwer_wilson_low": self.fwer_wilson[0],
-            "fwer_wilson_high": self.fwer_wilson[1],
-            "fdr": self.fdr,
-            "fdr_se": self.fdr_se,
-            "mean_rejections": self.mean_rejections,
-        }
 
+def realized_error_rates(outcomes) -> ErrorRateSummary:
+    """Aggregate realized error rates over replicates.
 
-def realized_error_rates(reports, nonnull=None) -> ErrorRateSummary:
-    """Aggregate realized error rates from per-replicate decision reports.
-
-    Every report must carry truth annotations (false_rejections) or the
-    non-null index set must be supplied here; otherwise the measurement
-    is impossible and the call is rejected.
+    ``outcomes`` holds one ``(rejections, false_rejections, fdp)`` triple
+    per replicate, as :attr:`DecisionReport.outcome` gives it.  Every
+    triple must carry the ground truth; otherwise the measurement is
+    impossible and the call is rejected.  Means use exact summation
+    (math.fsum), so the result does not depend on the replicate order.
     """
-    from exceedlab.exceedance import wilson_interval
-
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    false_any = 0
-    fdps = []
-    rej = []
-    for rep in reports:
-        if rep.false_rejections is None:
-            if nonnull is None:
-                raise ValueError(
-                    "realized error rates need ground truth: pass nonnull or "
-                    "build reports with truth attached"
-                )
-            _attach_truth(rep, nonnull)
-        false_any += 1 if rep.false_rejections > 0 else 0
-        fdps.append(rep.fdp)
-        rej.append(rep.rejected.size)
-    r = len(reports)
-    fdr = float(np.mean(fdps))
-    fdr_se = float(np.std(fdps, ddof=1) / math.sqrt(r)) if r > 1 else 0.0
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise ValueError("no outcomes to aggregate")
+    if any(false is None for _, false, _ in outcomes):
+        raise ValueError(
+            "realized error rates need ground truth: build the reports with "
+            "nonnull given"
+        )
+    r = len(outcomes)
+    false_any = sum(1 for _, false, _ in outcomes if false > 0)
+    fdps = [fdp for _, _, fdp in outcomes]
     return ErrorRateSummary(
         replicates=r,
         fwer=false_any / r,
         fwer_wilson=wilson_interval(false_any, r),
-        fdr=fdr,
-        fdr_se=fdr_se,
-        mean_rejections=float(np.mean(rej)),
+        fdr=math.fsum(fdps) / r,
+        fdr_se=float(np.std(fdps, ddof=1) / math.sqrt(r)) if r > 1 else 0.0,
+        mean_rejections=math.fsum(rej for rej, _, _ in outcomes) / r,
     )

@@ -36,14 +36,12 @@ import configparser
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cholesky_banded
-
-from exceedlab.studentize import WeightConstraints, check_weights
 
 __all__ = [
     "DependenceModel",
@@ -388,8 +386,7 @@ class PanelSpec:
     indices and nonnegative values (the default empty tuple is the global
     null).  ``sizes`` optionally records per-row group sizes n_i <= n;
     generation always fills the full width and studentization uses the
-    first n_i entries.  ``weights`` (p-by-n) feed weighted studentization
-    only and never alter generation.
+    first n_i entries.
     """
 
     p: int
@@ -398,9 +395,6 @@ class PanelSpec:
     law: InnovationLaw
     offsets: tuple[tuple[int, float], ...] = ()
     sizes: tuple[int, ...] | None = None
-    weights: np.ndarray | None = None
-    weights_file: str | None = None
-    weight_constraints: WeightConstraints = field(default_factory=WeightConstraints)
     seed: int = 0
     replicate: int = 0
 
@@ -434,17 +428,6 @@ class PanelSpec:
                 raise SpecError(
                     f"per-row sizes must lie in [2, n]; offending rows {bad[:20]}"
                 )
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.p, self.n):
-                raise SpecError(
-                    f"weights shape {w.shape} does not match panel ({self.p}, {self.n})"
-                )
-            sizes = None if self.sizes is None else np.asarray(self.sizes)
-            try:
-                check_weights(w, self.weight_constraints, sizes)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from exc
         if not 0 <= self.seed < 2 ** 64:
             raise SpecError("seed must be a 64-bit nonnegative integer")
         if self.replicate < 0:
@@ -799,7 +782,6 @@ def sample_row_pairs(
     else:
         row1 = sample_rows(spec, i1, reps, rng)
         row2 = sample_rows(spec, i2, reps, rng)
-        d = spec.offset_vector()
         return row1, row2
     d = spec.offset_vector()
     if d[i1 - 1] != 0.0:
@@ -868,16 +850,7 @@ def read_panel(path) -> tuple[np.ndarray, PanelFileHeader]:
 
 
 def panel_spec_to_config(spec: PanelSpec) -> str:
-    """Serialize a spec to the flat text format (section ``[panel]``).
-
-    In-memory weights have no flat representation; give the spec a
-    ``weights_file`` (.npy) to make it serializable.
-    """
-    if spec.weights is not None and not spec.weights_file:
-        raise ValueError(
-            "in-memory weights cannot be serialized; store them as .npy and "
-            "set weights_file on the spec"
-        )
+    """Serialize a spec to the flat text format (section ``[panel]``)."""
     cp = configparser.ConfigParser()
     sec = {
         "p": str(spec.p),
@@ -899,8 +872,6 @@ def panel_spec_to_config(spec: PanelSpec) -> str:
         sec["offsets"] = ", ".join(f"{i}:{repr(d)}" for i, d in spec.offsets)
     if spec.sizes is not None:
         sec["sizes"] = ", ".join(str(s) for s in spec.sizes)
-    if spec.weights_file:
-        sec["weights_file"] = spec.weights_file
     cp["panel"] = sec
     buf = io.StringIO()
     cp.write(buf)
@@ -931,7 +902,7 @@ def panel_spec_from_config(source) -> PanelSpec:
     sec = cp["panel"]
     known = {
         "p", "n", "model", "law", "kappa", "rho", "pareto_exponent", "atom",
-        "offsets", "sizes", "weights_file", "seed", "replicate",
+        "offsets", "sizes", "seed", "replicate",
     }
     unknown = set(sec) - known
     if unknown:
@@ -963,10 +934,6 @@ def panel_spec_from_config(source) -> PanelSpec:
     sizes = None
     if sec.get("sizes"):
         sizes = tuple(int(tok) for tok in sec["sizes"].split(",") if tok.strip())
-    weights = None
-    weights_file = sec.get("weights_file") or None
-    if weights_file:
-        weights = np.load(weights_file)
 
     spec = PanelSpec(
         p=sec.getint("p"),
@@ -975,8 +942,6 @@ def panel_spec_from_config(source) -> PanelSpec:
         law=law,
         offsets=_parse_offsets(sec.get("offsets", "")),
         sizes=sizes,
-        weights=weights,
-        weights_file=weights_file,
         seed=sec.getint("seed", 0),
         replicate=sec.getint("replicate", 0),
     )

@@ -331,6 +331,20 @@ def test_config_rejects_unknown_keys_and_sections():
         assert all(word in str(err.value) for word in words), err.value
 
 
+def test_config_naming_weights_file_is_rejected(tmp_path, capsys):
+    text = _cfg(kind="cluster", reps=5).to_text().replace(
+        "[panel]\n", "[panel]\nweights_file = w.npy\n"
+    )
+    with pytest.raises(pg.SpecError, match="weights_file"):
+        ex.ExperimentConfig.from_text(text)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    rc = cli.main(["cluster", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "weights_file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", ex.EXPERIMENT_KINDS)
 def test_config_text_round_trip_every_kind(kind):
     cfg = _cfg(kind=kind, reps=9, pair=(2, 4), s_level=2.0, block_ell=12,

@@ -125,7 +125,7 @@ def test_stepdown_single_extreme():
     marginal = mtc.StudentTMarginal(9)
     p_extreme = float(marginal.sf(9.0))
     for a in (0.05, 0.2, 0.5):
-        report = mtc.stepdown_fwer(values, a, marginal=marginal)
+        report = mtc.stepdown_fwer(mtc.one_sided_p_values(values, marginal), a)
         if a >= p_extreme:
             assert report.rejected.tolist() == [1]
         else:
@@ -155,11 +155,6 @@ def test_stepdown_critical_values_are_independence_products():
     assert mtc.stepdown_fwer(pv, a).rejected.size == 0
 
 
-def test_stepdown_rejects_unknown_joint_model():
-    with pytest.raises(ValueError):
-        mtc.stepdown_fwer(np.array([0.5]), 0.05, joint_model="copula")
-
-
 def test_degenerate_statistics_flow_through():
     values = np.array([math.inf, -math.inf, 1.0])
     pv = mtc.one_sided_p_values(values, mtc.StudentTMarginal(9))
@@ -171,18 +166,18 @@ def test_degenerate_statistics_flow_through():
 
 def test_single_threshold_and_truth_annotation():
     values = np.array([3.0, 0.5, 4.0, -1.0])
-    report = mtc.single_threshold(values, 2.0, nonnull=[3], gamma=1.225)
+    report = mtc.single_threshold(values, 2.0, nonnull=[3])
     assert report.rejected.tolist() == [1, 3]
     assert report.false_rejections == 1
     assert report.fdp == 0.5
-    assert report.phi_nominal is not None
+    assert report.outcome == (2, 1, 0.5)
 
 
 def test_realized_error_rates_never_rejecting():
     reports = [
         mtc.single_threshold(np.zeros(5), 10.0, nonnull=[]) for _ in range(20)
     ]
-    summary = mtc.realized_error_rates(reports)
+    summary = mtc.realized_error_rates(rpt.outcome for rpt in reports)
     assert summary.fwer == 0.0 and summary.fdr == 0.0
     assert summary.mean_rejections == 0.0
 
@@ -190,7 +185,21 @@ def test_realized_error_rates_never_rejecting():
 def test_realized_error_rates_requires_truth():
     report = mtc.single_threshold(np.array([5.0]), 1.0)
     with pytest.raises(ValueError, match="truth"):
-        mtc.realized_error_rates([report])
+        mtc.realized_error_rates([report.outcome])
+
+
+def test_realized_error_rates_sum_exactly():
+    rng = np.random.default_rng(12)
+    rejections = rng.integers(1, 30, 200)
+    false = [int(rng.integers(0, k + 1)) for k in rejections]
+    outcomes = [(int(k), f, f / k) for k, f in zip(rejections, false)]
+    summary = mtc.realized_error_rates(outcomes)
+    assert summary.replicates == 200
+    assert summary.fwer == sum(f > 0 for f in false) / 200
+    assert summary.fdr == math.fsum(f / k for k, f in zip(rejections, false)) / 200
+    assert summary.mean_rejections == int(rejections.sum()) / 200
+    backwards = mtc.realized_error_rates(outcomes[::-1])
+    assert (backwards.fdr, backwards.mean_rejections) == (summary.fdr, summary.mean_rejections)
 
 
 def test_single_threshold_fwer_matches_binomial_reference():
@@ -204,7 +213,7 @@ def test_single_threshold_fwer_matches_binomial_reference():
     for _ in range(reps):
         rows = stu.studentize_panel(rng.standard_normal((p, n)))
         reports.append(mtc.single_threshold(rows.t, t, nonnull=[]))
-    summary = mtc.realized_error_rates(reports)
+    summary = mtc.realized_error_rates(rpt.outcome for rpt in reports)
     want = any_exceedence_prob(p, 0.0005)
     lo, hi = summary.fwer_wilson
     assert lo <= want <= hi
@@ -223,7 +232,8 @@ def test_stepdown_fwer_on_dependent_null_panels():
     hits = 0
     for rep in range(reps):
         rows = stu.studentize_panel(pg.generate(spec.with_replicate(rep)))
-        report = mtc.stepdown_fwer(rows.t, a, marginal=marginal, nonnull=[])
+        pv = mtc.one_sided_p_values(rows, marginal)
+        report = mtc.stepdown_fwer(pv, a, nonnull=[])
         hits += 1 if report.false_rejections > 0 else 0
     fwer = hits / reps
     se = math.sqrt(a * (1 - a) / reps)
@@ -244,17 +254,10 @@ def test_studentized_normal_marginal_is_exact():
 
 @pytest.mark.parametrize("marginal", [
     mtc.StudentizedNormalMarginal(40), mtc.StudentizedNormalMarginal(5),
-    mtc.StudentTMarginal(39), mtc.StudentTMarginal(3.5), mtc.NormalMarginal(),
+    mtc.StudentTMarginal(39), mtc.StudentTMarginal(3.5),
+    mtc.StudentizedNormalMarginal(400),  # near the normal limit, as in criterion 8
 ])
 def test_upper_quantile_round_trips_into_the_deep_tail(marginal):
     for q in (0.7, 0.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12):
         back = float(marginal.sf(marginal.upper_quantile(q)))
         assert back == pytest.approx(q, rel=1e-10, abs=0)
-
-
-def test_decision_report_serialization():
-    report = mtc.bh_fdr(np.array([0.001, 0.9]), 0.05, nonnull=[1])
-    payload = report.to_json_dict()
-    assert payload["rejected"] == [1]
-    assert payload["false_rejections"] == 0
-    assert payload["schema_version"].startswith("exceedlab.")

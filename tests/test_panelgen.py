@@ -191,8 +191,6 @@ def test_spec_rejections():
             law=pg.InnovationLaw.pareto(4.0),
         ).validate()
     with pytest.raises(pg.SpecError):
-        pg.PanelSpec(p=4, n=4, model=model, law=law, weights=np.ones((2, 2))).validate()
-    with pytest.raises(pg.SpecError):
         pg.PanelSpec(p=4, n=4, model=model, law=law, seed=-1).validate()
 
 
@@ -295,21 +293,16 @@ def test_spec_config_round_trip_kdep():
 
 
 def test_spec_config_weights_file(tmp_path):
-    w = np.ones((4, 3))
-    wfile = tmp_path / "w.npy"
-    np.save(wfile, w)
+    # weights_file is not a [panel] key: it fails like any unknown key,
+    # before any file is read
     spec = pg.PanelSpec(
         p=4, n=3, model=pg.DependenceModel.iid(), law=pg.InnovationLaw.normal(),
-        weights=w, weights_file=str(wfile),
     )
-    back = pg.panel_spec_from_config(pg.panel_spec_to_config(spec))
-    assert np.array_equal(back.weights, w)
-    bare = pg.PanelSpec(
-        p=4, n=3, model=pg.DependenceModel.iid(), law=pg.InnovationLaw.normal(),
-        weights=w,
+    text = pg.panel_spec_to_config(spec).replace(
+        "[panel]\n", f"[panel]\nweights_file = {tmp_path / 'w.npy'}\n"
     )
-    with pytest.raises(ValueError, match="weights_file"):
-        pg.panel_spec_to_config(bare)
+    with pytest.raises(pg.SpecError, match="weights_file"):
+        pg.panel_spec_from_config(text)
 
 
 def test_spec_config_unknown_key_rejected():

@@ -1,6 +1,5 @@
 """Studentized statistic tests: worked rows, conventions, the level map."""
 
-import csv
 import math
 
 import numpy as np
@@ -49,15 +48,6 @@ def test_constant_row_convention():
     assert (rows.scale == 0.0).all()
 
 
-def test_row_view_and_iteration():
-    data = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    rows = stu.studentize_panel(data)
-    assert len(rows) == 2
-    first = rows[0]
-    assert first.index == 1 and not first.degenerate
-    assert [r.index for r in rows] == [1, 2]
-
-
 def test_rejects_single_column():
     with pytest.raises(ValueError):
         stu.studentize_panel(np.ones((3, 1)))
@@ -96,16 +86,6 @@ def test_level_map_values_and_limits():
         stu.t_level_to_r_level(0.0, 4)
 
 
-def test_level_spec_carrier():
-    level = stu.LevelSpec(t=2.0, n=4)
-    assert level.r == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert level.r < min(level.t, math.sqrt(level.n))
-    back = stu.LevelSpec.from_r_level(level.r, 4)
-    assert back.t == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        stu.LevelSpec(t=-1.0, n=4)
-
-
 def test_level_map_monotone_bijection():
     n = 25
     ts = np.geomspace(1e-6, 50.0, 200)
@@ -129,47 +109,6 @@ def test_null_distribution_matches_student_t():
     assert stat < 1.63 / math.sqrt(reps)
 
 
-def test_weighted_all_ones_is_bitwise_identical():
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal((200, 9))
-    plain = stu.studentize_panel(data)
-    weighted = stu.weighted_studentize(data, np.ones_like(data))
-    assert np.array_equal(plain.t, weighted.t)
-    assert np.array_equal(plain.r, weighted.r)
-    assert np.array_equal(plain.scale, weighted.scale)
-
-
-def test_weighted_constant_weights_match_scaled_row():
-    row = np.array([[1.0, 1.0, 1.0, -1.0]])
-    weighted = stu.weighted_studentize(row, np.full((1, 4), 2.0))
-    oracle = _direct_t([2.0, 2.0, 2.0, -2.0])
-    assert weighted.t[0] == pytest.approx(oracle, rel=1e-15)
-    assert weighted.t[0] == pytest.approx(1.154700, abs=1e-6)
-
-
-def test_weight_constraint_rejections():
-    data = np.ones((3, 6))
-    small = np.full((3, 6), 0.05)  # every |w| below the c2 floor
-    with pytest.raises(ValueError, match="C2"):
-        stu.weighted_studentize(data, small)
-    big = np.ones((3, 6))
-    big[1, 2] = 50.0
-    with pytest.raises(ValueError, match="rows \\[2\\]"):
-        stu.weighted_studentize(data, big)
-    with pytest.raises(ValueError):
-        stu.weighted_studentize(data, np.ones((2, 6)))
-
-
-def test_custom_constraint_constants():
-    data = np.ones((1, 4))
-    w = np.full((1, 4), 0.05)
-    loose = stu.WeightConstraints(c1=1.0, c2=0.01, c3=0.5)
-    rows = stu.weighted_studentize(data, w, constraints=loose)
-    assert rows.degenerate[0]  # constant weighted row
-    with pytest.raises(ValueError):
-        stu.WeightConstraints(c1=-1.0)
-
-
 def test_per_row_sizes():
     data = np.array([
         [1.0, 2.0, 3.0, 4.0],
@@ -183,34 +122,6 @@ def test_per_row_sizes():
         stu.studentize_panel(data, sizes=[4, 1])
     with pytest.raises(ValueError):
         stu.studentize_panel(data, sizes=[4, 5])
-
-
-def test_centered_ratio_matches_r_under_null():
-    rng = np.random.default_rng(5)
-    data = rng.standard_normal((50, 6))
-    rows = stu.studentize_panel(data)
-    centered = stu.centered_ratio(data)
-    assert np.allclose(centered, rows.r, rtol=1e-14)
-    # with a known offset the normalizer recenters
-    d = np.full(50, 0.7)
-    shifted = data + 0.7
-    got = stu.centered_ratio(shifted, offsets=d)
-    want = shifted.sum(axis=1) / np.sqrt(((shifted - 0.7) ** 2).sum(axis=1))
-    assert np.allclose(got, want, rtol=1e-14)
-
-
-def test_row_stats_csv(tmp_path):
-    data = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    rows = stu.studentize_panel(data)
-    path = tmp_path / "rows.csv"
-    stu.write_row_stats_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# schema:")
-    reader = csv.DictReader(lines[1:])
-    parsed = list(reader)
-    assert parsed[0]["i"] == "1"
-    assert float(parsed[0]["T"]) == pytest.approx(rows.t[0])
-    assert parsed[1]["degenerate"] == "1"
 
 
 def test_studentize_sums_matches_panel_arithmetic():
@@ -228,3 +139,25 @@ def test_studentize_sums_matches_panel_arithmetic():
         stu.studentize_sums(np.zeros(3), np.zeros(2), 12)
     with pytest.raises(ValueError):
         stu.studentize_sums(np.zeros(3), np.zeros(3), 1)
+
+
+def test_non_finite_rows_fail_at_the_boundary():
+    data = np.ones((30, 5))
+    data[:, 0] = 2.0
+    bad_rows = [2, 6, 7, 25]
+    for row, value in zip(bad_rows, (np.nan, np.inf, -np.inf, np.nan)):
+        data[row - 1, 3] = value
+    with pytest.raises(ValueError, match=r"rows \[2, 6, 7, 25\]"):
+        stu.studentize_panel(data)
+    with pytest.raises(ValueError, match=r"rows \[6\]"):
+        stu.studentize_panel(data, sizes=[3] * 5 + [5] + [3] * 24)
+    sum1 = data.sum(axis=1)
+    sum2 = np.einsum("ij,ij->i", data, data)
+    with pytest.raises(ValueError, match=r"rows \[2, 6, 7, 25\]"):
+        stu.studentize_sums(sum1, sum2, 5)
+    with pytest.raises(ValueError, match=r"rows \[1\]"):
+        stu.studentize_sums([np.nan, 1.0], [1.0, 2.0], 5)
+    # only the first 20 offending rows are named
+    with pytest.raises(ValueError) as err:
+        stu.studentize_panel(np.full((50, 4), np.nan))
+    assert str(list(range(1, 21))) in str(err.value)
