@@ -10,6 +10,7 @@ re-runs a manifest and verifies the recorded output digests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,10 +48,8 @@ common flags (after the subcommand):
   --out DIR       output directory (default runs/<kind>)
   --format F      csv | json for the main table (summaries are JSON)
 
-cluster, mtc and replay also take:
-  --sampler S     auto | explicit: auto draws Gaussian panels by their row
-                  sums where that is exact and faster; replay: override
-                  the recorded sampler
+A flag that the resulting configuration cannot use is an error: --kappa
+on the iid model, --pareto-exponent or --atom on a law that takes none.
 
 environment:
   EXCEEDLAB_JOBS  default parallelism when --jobs is 0 or absent
@@ -61,20 +60,35 @@ exit status:
 """
 
 
+def _count(text: str) -> int:
+    """A whole number, also written as 1e6."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+def _counts(text: str) -> tuple[int, ...]:
+    return tuple(_count(tok) for tok in text.split(","))
+
+
+# Every flag's dest is the ExperimentConfig field it sets, except --config
+# and the panel flags (--p, --n, --kappa, --model, --law, --pareto-exponent,
+# --atom, --seed), which _build_config applies to the panel spec.
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat text config file")
-    sub.add_argument("--p", type=float, help="number of tests")
-    sub.add_argument("--n", type=float, help="group size")
+    sub.add_argument("--p", type=_count, help="number of tests")
+    sub.add_argument("--n", type=_count, help="group size")
     sub.add_argument("--kappa", type=int, help="dependence range")
-    sub.add_argument("--rho-max", type=float, dest="rho_max",
+    sub.add_argument("--rho-max", type=float, dest="rho_max_override",
                      help="maximal lag correlation")
     sub.add_argument("--model", choices=pg.MODEL_KINDS)
     sub.add_argument("--law", choices=pg.LAW_KINDS)
     sub.add_argument("--pareto-exponent", type=float, dest="pareto_exponent")
     sub.add_argument("--atom", type=float)
     sub.add_argument("--eta", type=float)
-    sub.add_argument("--level", type=float, help="explicit t-level")
-    sub.add_argument("--reps", type=float)
+    sub.add_argument("--level", type=float, dest="level_t", help="explicit t-level")
+    sub.add_argument("--reps", type=_count)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--out")
@@ -97,26 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in experiments.EXPERIMENT_KINDS:
         sub = subs.add_parser(kind, help=f"run the {kind} experiment")
         _add_common(sub)
+        if kind in ("tails", "coupling"):
+            sub.add_argument("--s", type=float, dest="s_level", help="R-scale level")
         if kind == "tails":
-            sub.add_argument("--s", type=float, help="R-scale level")
-            sub.add_argument("--row", type=int, default=None)
-            sub.add_argument("--pair", help="i1,i2 row pair")
+            sub.add_argument("--row", type=int)
+            sub.add_argument("--pair", type=_counts, help="i1,i2 row pair")
         if kind == "coupling":
-            sub.add_argument("--s", type=float, help="R-scale level")
             sub.add_argument("--se-cap", type=float, dest="se_cap")
-            sub.add_argument("--match-draws", type=float, dest="match_draws")
+            sub.add_argument("--match-draws", type=_count, dest="match_draws")
         if kind in ("cluster", "coupling"):
-            sub.add_argument("--ell", type=int,
+            sub.add_argument("--ell", type=int, dest="block_ell",
                              help="override the large-block length")
-        if kind in ("cluster", "mtc"):
-            sub.add_argument("--sampler", choices=experiments.SAMPLERS)
         if kind == "mtc":
-            sub.add_argument("--q", type=float, help="BH FDR level")
-            sub.add_argument("--a", type=float, help="step-down FWER level")
+            sub.add_argument("--q", type=float, dest="bh_q", help="BH FDR level")
+            sub.add_argument("--a", type=float, dest="fwer_a",
+                             help="step-down FWER level")
         if kind == "paper-table":
-            sub.add_argument("--p-list", dest="p_list",
+            sub.add_argument("--p-list", type=_counts, dest="p_list",
                              help="comma-separated test counts")
-            sub.add_argument("--p0", type=float,
+            sub.add_argument("--p0", type=_count,
                              help="test count pinning the quantile level")
 
     sub = subs.add_parser("validate", help="print regime diagnostics")
@@ -126,12 +139,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--work-dir", dest="work_dir")
     sub.add_argument("--jobs", type=int)
-    sub.add_argument("--sampler", choices=experiments.SAMPLERS)
     return parser
 
 
 def _default_rho_vector(rho_max: float, kappa: int) -> tuple[float, ...]:
     return tuple(rho_max * (kappa - m + 1) / kappa for m in range(1, kappa + 1))
+
+
+def _law(args: argparse.Namespace, law: pg.InnovationLaw) -> pg.InnovationLaw:
+    """``law`` after --law, --pareto-exponent and --atom."""
+    if args.law is not None and args.law != law.kind:
+        law = pg.InnovationLaw(
+            args.law,
+            tail_exponent=4.0 if args.law == "standardized-pareto" else None,
+            atom=0.5 if args.law == "two-point-with-atom" else None,
+        )
+    for flag, field, value in (("--pareto-exponent", "tail_exponent", args.pareto_exponent),
+                               ("--atom", "atom", args.atom)):
+        if value is not None:
+            if getattr(law, field) is None:
+                raise pg.SpecError(f"{flag} does not apply to the {law.kind} law")
+            law = dataclasses.replace(law, **{field: value})
+    return law
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -148,27 +177,19 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     spec = cfg.panel
     if args.p is not None:
-        spec.p = int(args.p)
+        spec.p = args.p
     if args.n is not None:
-        spec.n = int(args.n)
+        spec.n = args.n
     if args.seed is not None:
         spec.seed = args.seed
-
-    law = spec.law
-    if args.law is not None:
-        if args.law == "standardized-pareto":
-            law = pg.InnovationLaw.pareto(args.pareto_exponent or 4.0)
-        elif args.law == "two-point-with-atom":
-            law = pg.InnovationLaw.two_point(args.atom if args.atom is not None else 0.5)
-        elif args.law == "standardized-rademacher":
-            law = pg.InnovationLaw.rademacher()
-        else:
-            law = pg.InnovationLaw.normal()
-        spec.law = law
+    spec.law = _law(args, spec.law)
 
     model_kind = args.model or spec.model.kind
     kappa = args.kappa if args.kappa is not None else spec.model.kappa
-    if args.model is not None or args.kappa is not None or args.rho_max is not None:
+    rho_max = args.rho_max_override
+    if model_kind == "iid" and args.kappa is not None:
+        raise pg.SpecError("--kappa does not apply to the iid model")
+    if args.model is not None or args.kappa is not None or rho_max is not None:
         if model_kind == "iid":
             spec.model = pg.DependenceModel.iid()
         elif model_kind == "moving-average":
@@ -176,11 +197,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
                 raise pg.SpecError("moving-average model needs --kappa >= 1")
             spec.model = pg.DependenceModel.moving_average(kappa)
         else:
-            if args.rho_max is not None:
+            if rho_max is not None:
                 if kappa < 1:
                     raise pg.SpecError("gaussian-kdep needs --kappa >= 1")
                 spec.model = pg.DependenceModel.gaussian_kdep(
-                    _default_rho_vector(args.rho_max, kappa)
+                    _default_rho_vector(rho_max, kappa)
                 )
             elif spec.model.kind != "gaussian-kdep":
                 raise pg.SpecError(
@@ -191,47 +212,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
                     "changing kappa for gaussian-kdep needs --rho-max or a "
                     "rho vector in --config"
                 )
-    if args.rho_max is not None:
-        cfg.rho_max_override = args.rho_max
 
-    if args.eta is not None:
-        cfg.eta = args.eta
-    if args.level is not None:
-        cfg.level_t = args.level
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            setattr(cfg, field.name, value)
+    if args.level_t is not None:
         cfg.level_policy = "explicit"
-    if args.reps is not None:
-        cfg.reps = int(args.reps)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.out is not None:
-        cfg.out = args.out
-    if args.fmt is not None:
-        cfg.fmt = args.fmt
-    if getattr(args, "sampler", None) is not None:
-        cfg.sampler = args.sampler
-
-    if getattr(args, "s", None) is not None:
-        cfg.s_level = args.s
-    if getattr(args, "row", None) is not None:
-        cfg.row = args.row
-    if getattr(args, "pair", None):
-        i1, i2 = (int(tok) for tok in args.pair.split(","))
-        cfg.pair = (i1, i2)
-    if getattr(args, "se_cap", None) is not None:
-        cfg.se_cap = args.se_cap
-    if getattr(args, "match_draws", None) is not None:
-        cfg.match_draws = int(args.match_draws)
-    if getattr(args, "ell", None) is not None:
-        cfg.block_ell = args.ell
-    if getattr(args, "q", None) is not None:
-        cfg.bh_q = args.q
-    if getattr(args, "a", None) is not None:
-        cfg.fwer_a = args.a
-    if getattr(args, "p_list", None):
-        cfg.p_list = tuple(int(float(tok)) for tok in args.p_list.split(","))
-    if getattr(args, "p0", None) is not None:
-        cfg.p0 = int(args.p0)
-
     if cfg.out is None:
         cfg.out = f"runs/{cfg.kind}"
     return cfg
@@ -288,8 +275,7 @@ def main(argv=None) -> int:
     if args.command == "replay":
         try:
             ok, report = experiments.replay(
-                args.manifest, work_dir=args.work_dir, jobs=args.jobs,
-                sampler=args.sampler,
+                args.manifest, work_dir=args.work_dir, jobs=args.jobs
             )
         except (OSError, ValueError) as exc:
             print(f"replay failed: {exc}", file=sys.stderr)
@@ -324,7 +310,10 @@ def main(argv=None) -> int:
     except InsufficientReplicates as exc:
         print(f"infeasible Monte Carlo guard: {exc}", file=sys.stderr)
         return 3
-    except (pg.SpecError, ValueError) as exc:
+    except pg.SpecError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     _print_summary(cfg.kind, manifest, cfg.out)

@@ -54,7 +54,6 @@ __all__ = [
     "EXPERIMENT_KINDS",
     "ExperimentConfig",
     "RunManifest",
-    "SAMPLERS",
     "default_jobs",
     "environment",
     "load_manifest",
@@ -66,7 +65,7 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("calibrate", "tails", "coupling", "cluster", "mtc", "paper-table")
-SAMPLERS = ("auto", "explicit")
+_LOGP_N_RATIO_MAX = 0.5  # validate_config warns above this log(p)/n
 
 _JOBS_ENV = "EXCEEDLAB_JOBS"
 
@@ -75,7 +74,10 @@ def default_jobs() -> int:
     """Worker count: the EXCEEDLAB_JOBS override, else the CPU count."""
     env = os.environ.get(_JOBS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise pg.SpecError(f"{_JOBS_ENV} must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -93,11 +95,10 @@ class ExperimentConfig:
     ``"ma-refined"`` (the moving-average log-log refinement) or
     ``"explicit"`` (use ``level_t`` as given).  ``s_level`` optionally
     fixes the R-scale level for tails/coupling; by default it is the
-    mapped t-level.  ``sampler`` picks how cluster and mtc replicates are
-    drawn: ``"auto"`` draws each row's sum and sum of squares
-    (:func:`panelgen.row_sums`) wherever that is exact and faster than the
-    cells (:func:`panelgen.row_sums_preferred`), ``"explicit"`` always
-    generates and studentizes every cell.
+    mapped t-level.  How cluster and mtc replicates are drawn follows
+    from the panel spec alone (:func:`resolve_sampler`).  Every field but
+    ``panel`` is one config-file key (``_CONFIG_TABLE``), defaulting to
+    the field default.
     """
 
     kind: str
@@ -106,12 +107,10 @@ class ExperimentConfig:
     eta: float = 0.05
     level_t: float | None = None
     rho_max_override: float | None = None
-    loglog_coeff: float = 3.0
     reps: int = 1000
     jobs: int = 0
     out: str | None = None
     fmt: str = "csv"
-    sampler: str = "auto"
     # tails
     s_level: float | None = None
     row: int = 1
@@ -127,13 +126,19 @@ class ExperimentConfig:
     # paper-table
     p_list: tuple[int, ...] = (10_000, 100_000, 1_000_000)
     p0: int = 1_000_000
-    # validation proxy
-    logp_n_ratio_max: float = 0.5
 
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.panel.validate()
+        if self.panel.n < 2:
+            raise pg.SpecError(
+                f"group size n must be >= 2 to studentize a row, got {self.panel.n}"
+            )
+        if self.panel.sizes is not None and self.kind != "cluster":
+            raise pg.SpecError(
+                f"[panel] sizes is honoured only by cluster runs, not {self.kind}"
+            )
         if self.level_policy not in ("eta", "ma-refined", "explicit"):
             raise ValueError(f"unknown level policy {self.level_policy!r}")
         if self.level_policy == "explicit" and (
@@ -148,16 +153,13 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 0 (0 means auto)")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.sampler not in SAMPLERS:
-            raise pg.SpecError(
-                f"sampler must be one of {', '.join(SAMPLERS)}, got {self.sampler!r}"
-            )
         if not 1 <= self.row <= self.panel.p:
             raise pg.SpecError(f"row {self.row} outside [1, {self.panel.p}]")
-        if self.pair is not None:
-            i1, i2 = self.pair
-            if i1 == i2 or not (1 <= i1 <= self.panel.p and 1 <= i2 <= self.panel.p):
-                raise ValueError(f"invalid pair {self.pair!r}")
+        if self.pair is not None and (
+            len(self.pair) != 2 or self.pair[0] == self.pair[1]
+            or not all(1 <= i <= self.panel.p for i in self.pair)
+        ):
+            raise ValueError(f"invalid pair {self.pair!r}")
         if not 0.0 < self.bh_q < 1.0:
             raise ValueError("bh_q must lie in (0, 1)")
         if not 0.0 < self.fwer_a < 1.0:
@@ -168,100 +170,47 @@ class ExperimentConfig:
     # -- flat text round trip ------------------------------------------------
 
     def to_text(self) -> str:
+        sections: dict[str, dict[str, str]] = {}
+        for section, key, field, _ in _CONFIG_TABLE:
+            value = getattr(self, field)
+            if value is not None:
+                sections.setdefault(section, {})[key] = (
+                    ", ".join(str(v) for v in value) if isinstance(value, tuple)
+                    else str(value)
+                )
         cp = configparser.ConfigParser()
-        cp["experiment"] = {
-            "kind": self.kind,
-            "reps": str(self.reps),
-            "jobs": str(self.jobs),
-            "format": self.fmt,
-            "sampler": self.sampler,
-        }
-        if self.out:
-            cp["experiment"]["out"] = self.out
-        cp["level"] = {
-            "policy": self.level_policy,
-            "eta": repr(self.eta),
-            "loglog_coeff": repr(self.loglog_coeff),
-        }
-        if self.level_t is not None:
-            cp["level"]["t"] = repr(self.level_t)
-        if self.s_level is not None:
-            cp["level"]["s"] = repr(self.s_level)
-        if self.rho_max_override is not None:
-            cp["level"]["rho_max"] = repr(self.rho_max_override)
-        if self.block_ell is not None:
-            cp["level"]["ell"] = str(self.block_ell)
-        cp["tails"] = {"row": str(self.row)}
-        if self.pair is not None:
-            cp["tails"]["pair"] = f"{self.pair[0]}, {self.pair[1]}"
-        cp["coupling"] = {
-            "se_cap": repr(self.se_cap),
-            "match_draws": str(self.match_draws),
-        }
-        cp["mtc"] = {"bh_q": repr(self.bh_q), "fwer_a": repr(self.fwer_a)}
-        cp["paper-table"] = {
-            "p_list": ", ".join(str(p) for p in self.p_list),
-            "p0": str(self.p0),
-        }
-        cp["validate"] = {"logp_n_ratio_max": repr(self.logp_n_ratio_max)}
+        cp.read_dict(sections)
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue() + pg.panel_spec_to_config(self.panel)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Parse a config; a key left out or empty takes the field default."""
         cp = configparser.ConfigParser()
         cp.read_string(text)
         panel = pg.panel_spec_from_config(text)
+        known = {row[:2] for row in _CONFIG_TABLE} | set(_RETIRED_KEYS)
         for name in cp.sections():
             if name == "panel":
                 continue  # checked by panel_spec_from_config
-            if name not in _CONFIG_KEYS:
+            if name not in {section for section, _ in known}:
                 raise pg.SpecError(f"unknown config section [{name}]")
-            unknown = set(cp[name]) - _CONFIG_KEYS[name]
+            unknown = sorted(key for key in cp[name] if (name, key) not in known)
             if unknown:
-                raise pg.SpecError(f"unknown [{name}] keys: {sorted(unknown)}")
-        exp = cp["experiment"] if "experiment" in cp else {}
-        level = cp["level"] if "level" in cp else {}
-        tails = cp["tails"] if "tails" in cp else {}
-        coupling = cp["coupling"] if "coupling" in cp else {}
-        mtc_sec = cp["mtc"] if "mtc" in cp else {}
-        ptab = cp["paper-table"] if "paper-table" in cp else {}
-        vsec = cp["validate"] if "validate" in cp else {}
-
-        pair = None
-        if tails.get("pair"):
-            i1, i2 = (int(tok) for tok in tails["pair"].split(","))
-            pair = (i1, i2)
-        p_list = tuple(
-            int(tok) for tok in ptab.get("p_list", "10000, 100000, 1000000").split(",")
-        )
-        cfg = cls(
-            kind=exp.get("kind", "calibrate"),
-            panel=panel,
-            level_policy=level.get("policy", "eta"),
-            eta=float(level.get("eta", 0.05)),
-            level_t=float(level["t"]) if level.get("t") else None,
-            rho_max_override=float(level["rho_max"]) if level.get("rho_max") else None,
-            loglog_coeff=float(level.get("loglog_coeff", 3.0)),
-            reps=int(exp.get("reps", 1000)),
-            jobs=int(exp.get("jobs", 0)),
-            out=exp.get("out") or None,
-            fmt=exp.get("format", "csv"),
-            sampler=exp.get("sampler", "auto"),
-            s_level=float(level["s"]) if level.get("s") else None,
-            row=int(tails.get("row", 1)),
-            pair=pair,
-            block_ell=int(level["ell"]) if level.get("ell") else None,
-            se_cap=float(coupling.get("se_cap", 0.02)),
-            match_draws=int(coupling.get("match_draws", 100_000)),
-            bh_q=float(mtc_sec.get("bh_q", 0.1)),
-            fwer_a=float(mtc_sec.get("fwer_a", 0.05)),
-            p_list=p_list,
-            p0=int(ptab.get("p0", 1_000_000)),
-            logp_n_ratio_max=float(vsec.get("logp_n_ratio_max", 0.5)),
-        )
-        return cfg
+                raise pg.SpecError(f"unknown [{name}] keys: {unknown}")
+        for (section, key), fixed in _RETIRED_KEYS.items():
+            if cp.get(section, key, fallback=fixed) != fixed:
+                raise pg.SpecError(f"[{section}] {key} is retired; only {fixed} is accepted")
+        values = {"kind": "calibrate"}
+        for section, key, field, parse in _CONFIG_TABLE:
+            raw = cp.get(section, key, fallback="")
+            if raw:
+                try:
+                    values[field] = parse(raw)
+                except ValueError as exc:
+                    raise pg.SpecError(f"[{section}] {key}: {exc}") from None
+        return cls(panel=panel, **values)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -269,22 +218,46 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
 
-_CONFIG_KEYS = {
-    "experiment": {"kind", "reps", "jobs", "format", "out", "sampler"},
-    "level": {"policy", "eta", "loglog_coeff", "t", "s", "rho_max", "ell"},
-    "tails": {"row", "pair"},
-    "coupling": {"se_cap", "match_draws"},
-    "mtc": {"bh_q", "fwer_a"},
-    "paper-table": {"p_list", "p0"},
-    "validate": {"logp_n_ratio_max"},
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
+# The config file's keys: (section, key, ExperimentConfig field, parser).
+_CONFIG_TABLE = (
+    ("experiment", "kind", "kind", str),
+    ("experiment", "reps", "reps", int),
+    ("experiment", "jobs", "jobs", int),
+    ("experiment", "format", "fmt", str),
+    ("experiment", "out", "out", str),
+    ("level", "policy", "level_policy", str),
+    ("level", "eta", "eta", float),
+    ("level", "t", "level_t", float),
+    ("level", "s", "s_level", float),
+    ("level", "rho_max", "rho_max_override", float),
+    ("level", "ell", "block_ell", int),
+    ("tails", "row", "row", int),
+    ("tails", "pair", "pair", _ints),
+    ("coupling", "se_cap", "se_cap", float),
+    ("coupling", "match_draws", "match_draws", int),
+    ("mtc", "bh_q", "bh_q", float),
+    ("mtc", "fwer_a", "fwer_a", float),
+    ("paper-table", "p_list", "p_list", _ints),
+    ("paper-table", "p0", "p0", int),
+)
+
+# Keys that earlier versions wrote into every manifest, with the one value
+# the code now fixes: those manifests still replay, and any other value
+# fails instead of drawing differently.
+_RETIRED_KEYS = {
+    ("experiment", "sampler"): "auto",
+    ("level", "loglog_coeff"): "3.0",
+    ("validate", "logp_n_ratio_max"): str(_LOGP_N_RATIO_MAX),
 }
 
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
     """How cluster and mtc replicates are drawn: explicit or sufficiency."""
-    if cfg.sampler == "auto" and pg.row_sums_preferred(cfg.panel):
-        return "sufficiency"
-    return "explicit"
+    return "sufficiency" if pg.row_sums_preferred(cfg.panel) else "explicit"
 
 
 def _effective_rho_max(cfg: ExperimentConfig) -> float:
@@ -304,10 +277,7 @@ def resolve_level(cfg: ExperimentConfig) -> tuple[float, float, float]:
     if cfg.level_policy == "explicit":
         t = float(cfg.level_t)
     elif cfg.level_policy == "ma-refined":
-        t = threshold_regime(
-            cfg.panel.p, cfg.eta, gamma, variant="moving-average",
-            loglog_coeff=cfg.loglog_coeff,
-        ).t_refined
+        t = threshold_regime(cfg.panel.p, cfg.eta, gamma, variant="moving-average").t_refined
     else:
         t = threshold_regime(cfg.panel.p, cfg.eta, gamma).t_min
     s = cfg.s_level if cfg.s_level is not None else stu.t_level_to_r_level(t, cfg.panel.n)
@@ -318,7 +288,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Soft regime diagnostics (run() separately enforces the hard errors).
 
     Checks every proxy it can: the log p = o(n) regime (warn when
-    log(p)/n exceeds the configured ratio), kappa <= log p for the
+    log(p)/n exceeds 0.5), kappa <= log p for the
     moving-average generalization and correlation constraints.
     """
     notes: list[str] = []
@@ -329,9 +299,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         return notes
     p, n = cfg.panel.p, cfg.panel.n
     ratio = math.log(p) / n
-    if ratio > cfg.logp_n_ratio_max:
+    if ratio > _LOGP_N_RATIO_MAX:
         notes.append(
-            f"warning: log(p)/n = {ratio:.3g} exceeds {cfg.logp_n_ratio_max:g}; "
+            f"warning: log(p)/n = {ratio:.3g} exceeds {_LOGP_N_RATIO_MAX:g}; "
             "the sample-size regime (log p small against n) is violated"
         )
     model = cfg.panel.model
@@ -340,8 +310,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"warning: kappa = {model.kappa} exceeds log(p) = {math.log(p):.3g}; "
             "the moving-average window outgrows the admissible range"
         )
-    if n < 2:
-        notes.append("warning: group size below 2 cannot be studentized")
     return notes
 
 
@@ -505,7 +473,6 @@ def _experiment_calibrate(cfg: ExperimentConfig, out: Path) -> tuple[list[Path],
     regime = threshold_regime(
         p, cfg.eta, gamma,
         variant="moving-average" if cfg.panel.model.kind == "moving-average" else "plain",
-        loglog_coeff=cfg.loglog_coeff,
     )
     rows = [[
         p, n, summary_dep.rho_max, summary_dep.alpha, summary_dep.gamma, cfg.eta,
@@ -772,9 +739,9 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     directory).
     """
     cfg.validate()
+    jobs = cfg.jobs if cfg.jobs > 0 else default_jobs()
     out = Path(out_dir if out_dir is not None else (cfg.out or "."))
     out.mkdir(parents=True, exist_ok=True)
-    jobs = cfg.jobs if cfg.jobs > 0 else default_jobs()
 
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -845,24 +812,20 @@ def _environment_line(recorded: dict | None, current: dict) -> str:
     return "ENV same: " + ", ".join(f"{key} {value}" for key, value in current.items())
 
 
-def replay(manifest_path, work_dir=None, jobs: int | None = None,
-           sampler: str | None = None) -> tuple[bool, list[str]]:
+def replay(manifest_path, work_dir=None, jobs: int | None = None) -> tuple[bool, list[str]]:
     """Re-run a manifest's config and verify the recorded output digests.
 
     Returns (ok, report lines): first an ``ENV`` line comparing the
     recorded environment with this one, then one line per file.  Only
     the digests decide ``ok``.  The rerun happens in ``work_dir`` (a
     temporary sibling directory by default); parallelism may differ from
-    the original run, the outputs may not.  ``sampler`` overrides the
-    recorded sampler, e.g. to replay a manifest from before it was recorded.
+    the original run, the outputs may not.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     cfg = ExperimentConfig.from_text(manifest.config_text)
     if jobs is not None:
         cfg.jobs = jobs
-    if sampler is not None:
-        cfg.sampler = sampler
     if work_dir is None:
         work_dir = manifest_path.parent / "_replay"
     fresh = run(cfg, out_dir=work_dir)

@@ -386,7 +386,7 @@ class PanelSpec:
     indices and nonnegative values (the default empty tuple is the global
     null).  ``sizes`` optionally records per-row group sizes n_i <= n;
     generation always fills the full width and studentization uses the
-    first n_i entries.
+    first n_i entries.  Only cluster experiments accept it.
     """
 
     p: int

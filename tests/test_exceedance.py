@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exceedlab import exceedance as xc
 from exceedlab import panelgen as pg
@@ -100,20 +101,6 @@ def test_block_floor_and_small_level():
     assert scheme.blocks == (("large", 1, 100),)
 
 
-def test_block_tiling_property():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        p = int(rng.integers(1, 500))
-        kappa = int(rng.integers(0, 6))
-        ell = int(rng.integers(kappa + 2, kappa + 40))
-        scheme = xc.block_scheme(p, kappa, ell=ell)
-        pos = 1
-        for kind, start, end in scheme.blocks:
-            assert start == pos and end >= start
-            pos = end + 1
-        assert pos == p + 1
-
-
 def test_cluster_stats_empty():
     scheme = xc.block_scheme(120, 2, ell=55)
     cs = xc.cluster_stats(xc.extract(np.zeros(120), 1.0), scheme)
@@ -152,6 +139,15 @@ def test_cluster_stats_small_block_and_fragment():
     assert cs.small_block_exceedances == 1  # attached stub
     assert not cs.event_f
 
+    # several hits in a short trailing stub
+    scheme = xc.block_scheme(61, 3, ell=55)
+    assert scheme.blocks[-1] == ("fragment", 60, 61)
+    values = np.zeros(61)
+    values[[0, 58, 59, 60]] = 9.0
+    cs = xc.cluster_stats(xc.extract(values, 1.0), scheme)
+    assert (cs.fragment_exceedances, cs.small_block_exceedances) == (2, 3)
+    assert (cs.large_blocks_hit, cs.max_run_length, cs.min_gap) == (1, 3, 1)
+
 
 def _cluster_stats_by_block(exc, scheme):
     # explicit per-block loop: the oracle of the vectorised cluster_stats
@@ -183,27 +179,46 @@ def _cluster_stats_by_block(exc, scheme):
     )
 
 
-def test_cluster_stats_matches_the_block_loop():
-    rng = np.random.default_rng(5)
-    # no fragment, a one-row stub (attached), partial large blocks of kappa + 1
-    # and 14 rows (raw), and a panel shorter than one large block
-    schemes = [xc.block_scheme(p, kappa, ell=ell) for p, kappa, ell in
-               [(120, 2, 57), (121, 3, 8), (119, 2, 55), (130, 2, 55), (9, 1, 20)]]
-    for scheme in schemes:
-        for level in (0.5, 1.5, 2.5, 9.0):
-            values = rng.standard_normal(scheme.width) * 1.5
-            exc = xc.extract(values, level)
-            assert xc.cluster_stats(exc, scheme) == _cluster_stats_by_block(exc, scheme)
-    # several hits in a short trailing stub
-    scheme = xc.block_scheme(61, 3, ell=55)
-    assert scheme.blocks[-1] == ("fragment", 60, 61)
-    values = np.zeros(61)
-    values[[0, 58, 59, 60]] = 9.0
+@st.composite
+def _scheme_and_hits(draw):
+    p = draw(st.integers(1, 500))
+    kappa = draw(st.integers(0, 6))
+    ell = draw(st.integers(kappa + 2, kappa + 40))
+    return p, kappa, ell, draw(st.sets(st.integers(1, p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scheme_and_hits())
+# no fragment, a one-row stub (attached), partial large blocks of kappa + 1
+# and 14 rows (raw), a panel shorter than one large block, and several hits
+# in a short trailing stub
+@example((120, 2, 57, {57, 58, 60, 61, 120}))
+@example((121, 3, 8, {8, 9, 12, 13, 121}))
+@example((119, 2, 55, {55, 56, 58, 117, 119}))
+@example((130, 2, 55, {1, 2, 114, 116, 117, 130}))
+@example((9, 1, 20, {1, 5, 9}))
+@example((61, 3, 55, {1, 59, 60, 61}))
+def test_cluster_stats_matches_the_block_loop(case):
+    p, kappa, ell, hits = case
+    scheme = xc.block_scheme(p, kappa, ell=ell)
+    # the blocks tile [1, p]: large, small, large, ... and at most a last
+    # fragment, shorter than the block it stands for
+    pos = 1
+    for j, (kind, start, end) in enumerate(scheme.blocks):
+        assert start == pos and end >= start
+        length = ell if j % 2 == 0 else kappa + 1
+        if kind == "fragment":
+            assert j == len(scheme.blocks) - 1 and end - start + 1 < length
+        else:
+            assert kind == ("large" if j % 2 == 0 else "small")
+            assert end - start + 1 == length
+        pos = end + 1
+    assert pos == p + 1
+
+    values = np.zeros(p)
+    values[[i - 1 for i in hits]] = 9.0
     exc = xc.extract(values, 1.0)
-    cs = xc.cluster_stats(exc, scheme)
-    assert cs == _cluster_stats_by_block(exc, scheme)
-    assert (cs.fragment_exceedances, cs.small_block_exceedances) == (2, 3)
-    assert (cs.large_blocks_hit, cs.max_run_length, cs.min_gap) == (1, 3, 1)
+    assert xc.cluster_stats(exc, scheme) == _cluster_stats_by_block(exc, scheme)
 
 
 def test_cluster_counts_consistency_property():

@@ -1,8 +1,10 @@
 """Experiment engine and CLI: configs, determinism, manifests, exit codes."""
 
+import configparser
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,23 @@ def test_config_validation_errors():
     cfg = _cfg(reps=0)
     with pytest.raises(ValueError):
         cfg.validate()
+    for pair in ((2, 2), (1, 2, 3), (1, 301)):
+        with pytest.raises(ValueError, match="pair"):
+            _cfg(kind="tails", pair=pair).validate()
+    # a row of one cell has no variance to studentize by
+    with pytest.raises(pg.SpecError, match="group size n"):
+        _cfg(n=1).validate()
+
+
+def test_config_sizes_only_for_cluster():
+    for kind in ex.EXPERIMENT_KINDS:
+        cfg = _cfg(kind=kind, p=3)
+        cfg.panel = replace(cfg.panel, sizes=(5, 40, 9))
+        if kind == "cluster":
+            cfg.validate()
+        else:
+            with pytest.raises(pg.SpecError, match="sizes"):
+                cfg.validate()
 
 
 def test_resolve_level_policies():
@@ -204,9 +223,15 @@ def test_json_table_format(tmp_path):
     assert payload["rows"][0]["replicate"] == 0
 
 
-def test_default_jobs_env(monkeypatch):
+def test_default_jobs_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("EXCEEDLAB_JOBS", "7")
     assert ex.default_jobs() == 7
+    monkeypatch.setenv("EXCEEDLAB_JOBS", "two")
+    with pytest.raises(pg.SpecError, match="EXCEEDLAB_JOBS"):
+        ex.default_jobs()
+    assert cli.main(["calibrate", "--out", str(tmp_path / "o")]) == 2
+    assert "EXCEEDLAB_JOBS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     monkeypatch.delenv("EXCEEDLAB_JOBS")
     assert ex.default_jobs() >= 1
 
@@ -275,6 +300,38 @@ def test_cli_kappa_change_needs_rho(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["calibrate", "--kappa", "5"], "--kappa"),
+    (["calibrate", "--pareto-exponent", "5"], "--pareto-exponent"),
+    (["calibrate", "--law", "standardized-rademacher", "--atom", "0.3"], "--atom"),
+    (["tails", "--model", "iid", "--kappa", "2"], "--kappa"),
+])
+def test_cli_flag_the_configuration_cannot_use_exits_2(argv, flag, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_law_flags_apply_to_the_config_law(tmp_path):
+    for law, flags, field, want in (
+        (pg.InnovationLaw.pareto(4.0), ["--pareto-exponent", "9"], "tail_exponent", 9.0),
+        (pg.InnovationLaw.pareto(7.0), ["--law", "standardized-pareto"], "tail_exponent", 7.0),
+        (pg.InnovationLaw.two_point(0.5), ["--atom", "0.2"], "atom", 0.2),
+    ):
+        cfg = _cfg(kind="tails", model=pg.DependenceModel.moving_average(2))
+        cfg.panel = replace(cfg.panel, law=law)
+        path = tmp_path / "exp.ini"
+        path.write_text(cfg.to_text())
+        args = cli.build_parser().parse_args(["tails", "--config", str(path), *flags])
+        assert getattr(cli._build_config(args).panel.law, field) == want
+
+
+@pytest.mark.parametrize("kind", ["calibrate", "tails"])
+def test_cli_group_size_below_2_exits_2(kind, tmp_path, capsys):
+    assert cli.main([kind, "--n", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "group size n" in capsys.readouterr().err
+
+
 def test_cli_guard_exit_code(tmp_path, capsys):
     rc = cli.main([
         "tails", "--p", "100", "--n", "100", "--s", "6.0", "--reps", "1000",
@@ -322,7 +379,7 @@ def test_config_rejects_unknown_keys_and_sections():
     text = _cfg(kind="mtc").to_text()
     cases = [
         (text.replace("bh_q = ", "bhq = "), ["[mtc]", "bhq"]),
-        (text.replace("sampler = ", "samplr = "), ["[experiment]", "samplr"]),
+        (text.replace("reps = ", "repz = "), ["[experiment]", "repz"]),
         (text + "\n[mtcc]\nbh_q = 0.2\n", ["[mtcc]"]),
     ]
     for bad, words in cases:
@@ -345,10 +402,51 @@ def test_config_naming_weights_file_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_retired_keys_accept_only_their_fixed_value(tmp_path, capsys):
+    # every manifest written before the keys were retired carries all three
+    text = _cfg(kind="cluster", reps=5).to_text()
+    text = text.replace("[experiment]\n", "[experiment]\nsampler = auto\n")
+    text = text.replace("[level]\n", "[level]\nloglog_coeff = 3.0\n")
+    text += "[validate]\nlogp_n_ratio_max = 0.5\n"
+    assert ex.ExperimentConfig.from_text(text) == _cfg(kind="cluster", reps=5)
+    for key, old, new in (("sampler", "auto", "explicit"),
+                          ("loglog_coeff", "3.0", "4.0"),
+                          ("logp_n_ratio_max", "0.5", "0.7")):
+        bad = text.replace(f"{key} = {old}", f"{key} = {new}")
+        with pytest.raises(pg.SpecError, match=key):
+            ex.ExperimentConfig.from_text(bad)
+        path = tmp_path / "exp.ini"
+        path.write_text(bad)
+        assert cli.main(["cluster", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_config_values_that_do_not_parse_name_their_key():
+    text = _cfg(kind="tails").to_text().replace("row = 1", "row = first")
+    with pytest.raises(pg.SpecError, match=r"\[tails\] row"):
+        ex.ExperimentConfig.from_text(text)
+
+
+def test_readme_config_example_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("```ini\n[experiment]"):]
+    block = block[len("```ini\n"):block.index("```", 3)]
+    text = "\n".join(line.split(";")[0].rstrip() for line in block.splitlines())
+    cfg = ex.ExperimentConfig.from_text(text)
+    cfg.validate()
+    assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
+    # every key the example sets is one a config snapshot writes
+    given, written = configparser.ConfigParser(), configparser.ConfigParser()
+    given.read_string(text)
+    written.read_string(cfg.to_text())
+    for section in given.sections():
+        assert set(given[section]) <= set(written[section]), section
+
+
 @pytest.mark.parametrize("kind", ex.EXPERIMENT_KINDS)
 def test_config_text_round_trip_every_kind(kind):
     cfg = _cfg(kind=kind, reps=9, pair=(2, 4), s_level=2.0, block_ell=12,
-               level_policy="explicit", level_t=3.5, sampler="explicit", row=3)
+               level_policy="explicit", level_t=3.5, row=3)
     back = ex.ExperimentConfig.from_text(cfg.to_text())
     assert back == cfg
     assert back.to_text() == cfg.to_text()
@@ -362,7 +460,6 @@ def test_config_row_range_checked():
 
 def test_sampler_resolution_and_fallback():
     assert ex.resolve_sampler(_cfg()) == "sufficiency"
-    assert ex.resolve_sampler(_cfg(sampler="explicit")) == "explicit"
     kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
     assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency"  # n = L + 6
     explicit = [
@@ -374,21 +471,18 @@ def test_sampler_resolution_and_fallback():
     for cfg in explicit:
         cfg.validate()
         assert ex.resolve_sampler(cfg) == "explicit"
-    for bad in ("fast", "sufficiency"):
-        with pytest.raises(pg.SpecError, match="sampler"):
-            _cfg(sampler=bad).validate()
 
 
 def test_samplers_tag_their_outputs(tmp_path):
-    # the summaries record how the panels were drawn, the snapshot the knob
-    for sampler, drawn in (("explicit", "explicit"), ("auto", "sufficiency")):
+    # the summaries record how the rule drew the panels: n = 8 < L + 6 for
+    # the 3 taps of a kappa = 2 gaussian-kdep filter takes the cells
+    kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
+    for spec, drawn in (({"model": kdep, "n": 8}, "explicit"), ({}, "sufficiency")):
         for kind in ("cluster", "mtc"):
-            out = tmp_path / f"{kind}-{sampler}"
-            m = ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, sampler=sampler),
-                       out_dir=out)
+            out = tmp_path / f"{kind}-{drawn}"
+            ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, **spec), out_dir=out)
             summary = json.loads((out / f"{kind}_summary.json").read_text())
             assert summary["sampler"] == drawn
-            assert ex.ExperimentConfig.from_text(m.config_text).sampler == sampler
 
 
 def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
@@ -408,9 +502,9 @@ def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
     assert summary["marginal"] == marginal.describe()
 
 
-def test_manifest_records_environment_and_replay_reports_it(tmp_path):
+def test_manifest_records_environment_and_replay_reports_it(tmp_path, monkeypatch):
     out = tmp_path / "run"
-    m = ex.run(_cfg(reps=10, eta=0.1, jobs=1, sampler="explicit"), out_dir=out)
+    m = ex.run(_cfg(reps=10, eta=0.1, jobs=1), out_dir=out)
     assert m.environment == ex.environment()
     assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator"}
     assert m.environment["bit_generator"] == "PCG64"
@@ -425,36 +519,16 @@ def test_manifest_records_environment_and_replay_reports_it(tmp_path):
     assert report[0] == f"ENV changed: numpy 0.0.1 -> {np.__version__}"
     assert not any(line.startswith("MISMATCH") for line in report)
 
-    # a v1 manifest: no environment, no sampler in its config snapshot
+    # a v1 manifest: no environment
     raw["schema_version"] = "exceedlab.manifest.v1"
     del raw["environment"]
-    raw["config"] = raw["config"].replace("sampler = explicit\n", "")
     (out / "manifest.json").write_text(json.dumps(raw))
     ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r3")
-    assert report[0] == "ENV not recorded (manifest v1)"
+    assert ok and report[0] == "ENV not recorded (manifest v1)"
+
+    # a Gaussian manifest from before the row-sum sampler drew every cell
+    monkeypatch.setattr(pg, "row_sums_preferred", lambda spec: False)
+    ex.run(_cfg(reps=10, eta=0.1, jobs=1), out_dir=out)
+    monkeypatch.undo()
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r4")
     assert not ok and any(line.startswith("MISMATCH cluster.csv") for line in report)
-    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r4",
-                           sampler="explicit")
-    assert ok and "OK cluster.csv" in report
-
-
-def test_cli_sampler_flag(tmp_path, capsys):
-    out = tmp_path / "run"
-    rc = cli.main([
-        "cluster", "--p", "200", "--n", "30", "--model", "moving-average",
-        "--kappa", "2", "--reps", "12", "--seed", "9", "--eta", "0.1",
-        "--sampler", "explicit", "--out", str(out),
-    ])
-    assert rc == 0
-    assert json.loads((out / "cluster_summary.json").read_text())["sampler"] == "explicit"
-    # only cluster, mtc and replay draw panels that a sampler could change
-    for argv in (["cluster", "--sampler", "sufficiency"],
-                 ["calibrate", "--sampler", "explicit"]):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(argv)
-        assert exit_.value.code == 2
-    assert "--sampler" in capsys.readouterr().err
-    rc = cli.main(["replay", "--manifest", str(out / "manifest.json"),
-                   "--work-dir", str(tmp_path / "w"), "--sampler", "auto"])
-    assert rc == 1
-    assert "MISMATCH cluster.csv" in capsys.readouterr().out
