@@ -189,17 +189,14 @@ def _scheme_and_hits(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_scheme_and_hits())
-# no fragment, a one-row stub (attached), partial large blocks of kappa + 1
-# and 14 rows (raw), a panel shorter than one large block, and several hits
-# in a short trailing stub
-@example((120, 2, 57, {57, 58, 60, 61, 120}))
-@example((121, 3, 8, {8, 9, 12, 13, 121}))
-@example((119, 2, 55, {55, 56, 58, 117, 119}))
-@example((130, 2, 55, {1, 2, 114, 116, 117, 130}))
-@example((9, 1, 20, {1, 5, 9}))
-@example((61, 3, 55, {1, 59, 60, 61}))
-def test_cluster_stats_matches_the_block_loop(case):
-    p, kappa, ell, hits = case
+# no fragment, a one-row stub, partial large blocks of kappa + 1 and 14 rows,
+# and a panel shorter than one large block
+@example((120, 2, 57, set()))
+@example((121, 3, 8, set()))
+@example((130, 2, 55, set()))
+@example((9, 1, 20, set()))
+def test_block_tiling_property(case):
+    p, kappa, ell, _ = case
     scheme = xc.block_scheme(p, kappa, ell=ell)
     # the blocks tile [1, p]: large, small, large, ... and at most a last
     # fragment, shorter than the block it stands for
@@ -215,6 +212,21 @@ def test_cluster_stats_matches_the_block_loop(case):
         pos = end + 1
     assert pos == p + 1
 
+
+@settings(max_examples=200, deadline=None)
+@given(_scheme_and_hits())
+# no fragment, a one-row stub (attached), partial large blocks of kappa + 1
+# and 14 rows (raw), a panel shorter than one large block, and several hits
+# in a short trailing stub
+@example((120, 2, 57, {57, 58, 60, 61, 120}))
+@example((121, 3, 8, {8, 9, 12, 13, 121}))
+@example((119, 2, 55, {55, 56, 58, 117, 119}))
+@example((130, 2, 55, {1, 2, 114, 116, 117, 130}))
+@example((9, 1, 20, {1, 5, 9}))
+@example((61, 3, 55, {1, 59, 60, 61}))
+def test_cluster_stats_matches_the_block_loop(case):
+    p, kappa, ell, hits = case
+    scheme = xc.block_scheme(p, kappa, ell=ell)
     values = np.zeros(p)
     values[[i - 1 for i in hits]] = 9.0
     exc = xc.extract(values, 1.0)
