@@ -562,7 +562,7 @@ class CouplingEstimate:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "exceedlab.coupling.v1",
+            "schema_version": "exceedlab.coupling.v2",
             "s": self.s,
             "m": int(self.pi.shape[0]),
             "reps": self.reps,
@@ -581,13 +581,20 @@ def _coupling_hits(
     spec: _pg.PanelSpec, starts: np.ndarray, ends: np.ndarray, s: float,
     start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dependent, independent) any-hit counts per large block, start..stop-1."""
+    """(dependent, independent) any-hit counts per large block, start..stop-1;
+    Rademacher iid and moving-average panels are studentized from row sums."""
     hits_dep = np.zeros(starts.size, dtype=np.int64)
     hits_ind = np.zeros(starts.size, dtype=np.int64)
+    packed = _pg.rademacher_sums_supported(spec)
+    draw = _pg.rademacher_matched_sums if packed else _pg.matched_panels
+
+    def stat(x):
+        return (_stu.studentize_sums(*x, spec.n) if packed else _stu.studentize_panel(x)).r
+
     for rep in range(start, stop):
-        dep, ind = _pg.matched_panels(spec.with_replicate(rep))
-        r_dep = _stu.studentize_panel(dep).r
-        r_ind = r_dep if ind is dep else _stu.studentize_panel(ind).r
+        dep, ind = draw(spec.with_replicate(rep))
+        r_dep = stat(dep)
+        r_ind = r_dep if ind is dep else stat(ind)
         hits_dep += _counts_in(np.flatnonzero(r_dep > s) + 1, starts, ends) >= 1
         hits_ind += _counts_in(np.flatnonzero(r_ind > s) + 1, starts, ends) >= 1
     return hits_dep, hits_ind

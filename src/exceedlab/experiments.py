@@ -95,8 +95,8 @@ class ExperimentConfig:
     ``"ma-refined"`` (the moving-average log-log refinement) or
     ``"explicit"`` (use ``level_t`` as given).  ``s_level`` optionally
     fixes the R-scale level for tails/coupling; by default it is the
-    mapped t-level.  How cluster and mtc replicates are drawn follows
-    from the panel spec alone (:func:`resolve_sampler`).  Every field but
+    mapped t-level.  How replicates are drawn follows from the kind and
+    the panel spec alone (:func:`resolve_sampler`).  Every field but
     ``panel`` is one config-file key (``_CONFIG_TABLE``), defaulting to
     the field default.
     """
@@ -256,7 +256,10 @@ _RETIRED_KEYS = {
 
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
-    """How cluster and mtc replicates are drawn: explicit or sufficiency."""
+    """How replicates are drawn: from their cells ("explicit") or from row
+    sums, "sufficiency" for cluster and mtc, "packed-sums" for coupling."""
+    if cfg.kind == "coupling":
+        return "packed-sums" if pg.rademacher_sums_supported(cfg.panel) else "explicit"
     return "sufficiency" if pg.row_sums_preferred(cfg.panel) else "explicit"
 
 
@@ -336,14 +339,18 @@ def _write_table(path: Path, schema: str, header: list[str], rows: list[list]) -
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
+def _write_json(path: Path, obj) -> Path:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return path
+
+
 def _write_json_table(path: Path, schema: str, header: list[str], rows: list[list]) -> None:
-    payload = {
+    _write_json(path, {
         "schema_version": schema,
         "rows": [dict(zip(header, [_json_cell(v) for v in row])) for row in rows],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
 
 
 def _json_cell(v):
@@ -358,20 +365,8 @@ def _json_cell(v):
 
 def _emit(cfg: ExperimentConfig, out: Path, name: str, schema: str,
           header: list[str], rows: list[list]) -> Path:
-    if cfg.fmt == "json":
-        path = out / f"{name}.json"
-        _write_json_table(path, schema, header, rows)
-    else:
-        path = out / f"{name}.csv"
-        _write_table(path, schema, header, rows)
-    return path
-
-
-def _write_summary(out: Path, name: str, summary: dict) -> Path:
-    path = out / f"{name}_summary.json"
-    with open(path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    path = out / f"{name}.{cfg.fmt}"
+    (_write_json_table if cfg.fmt == "json" else _write_table)(path, schema, header, rows)
     return path
 
 
@@ -588,8 +583,9 @@ def _experiment_coupling(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[l
          abs(est.pi[j] - est.pi_prime[j])]
         for j in range(est.pi.shape[0])
     ]
-    table = _emit(cfg, out, "coupling", "exceedlab.coupling.v1", header, rows)
+    table = _emit(cfg, out, "coupling", "exceedlab.coupling.v2", header, rows)
     summary = est.to_json_dict()
+    summary["sampler"] = resolve_sampler(cfg)
     summary["ell"] = scheme.ell
     summary["m"] = scheme.m
     return [table], summary
@@ -697,6 +693,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "bit_generator": type(pg.stream(0).bit_generator).__name__,
+        "rademacher": "packed-bytes",  # how +-1 cells are drawn; unrecorded before
     }
 
 
@@ -761,8 +758,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     timings["experiment_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    name = cfg.kind.replace("-", "_")
-    summary_path = _write_summary(out, name, summary)
+    summary_path = _write_json(out / f"{cfg.kind.replace('-', '_')}_summary.json", summary)
     outputs = []
     for path in [*tables, summary_path]:
         outputs.append({"path": path.name, "sha256": _sha256(path)})
@@ -778,9 +774,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         outputs=outputs,
         environment=environment(),
     )
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest.to_json_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest.to_json_dict())
     return manifest
 
 

@@ -56,6 +56,9 @@ __all__ = [
     "matched_panels",
     "panel_spec_from_config",
     "panel_spec_to_config",
+    "rademacher_bits",
+    "rademacher_matched_sums",
+    "rademacher_sums_supported",
     "read_panel",
     "row_sums",
     "row_sums_preferred",
@@ -146,7 +149,8 @@ class InnovationLaw:
             u = rng.random(shape)
             return ((1.0 - u) ** (-1.0 / a) - mu) / sigma
         if self.kind == "standardized-rademacher":
-            return rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0
+            shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+            return 2.0 * np.unpackbits(rademacher_bits(rng, shape), -1, count=shape[-1]) - 1.0
         if self.kind == "two-point-with-atom":
             delta = self.atom
             c = 1.0 / math.sqrt(1.0 - delta)
@@ -154,6 +158,20 @@ class InnovationLaw:
             out = np.where(u < delta, 0.0, np.where(u < 0.5 + 0.5 * delta, -c, c))
             return out
         raise SpecError(f"unknown innovation law {self.kind!r}")
+
+
+def rademacher_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """Rademacher cells of ``shape`` packed 8 to a byte along the last axis.
+
+    Row length n takes ceil(n / 8) uniform bytes, in numpy's big-endian bit
+    order (``np.unpackbits``); bit 1 is +1 and bit 0 is -1.  The padding
+    bits of a partial last byte are zero, so popcounts see only cells.
+    """
+    *lead, n = shape
+    bits = rng.integers(0, 256, (*lead, -(-n // 8)), dtype=np.uint8)
+    if n % 8:
+        bits[..., -1] &= np.uint8(0xFF << (8 - n % 8) & 0xFF)
+    return bits
 
 
 def standardized_law_moments(law: InnovationLaw) -> tuple[float, float, float]:
@@ -564,6 +582,58 @@ def matched_panels(spec: PanelSpec) -> tuple[np.ndarray, np.ndarray]:
     return dep, ind
 
 
+def rademacher_sums_supported(spec: PanelSpec) -> bool:
+    """Whether :func:`rademacher_matched_sums` can draw ``spec``'s panels:
+    Rademacher iid or moving-average ones (gaussian-kdep takes normal drivers)."""
+    return spec.law.kind == "standardized-rademacher" and spec.model.kind != "gaussian-kdep"
+
+
+def _window_sums(bits: np.ndarray, kappa: int, n: int):
+    """Integer (sum, sum of squares) of each window of kappa packed rows.
+
+    Windows slide along axis -2.  A row sums to 2 popcount - n, and rows
+    a, b have <a, b> = n - 2 popcount(a XOR b) (padding bits are zero).
+    einsum adds up a row's byte counts about twice as fast as ``sum``.
+    """
+    ones = 2 * np.einsum("...i->...", np.bitwise_count(bits).astype(np.int32)) - n
+    s1 = sliding_window_view(ones, kappa, axis=-1).sum(axis=-1)
+    s2 = np.full(s1.shape, kappa * n, dtype=np.int64)
+    for m in range(1, kappa):
+        xor = np.bitwise_count(bits[..., m:, :] ^ bits[..., :-m, :]).astype(np.int32)
+        dots = n - 2 * np.einsum("...i->...", xor)
+        s2 += 2 * sliding_window_view(dots, kappa - m, axis=-1).sum(axis=-1)
+    return s1, s2
+
+
+def rademacher_matched_sums(spec: PanelSpec):
+    """Row sums of both panels of :func:`matched_panels`, from packed bits.
+
+    Returns ((S1, S2), (S1', S2')) for the dependent and the matched
+    independent panel (the same pair twice for iid), without their cells:
+    the draws and their order are those of :func:`matched_panels`.  The
+    window sums of +-1 cells are exact integers (:func:`_window_sums`);
+    the 1/sqrt(kappa) scale and the offsets enter in closed form.
+    """
+    spec.validate()
+    if not rademacher_sums_supported(spec):
+        raise SpecError("packed row sums need a Rademacher iid or moving-average panel")
+    p, n = spec.p, spec.n
+    kappa = max(spec.model.kappa, 1)
+    rng = stream(spec.seed, spec.replicate)
+    sums = [_window_sums(rademacher_bits(rng, (p + kappa - 1, n)), kappa, n)]
+    if spec.model.kind == "moving-average":
+        fresh = _window_sums(rademacher_bits(rng, (p, kappa, n)), kappa, n)
+        sums.append((fresh[0][:, 0], fresh[1][:, 0]))
+    d = spec.offset_vector()
+    out = []
+    for s1, s2 in sums:
+        s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
+        s2 += 2.0 * d * s1 + n * d * d  # exact for d = 0
+        s1 += n * d
+        out.append((s1, s2))
+    return out[0], out[-1]
+
+
 # ---------------------------------------------------------------------------
 # Row sums of Gaussian panels, drawn without their cells
 # ---------------------------------------------------------------------------
@@ -743,9 +813,7 @@ def sample_rows(
         rows = rng.standard_normal((reps, n))
     else:
         rows = spec.law.sample(rng, (reps, n))
-    d = spec.offset_vector()[i - 1]
-    if d != 0.0:
-        rows += d
+    rows += spec.offset_vector()[i - 1]
     return rows
 
 
@@ -784,10 +852,8 @@ def sample_row_pairs(
         row2 = sample_rows(spec, i2, reps, rng)
         return row1, row2
     d = spec.offset_vector()
-    if d[i1 - 1] != 0.0:
-        row1 = row1 + d[i1 - 1]
-    if d[i2 - 1] != 0.0:
-        row2 = row2 + d[i2 - 1]
+    row1 += d[i1 - 1]
+    row2 += d[i2 - 1]
     return row1, row2
 
 
@@ -878,15 +944,13 @@ def panel_spec_to_config(spec: PanelSpec) -> str:
     return buf.getvalue()
 
 
+def _tuple_of(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
+
+
 def _parse_offsets(text: str) -> tuple[tuple[int, float], ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        idx, _, val = token.partition(":")
-        out.append((int(idx), float(val)))
-    return tuple(out)
+    pairs = (tok.partition(":") for tok in text.split(",") if tok.strip())
+    return tuple((int(idx), float(val)) for idx, _, val in pairs)
 
 
 def panel_spec_from_config(source) -> PanelSpec:
@@ -908,42 +972,40 @@ def panel_spec_from_config(source) -> PanelSpec:
     if unknown:
         raise SpecError(f"unknown [panel] keys: {sorted(unknown)}")
 
+    def value(key: str, parse, default=None):  # no default: the key is required
+        raw = sec.get(key, "").strip()
+        if not raw:
+            if default is None:
+                raise SpecError(f"[panel] {key} is required")
+            return default
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise SpecError(f"[panel] {key}: {exc}") from None
+
     model_kind = sec.get("model", "iid")
-    if model_kind == "iid":
-        model = DependenceModel.iid()
-    elif model_kind == "gaussian-kdep":
-        rho = tuple(float(tok) for tok in sec.get("rho", "").split(",") if tok.strip())
-        model = DependenceModel.gaussian_kdep(rho)
-    elif model_kind == "moving-average":
-        model = DependenceModel.moving_average(sec.getint("kappa"))
-    else:
-        raise SpecError(f"unknown dependence model {model_kind!r}")
-
+    if model_kind == "gaussian-kdep":
+        model = DependenceModel.gaussian_kdep(value("rho", _tuple_of(float), ()))
+    else:  # an unknown kind fails in spec.validate()
+        kappa = value("kappa", int) if model_kind == "moving-average" else 0
+        model = DependenceModel(model_kind, kappa=kappa)
     law_kind = sec.get("law", "standard-normal")
-    if law_kind == "standard-normal":
-        law = InnovationLaw.normal()
-    elif law_kind == "standardized-pareto":
-        law = InnovationLaw.pareto(sec.getfloat("pareto_exponent"))
-    elif law_kind == "standardized-rademacher":
-        law = InnovationLaw.rademacher()
-    elif law_kind == "two-point-with-atom":
-        law = InnovationLaw.two_point(sec.getfloat("atom"))
-    else:
-        raise SpecError(f"unknown innovation law {law_kind!r}")
-
-    sizes = None
-    if sec.get("sizes"):
-        sizes = tuple(int(tok) for tok in sec["sizes"].split(",") if tok.strip())
+    law = InnovationLaw(
+        law_kind,
+        tail_exponent=(value("pareto_exponent", float)
+                       if law_kind == "standardized-pareto" else None),
+        atom=value("atom", float) if law_kind == "two-point-with-atom" else None,
+    )
 
     spec = PanelSpec(
-        p=sec.getint("p"),
-        n=sec.getint("n"),
+        p=value("p", int),
+        n=value("n", int),
         model=model,
         law=law,
-        offsets=_parse_offsets(sec.get("offsets", "")),
-        sizes=sizes,
-        seed=sec.getint("seed", 0),
-        replicate=sec.getint("replicate", 0),
+        offsets=value("offsets", _parse_offsets, ()),
+        sizes=value("sizes", _tuple_of(int), ()) or None,
+        seed=value("seed", int, 0),
+        replicate=value("replicate", int, 0),
     )
     spec.validate()
     return spec

@@ -502,6 +502,20 @@ def test_coupling_estimate_is_the_same_at_every_jobs(model, law):
             assert np.array_equal(getattr(est, name), value), name
 
 
+@pytest.mark.parametrize("model", [pg.DependenceModel.iid(), pg.DependenceModel.moving_average(3)],
+                         ids=["iid", "moving-average"])
+def test_coupling_from_packed_sums_equals_the_cells(model, monkeypatch):
+    spec = pg.PanelSpec(p=120, n=30, model=model, law=pg.InnovationLaw.rademacher(),
+                        seed=31, offsets=((5, 0.8), (60, 0.3)))
+    scheme = xc.block_scheme(120, model.kappa, s=1.8)
+    packed = xc.coupling_estimate(spec, scheme, 1.8, 101, se_cap=0.05, match_draws=5000)
+    monkeypatch.setattr(pg, "rademacher_sums_supported", lambda spec: False)
+    cells = xc.coupling_estimate(spec, scheme, 1.8, 101, se_cap=0.05, match_draws=5000)
+    assert 0.0 < packed.pi.sum() and 0.0 < packed.pi_prime.sum()
+    for name, value in vars(cells).items():
+        assert np.array_equal(getattr(packed, name), value), name
+
+
 def test_coupling_iid_panels_match_perfectly():
     spec = _normal_spec(p=80, n=30, seed=3)
     scheme = xc.block_scheme(80, 0, ell=10)

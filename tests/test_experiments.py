@@ -485,6 +485,67 @@ def test_samplers_tag_their_outputs(tmp_path):
             assert summary["sampler"] == drawn
 
 
+def _rademacher_coupling(**kw):
+    panel = pg.PanelSpec(p=60, n=20, model=pg.DependenceModel.moving_average(3),
+                         law=kw.pop("law", pg.InnovationLaw.rademacher()), seed=13)
+    return ex.ExperimentConfig(kind="coupling", panel=panel, reps=100, jobs=1,
+                               se_cap=0.05, s_level=1.8, match_draws=1000, **kw)
+
+
+def test_coupling_tags_how_it_drew_the_panels(tmp_path):
+    # Rademacher iid and moving-average panels are studentized from
+    # packed-bit row sums, every other law from the cells
+    cases = [(pg.InnovationLaw.rademacher(), "packed-sums"),
+             (pg.InnovationLaw.normal(), "explicit"),
+             (pg.InnovationLaw.two_point(0.3), "explicit")]
+    for law, drawn in cases:
+        cfg = _rademacher_coupling(law=law)
+        assert ex.resolve_sampler(cfg) == drawn
+        out = tmp_path / law.kind
+        ex.run(cfg, out_dir=out)
+        summary = json.loads((out / "coupling_summary.json").read_text())
+        assert summary["sampler"] == drawn
+        assert summary["schema_version"] == "exceedlab.coupling.v2"
+        assert (out / "coupling.csv").read_text().startswith("# schema: exceedlab.coupling.v2\n")
+    iid = replace(_rademacher_coupling(), panel=replace(
+        _rademacher_coupling().panel, model=pg.DependenceModel.iid()))
+    assert ex.resolve_sampler(iid) == "packed-sums"
+
+
+def test_manifest_of_the_unpacked_rademacher_draw_replays_as_a_mismatch(tmp_path, monkeypatch):
+    # Rademacher cells drawn one 64-bit integer each, as before the packed draw
+    def unpacked(law, rng, shape):
+        return rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0
+
+    monkeypatch.setattr(pg.InnovationLaw, "sample", unpacked)
+    monkeypatch.setattr(pg, "rademacher_sums_supported", lambda spec: False)
+    out = tmp_path / "run"
+    ex.run(_rademacher_coupling(), out_dir=out)
+    monkeypatch.undo()
+    raw = json.loads((out / "manifest.json").read_text())
+    del raw["environment"]["rademacher"]  # not recorded before the packed draw
+    (out / "manifest.json").write_text(json.dumps(raw))
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r")
+    assert not ok
+    assert report[0] == "ENV changed: rademacher None -> packed-bytes"
+    assert any(line.startswith("MISMATCH coupling.csv") for line in report)
+
+
+@pytest.mark.parametrize("body, key", [
+    ("n = 30\n", "p"),
+    ("p = 1e3\nn = 30\n", "p"),
+    ("p = 40\nn = 30\nmodel = moving-average\n", "kappa"),
+], ids=["p-missing", "p-not-an-integer", "kappa-missing"])
+def test_panel_keys_that_do_not_parse_name_their_key(body, key, tmp_path, capsys):
+    text = "[panel]\n" + body
+    with pytest.raises(pg.SpecError, match=rf"^\[panel\] {key}\b"):
+        pg.panel_spec_from_config(text)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    assert cli.main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid configuration: [panel] {key}" in capsys.readouterr().err
+
+
 def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
     from exceedlab import mtc
     from exceedlab import studentize as stu
@@ -506,8 +567,9 @@ def test_manifest_records_environment_and_replay_reports_it(tmp_path, monkeypatc
     out = tmp_path / "run"
     m = ex.run(_cfg(reps=10, eta=0.1, jobs=1), out_dir=out)
     assert m.environment == ex.environment()
-    assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator"}
+    assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator", "rademacher"}
     assert m.environment["bit_generator"] == "PCG64"
+    assert m.environment["rademacher"] == "packed-bytes"
     ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r1")
     assert ok and report[0].startswith("ENV same")
 

@@ -528,6 +528,45 @@ def test_matched_panels_draw_order(model, law):
     assert np.array_equal(ind, expect)
 
 
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3, 5], ids=lambda k: f"kappa{k}" if k else "iid")
+def test_rademacher_matched_sums_equal_the_cells(kappa):
+    model = pg.DependenceModel.moving_average(kappa) if kappa else pg.DependenceModel.iid()
+    for n in (2, 7, 8, 30, 203):
+        for offsets in ((), ((1, 0.5), (17, 2.25), (40, 0.125))):
+            spec = pg.PanelSpec(p=40, n=n, model=model, law=pg.InnovationLaw.rademacher(),
+                                seed=71, replicate=n, offsets=offsets)
+            sums = pg.rademacher_matched_sums(spec)
+            panels = pg.matched_panels(spec)
+            assert (sums[1] is sums[0]) == (panels[1] is panels[0]) == (kappa == 0)
+            for (s1, s2), data in zip(sums, panels):
+                np.testing.assert_allclose(s1, data.sum(axis=1), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(s2, np.einsum("ij,ij->i", data, data),
+                                           rtol=1e-12, atol=0)
+    normal = pg.PanelSpec(p=4, n=8, model=model, law=pg.InnovationLaw.normal())
+    assert not pg.rademacher_sums_supported(normal)
+    with pytest.raises(pg.SpecError, match="Rademacher"):
+        pg.rademacher_matched_sums(normal)
+
+
+def test_rademacher_bits_law():
+    reps, n = 40_000, 13  # the last byte holds 5 cells and 3 padding bits
+    bits = pg.rademacher_bits(np.random.default_rng(2024), (reps, n))
+    assert bits.shape == (reps, 2) and bits.dtype == np.uint8
+    assert not np.any(bits[:, -1] & 0b111)
+    x = pg.InnovationLaw.rademacher().sample(np.random.default_rng(2024), (reps, n))
+    assert np.array_equal(x, np.unpackbits(bits, axis=-1, count=n) * 2.0 - 1.0)
+    assert set(np.unique(x)) == {-1.0, 1.0}
+    # every bit position, the partial byte's too, is a fair coin
+    plus = (x > 0).sum(axis=0)
+    chi2 = (2 * plus - reps) ** 2 / reps
+    assert chi2.max() < 15.14, chi2  # the 0.9999 quantile of chi2(1)
+    assert abs(x.mean()) <= 4.0 * _se(x)
+    sq = (x - x.mean()) ** 2
+    assert abs(sq.mean() - 1.0) <= 4.0 * _se(sq)
+    for lag1 in ((x[:, 1:] * x[:, :-1]).ravel(), (x[1:] * x[:-1]).ravel()):
+        assert abs(lag1.mean()) <= 4.0 * _se(lag1)
+
+
 def _span(start, stop):
     return (start, stop)
 

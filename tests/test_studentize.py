@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import assume, given, settings, strategies as hst
 
 from exceedlab import studentize as stu
 
@@ -76,6 +77,30 @@ def test_t_r_event_equivalence_exact():
     for t in (0.5, 1.0, 1.8, 2.5, 3.5):
         r_level = stu.t_level_to_r_level(t, n)
         assert np.array_equal(rows.t > t, rows.r > r_level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), p=hst.integers(1, 12), n=hst.integers(2, 24),
+       kappa=hst.integers(1, 4), t=hst.floats(0.05, 8.0))
+def test_integer_window_sums_studentize_like_the_cells(seed, p, n, kappa, t):
+    # a small +-1 moving-average panel in integer cells, plus a constant row
+    # and the zero row of an antithetic kappa = 2 window (eps, -eps)
+    rng = np.random.default_rng(seed)
+    eps = rng.choice(np.array([-1, 1]), (p + kappa - 1, n))
+    windows = sum(eps[k:k + p] for k in range(kappa))
+    anti = rng.choice(np.array([-1, 1]), n)
+    cells = np.vstack([windows, np.full(n, kappa), anti + -anti])
+    s1 = cells.sum(axis=1)
+    s2 = (cells * cells).sum(axis=1)
+    sums = stu.studentize_sums(s1, s2, n)
+    rows = stu.studentize_panel(cells.astype(float))
+    for field in ("mean", "scale", "t", "r", "degenerate"):
+        assert np.array_equal(getattr(sums, field), getattr(rows, field)), field
+    assert sums.t[-2] == math.inf and sums.r[-2] == math.sqrt(n)
+    assert sums.t[-1] == 1.0 and sums.degenerate[-2:].all()
+    # T > t iff R > t_level_to_r_level(t, n), away from ties within rounding
+    assume(np.all(np.abs(sums.t - t) > 1e-9 * t))
+    assert np.array_equal(sums.t > t, sums.r > stu.t_level_to_r_level(t, n))
 
 
 def test_level_map_values_and_limits():
