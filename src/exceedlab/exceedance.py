@@ -13,7 +13,9 @@ intervals.  For Gaussian innovation laws the single and pair estimators
 sample the exact sufficient statistics (sample mean plus chi-square /
 Bartlett-decomposed scatter) instead of whole rows; this is plain Monte
 Carlo of a statistic equal in law to the row construction and is
-cross-checked against explicit row simulation in the test suite.
+cross-checked against the explicit method in the test suite, which draws
+the rows it reads as a panel of their own (``panelgen.copies_sums``) and
+takes R from ``studentize_sums``, the lab's one R definition.
 
 The coupling machinery estimates per-block hit probabilities for a
 dependent panel and a matched independent panel (same marginal law,
@@ -27,7 +29,7 @@ realizing the shared-uniform construction: draw U_j once, count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -322,6 +324,7 @@ class PairTailEstimate:
 
 
 _CHUNK = 2_000_000
+_CELL_BUDGET = 1 << 22  # cells one explicit draw may take, filter window included
 
 
 def _guard(reps: int, q_ref: float, min_hits: int, what: str) -> None:
@@ -346,6 +349,18 @@ def _exponent(estimate: float, s: float) -> float:
 def _check_row(spec: _pg.PanelSpec, name: str, i: int) -> None:
     if not 1 <= i <= spec.p:
         raise _pg.SpecError(f"{name} = {i} outside the rows [1, {spec.p}]")
+
+
+def _explicit_r(spec: _pg.PanelSpec, rows, c: int, rng):
+    """(copies, R of each of ``rows``) from up to ``c`` independent panels:
+    rows min..max drawn as a panel of their own (the model is stationary
+    down the rows), as many copies as fit the cell budget."""
+    lo, hi = min(rows), max(rows)
+    c = min(c, max(1, _CELL_BUDGET // ((hi - lo + 1 + spec.model.kappa) * spec.n)))
+    sub = replace(spec, p=hi - lo + 1, sizes=None, offsets=tuple(
+        (i - lo + 1, d) for i, d in spec.offsets if lo <= i <= hi))
+    s1, s2 = _pg.copies_sums(sub, c, rng)
+    return c, [_stu.studentize_sums(s1[:, i - lo], s2[:, i - lo], spec.n).r for i in rows]
 
 
 def _single_guard_reference(spec: _pg.PanelSpec, s: float) -> float:
@@ -399,8 +414,7 @@ def tail_probability_single(
             cc = rng.chisquare(n - 1, c)
             r = w / np.sqrt(cc + w * w / n)
         else:
-            rows = _pg.sample_rows(spec, i, c, rng)
-            r = rows.sum(axis=1) / np.sqrt((rows * rows).sum(axis=1))
+            c, (r,) = _explicit_r(spec, (i,), c, rng)
         hits += int((r > s).sum())
         done += c
     est = hits / reps
@@ -471,10 +485,11 @@ def tail_probability_pair(
             s22 = b21 * b21 + rr * rr * t22sq
             r1 = n * m1 / np.sqrt(s11 + n * m1 * m1)
             r2 = n * m2 / np.sqrt(s22 + n * m2 * m2)
+        elif rho == 0.0:  # independent rows: jointly Gaussian, or disjoint windows
+            c, (r1,) = _explicit_r(spec, (i1,), c, rng)
+            _, (r2,) = _explicit_r(spec, (i2,), c, rng)
         else:
-            rows1, rows2 = _pg.sample_row_pairs(spec, i1, i2, c, rng)
-            r1 = rows1.sum(axis=1) / np.sqrt((rows1 * rows1).sum(axis=1))
-            r2 = rows2.sum(axis=1) / np.sqrt((rows2 * rows2).sum(axis=1))
+            c, (r1, r2) = _explicit_r(spec, (i1, i2), c, rng)
         hits += int(((r1 > s) & (r2 > s)).sum())
         done += c
     est = hits / reps

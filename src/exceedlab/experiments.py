@@ -135,10 +135,9 @@ class ExperimentConfig:
             raise pg.SpecError(
                 f"group size n must be >= 2 to studentize a row, got {self.panel.n}"
             )
-        if self.panel.sizes is not None and self.kind != "cluster":
-            raise pg.SpecError(
-                f"[panel] sizes is honoured only by cluster runs, not {self.kind}"
-            )
+        if self.panel.sizes is not None:
+            raise pg.SpecError("[panel] sizes is not accepted: every experiment's "
+                               "references and levels use the full group size n")
         if self.level_policy not in ("eta", "ma-refined", "explicit"):
             raise ValueError(f"unknown level policy {self.level_policy!r}")
         if self.level_policy == "explicit" and (
@@ -550,9 +549,9 @@ def _experiment_tails(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dic
                      pair_est.estimate, pair_est.se, pair_est.wilson_low,
                      pair_est.wilson_high, pair_est.hits, pair_est.reps,
                      pair_est.exponent, pair_est.method, ref_pair])
-    table = _emit(cfg, out, "tails", "exceedlab.tails.v1", header, rows)
+    table = _emit(cfg, out, "tails", "exceedlab.tails.v2", header, rows)
     summary = {
-        "schema_version": "exceedlab.tails.v1",
+        "schema_version": "exceedlab.tails.v2",
         "s": s,
         "gamma": gamma,
         "single": {

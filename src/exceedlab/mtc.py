@@ -293,6 +293,7 @@ def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
     sorted_pv = pv[order]
     remaining = m - np.arange(m)
     crit = -np.expm1(np.log1p(-a) / remaining)
+    crit[-1:] = a  # exactly a at the last stage, where the rounded form can fall below it
     ok = sorted_pv <= crit
     cut = m if bool(ok.all()) else int(np.argmin(ok))
     rejected = np.sort(order[:cut]) + 1

@@ -28,6 +28,10 @@ Generation is pure: a panel is a deterministic function of
 (spec, seed, replicate), with one splittable random stream per
 (seed, replicate) pair and a fixed draw order, so disjoint replicates can
 be generated concurrently in any schedule.
+
+``row_sums`` and ``copies_sums`` draw only each row's sum and sum of
+squares: of Gaussian panels without their cells, and of many independent
+copies of a panel (Rademacher ones exactly, from packed bits).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "PanelFileHeader",
     "PanelSpec",
     "SpecError",
+    "copies_sums",
     "generate",
     "ma_filter_weights",
     "map_replicates",
@@ -63,8 +68,6 @@ __all__ = [
     "row_sums",
     "row_sums_preferred",
     "row_sums_unsupported",
-    "sample_row_pairs",
-    "sample_rows",
     "standardized_law_moments",
     "stream",
     "write_panel",
@@ -404,7 +407,7 @@ class PanelSpec:
     indices and nonnegative values (the default empty tuple is the global
     null).  ``sizes`` optionally records per-row group sizes n_i <= n;
     generation always fills the full width and studentization uses the
-    first n_i entries.  Only cluster experiments accept it.
+    first n_i entries.  No experiment accepts it.
     """
 
     p: int
@@ -525,24 +528,32 @@ def _driver_filter(model: DependenceModel) -> np.ndarray:
     return np.ones(1)
 
 
-def _filtered_drivers(spec: PanelSpec, rng: np.random.Generator):
-    """One panel without offsets and the drivers it filters: (data, eps).
+def _filtered_drivers(spec: PanelSpec, rng: np.random.Generator, copies=()):
+    """``copies`` panels without offsets and the drivers they filter: (data, eps).
 
-    Data row i is sum_k w_k eps_{i+k}; an iid panel is its own drivers.
+    Data row i is sum_k w_k eps_{i+k} along axis -2, and the drivers are
+    drawn as (*copies, p + L - 1, n); an iid panel is its own drivers.
     """
     p, n = spec.p, spec.n
     if spec.model.kind == "iid":
-        data = spec.law.sample(rng, (p, n))
+        data = spec.law.sample(rng, (*copies, p, n))
         return data, data
     w = _driver_filter(spec.model)
-    eps = spec.law.sample(rng, (p + w.shape[0] - 1, n))
-    return np.einsum("ijk,k->ij", sliding_window_view(eps, w.shape[0], axis=0), w), eps
+    eps = spec.law.sample(rng, (*copies, p + w.shape[0] - 1, n))
+    windows = sliding_window_view(eps, w.shape[0], axis=-2)
+    return np.einsum("...ijk,k->...ij", windows, w), eps
 
 
 def _add_offsets(data: np.ndarray, spec: PanelSpec) -> None:
     for idx, d in spec.offsets:
         if d != 0.0:
             data[idx - 1] += d
+
+
+def _shift_sums(s1: np.ndarray, s2: np.ndarray, d: np.ndarray, n: int) -> None:
+    """Move row sums (S1, S2) in place to those of the rows shifted by d."""
+    s2 += 2.0 * d * s1 + n * d * d
+    s1 += n * d
 
 
 def generate(spec: PanelSpec) -> Panel:
@@ -583,7 +594,7 @@ def matched_panels(spec: PanelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rademacher_sums_supported(spec: PanelSpec) -> bool:
-    """Whether :func:`rademacher_matched_sums` can draw ``spec``'s panels:
+    """Whether ``spec``'s panels are summed from packed bits (:func:`copies_sums`):
     Rademacher iid or moving-average ones (gaussian-kdep takes normal drivers)."""
     return spec.law.kind == "standardized-rademacher" and spec.model.kind != "gaussian-kdep"
 
@@ -605,33 +616,49 @@ def _window_sums(bits: np.ndarray, kappa: int, n: int):
     return s1, s2
 
 
+def copies_sums(spec: PanelSpec, copies: int, rng: np.random.Generator):
+    """Row sums of ``copies`` independent panels of ``spec``, drawn from ``rng``.
+
+    Returns (S1, S2), each (copies, p), the offsets added in closed form.
+    Rademacher iid and moving-average panels are summed exactly from
+    packed bits drawn as (copies, p + kappa - 1, n) (:func:`_window_sums`);
+    every other panel filters drivers drawn as (copies, p + L - 1, n),
+    one copy being exactly :func:`generate`'s draw.
+    """
+    spec.validate()
+    n = spec.n
+    if rademacher_sums_supported(spec):
+        kappa = max(spec.model.kappa, 1)
+        s1, s2 = _window_sums(rademacher_bits(rng, (copies, spec.p + kappa - 1, n)), kappa, n)
+        s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
+    else:
+        data, _ = _filtered_drivers(spec, rng, (copies,))
+        s1, s2 = data.sum(axis=-1), np.einsum("...i,...i->...", data, data)
+    if spec.offsets:
+        _shift_sums(s1, s2, spec.offset_vector(), n)
+    return s1, s2
+
+
 def rademacher_matched_sums(spec: PanelSpec):
     """Row sums of both panels of :func:`matched_panels`, from packed bits.
 
     Returns ((S1, S2), (S1', S2')) for the dependent and the matched
-    independent panel (the same pair twice for iid), without their cells:
-    the draws and their order are those of :func:`matched_panels`.  The
-    window sums of +-1 cells are exact integers (:func:`_window_sums`);
-    the 1/sqrt(kappa) scale and the offsets enter in closed form.
+    independent panel (the same pair twice for iid) from the draws of
+    :func:`matched_panels`, in its order: one copy of ``spec``, then p
+    copies of a one-row panel, each shifted by its row's offset.
     """
-    spec.validate()
     if not rademacher_sums_supported(spec):
         raise SpecError("packed row sums need a Rademacher iid or moving-average panel")
-    p, n = spec.p, spec.n
-    kappa = max(spec.model.kappa, 1)
     rng = stream(spec.seed, spec.replicate)
-    sums = [_window_sums(rademacher_bits(rng, (p + kappa - 1, n)), kappa, n)]
-    if spec.model.kind == "moving-average":
-        fresh = _window_sums(rademacher_bits(rng, (p, kappa, n)), kappa, n)
-        sums.append((fresh[0][:, 0], fresh[1][:, 0]))
-    d = spec.offset_vector()
-    out = []
-    for s1, s2 in sums:
-        s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
-        s2 += 2.0 * d * s1 + n * d * d  # exact for d = 0
-        s1 += n * d
-        out.append((s1, s2))
-    return out[0], out[-1]
+    s1, s2 = copies_sums(spec, 1, rng)
+    dep = (s1[0], s2[0])
+    if spec.model.kind != "moving-average":
+        return dep, dep
+    one_row = replace(spec, p=1, offsets=(), sizes=None)
+    s1, s2 = (s.reshape(spec.p) for s in copies_sums(one_row, spec.p, rng))
+    if spec.offsets:
+        _shift_sums(s1, s2, spec.offset_vector(), spec.n)
+    return dep, (s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +751,7 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
     sum1 = along
     sum1 *= math.sqrt(n)
     if spec.offsets:
-        d = spec.offset_vector()
-        sum2 += 2.0 * d * sum1 + n * d * d
-        sum1 += n * d
+        _shift_sums(sum1, sum2, spec.offset_vector(), n)
     return sum1, sum2
 
 
@@ -785,76 +810,6 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
         norms = np.einsum("...d,...d->...", v, v)
         out[:, b0 * K:(b0 + nb) * K] = norms.reshape(batch, nb * K)
     return out[:, :p]
-
-
-# ---------------------------------------------------------------------------
-# Row-marginal samplers (for tail Monte Carlo)
-# ---------------------------------------------------------------------------
-
-
-def sample_rows(
-    spec: PanelSpec, i: int, reps: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``reps`` independent copies of row ``i`` (1-based) as (reps, n).
-
-    The marginal law of a single row is reproduced exactly: iid and
-    moving-average rows replay their construction, and a gaussian-kdep row
-    is standard normal by construction.
-    """
-    if not 1 <= i <= spec.p:
-        raise SpecError(f"row {i} outside [1, {spec.p}]")
-    n = spec.n
-    model = spec.model
-    if model.kind == "moving-average":
-        kappa = model.kappa
-        eps = spec.law.sample(rng, (reps, n, kappa))
-        rows = eps.sum(axis=2) / math.sqrt(kappa)
-    elif model.kind == "gaussian-kdep":
-        rows = rng.standard_normal((reps, n))
-    else:
-        rows = spec.law.sample(rng, (reps, n))
-    rows += spec.offset_vector()[i - 1]
-    return rows
-
-
-def sample_row_pairs(
-    spec: PanelSpec, i1: int, i2: int, reps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``reps`` copies of the joint rows (i1, i2), each (reps, n).
-
-    The joint law depends on the lag m = |i1 - i2| through the model:
-    bivariate normal with the model's lag correlation for gaussian-kdep,
-    overlapping innovation windows for moving-average, independence for
-    iid or beyond lag kappa.
-    """
-    if i1 == i2:
-        raise SpecError("pair rows must be distinct")
-    for i in (i1, i2):
-        if not 1 <= i <= spec.p:
-            raise SpecError(f"row {i} outside [1, {spec.p}]")
-    n = spec.n
-    m = abs(i2 - i1)
-    model = spec.model
-    if model.kind == "gaussian-kdep":
-        rho = model.lag_correlation(m)
-        z1 = rng.standard_normal((reps, n))
-        z2 = rng.standard_normal((reps, n))
-        row1 = z1
-        row2 = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-    elif model.kind == "moving-average" and m < model.kappa:
-        kappa = model.kappa
-        eps = spec.law.sample(rng, (reps, n, kappa + m))
-        scale = 1.0 / math.sqrt(kappa)
-        row1 = eps[:, :, :kappa].sum(axis=2) * scale
-        row2 = eps[:, :, m:].sum(axis=2) * scale
-    else:
-        row1 = sample_rows(spec, i1, reps, rng)
-        row2 = sample_rows(spec, i2, reps, rng)
-        return row1, row2
-    d = spec.offset_vector()
-    row1 += d[i1 - 1]
-    row2 += d[i2 - 1]
-    return row1, row2
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,43 @@ def test_single_tail_non_gaussian_falls_back_to_explicit():
         xc.tail_probability_single(spec, 1.5, 100_000, method="sufficiency")
 
 
+@pytest.mark.parametrize("model, law", [
+    (pg.DependenceModel.iid(), pg.InnovationLaw.two_point(0.5)),
+    (pg.DependenceModel.moving_average(2), pg.InnovationLaw.rademacher()),
+], ids=["two-point", "moving-average-rademacher"])
+def test_single_tail_counts_zero_rows_by_the_studentize_convention(model, law):
+    # both laws put mass 1/2 on a zero cell and 1/4 on each of +-sqrt(2);
+    # at n = 2, R > 0.5 for the zero row (R = 1/sqrt(1.5) by convention),
+    # for (0, +c) either way round and for (+c, +c): 1/4 + 1/4 + 1/16
+    spec = pg.PanelSpec(p=5, n=2, model=model, law=law, seed=3)
+    est = xc.tail_probability_single(spec, 0.5, 200_000, i=4)
+    assert abs(est.estimate - 0.5625) < 4.0 * est.se
+
+
+def test_explicit_chunks_stay_within_the_cell_budget(monkeypatch):
+    spec = pg.PanelSpec(p=30, n=100, model=pg.DependenceModel.moving_average(3),
+                        law=pg.InnovationLaw.pareto(4.5), seed=43)
+    draws = []
+    copies_sums = pg.copies_sums
+
+    def spy(sub, copies, rng):
+        draws.append((sub.p, copies, copies * (sub.p + 2) * sub.n))  # L - 1 = 2 rows
+        return copies_sums(sub, copies, rng)
+
+    monkeypatch.setattr(pg, "copies_sums", spy)
+    reps = 30_000
+    # a near pair is drawn as one panel of rows 2..3, a far one as two
+    # independent one-row panels
+    for i2, rows, panels in ((3, 2, 1), (20, 1, 2)):
+        draws.clear()
+        est = xc.tail_probability_pair(spec, 2, i2, 1.0, reps)
+        assert est.method == "explicit" and est.hits > 0
+        assert {p for p, _, _ in draws} == {rows}
+        assert len(draws) > 2 * panels  # the budget split the run into chunks
+        assert sum(c for _, c, _ in draws) == reps * panels
+        assert max(cells for _, _, cells in draws) <= 1 << 22
+
+
 def test_pair_tail_independent_quadrant():
     spec = _normal_spec(p=50, n=64, seed=13)
     est = xc.tail_probability_pair(spec, 1, 30, 0.0, 60_000)

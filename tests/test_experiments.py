@@ -53,15 +53,14 @@ def test_config_validation_errors():
         _cfg(n=1).validate()
 
 
-def test_config_sizes_only_for_cluster():
+def test_config_sizes_rejected_by_every_kind():
+    # every kind's references and levels use n, so per-row sizes would
+    # read against the wrong reference
     for kind in ex.EXPERIMENT_KINDS:
         cfg = _cfg(kind=kind, p=3)
         cfg.panel = replace(cfg.panel, sizes=(5, 40, 9))
-        if kind == "cluster":
+        with pytest.raises(pg.SpecError, match="sizes"):
             cfg.validate()
-        else:
-            with pytest.raises(pg.SpecError, match="sizes"):
-                cfg.validate()
 
 
 def test_resolve_level_policies():
@@ -464,7 +463,6 @@ def test_sampler_resolution_and_fallback():
     assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency"  # n = L + 6
     explicit = [
         replace(_cfg(), panel=replace(_cfg().panel, law=pg.InnovationLaw.rademacher())),
-        replace(_cfg(p=3), panel=replace(_cfg(p=3).panel, sizes=(5, 40, 9))),
         _cfg(model=kdep, n=8),  # exact, but slower than the cells
         _cfg(model=kdep, n=4),  # n = 2L - 2
     ]

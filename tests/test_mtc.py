@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import assume, example, given, settings, strategies as hst
 
 from exceedlab import mtc
 from exceedlab import panelgen as pg
@@ -102,13 +103,48 @@ def test_bh_trivials():
     assert mtc.bh_fdr(np.array([0.08]), 0.05).rejected.size == 0
 
 
-def test_bh_monotone_in_q():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        pv = rng.random(60) ** 2
-        small = set(mtc.bh_fdr(pv, 0.02).rejected.tolist())
-        large = set(mtc.bh_fdr(pv, 0.2).rejected.tolist())
-        assert small <= large
+# p-value vectors with ties: a few shared values, exact 0 and 1, and any
+# value in [0, 1]
+_P_VALUES = hst.lists(
+    hst.one_of(hst.sampled_from([0.0, 1e-6, 1e-3, 0.01, 0.05, 0.5, 1.0]),
+               hst.floats(0.0, 1.0)),
+    min_size=1, max_size=60,
+).map(np.array)
+_LEVELS = hst.floats(1e-4, 0.6)
+
+
+def _smallest_first(pv, report):
+    # the rejections are the k smallest p-values, ties taken in index order
+    k = report.rejected.size
+    order = np.argsort(pv, kind="stable")
+    assert report.rejected.tolist() == sorted((order[:k] + 1).tolist())
+    return set(report.rejected.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_P_VALUES, _LEVELS, _LEVELS)
+def test_bh_monotone_in_q(pv, q1, q2):
+    small = _smallest_first(pv, mtc.bh_fdr(pv, min(q1, q2)))
+    large = _smallest_first(pv, mtc.bh_fdr(pv, max(q1, q2)))
+    assert small <= large
+
+
+@settings(max_examples=300, deadline=None)
+@given(_P_VALUES, _LEVELS, _LEVELS)
+def test_stepdown_monotone_in_a(pv, a1, a2):
+    small = _smallest_first(pv, mtc.stepdown_fwer(pv, min(a1, a2)))
+    large = _smallest_first(pv, mtc.stepdown_fwer(pv, max(a1, a2)))
+    assert small <= large
+
+
+@settings(max_examples=300, deadline=None)
+@given(_P_VALUES, _LEVELS, _LEVELS)
+def test_stepdown_within_bh_when_its_log_level_is_below_q(pv, a, q):
+    # stage k's critical value 1 - (1 - a)^(1/(m-k+1)) stays below
+    # -log(1 - a)/(m-k+1) <= k q / m whenever -log(1 - a) <= q
+    assume(-math.log1p(-a) <= q)
+    stepdown = set(mtc.stepdown_fwer(pv, a).rejected.tolist())
+    assert stepdown <= set(mtc.bh_fdr(pv, q).rejected.tolist())
 
 
 def test_bh_input_validation():
@@ -132,15 +168,14 @@ def test_stepdown_single_extreme():
             assert report.rejected.size == 0
 
 
-def test_stepdown_dominates_bonferroni():
-    rng = np.random.default_rng(8)
-    marginal = mtc.StudentTMarginal(19)
-    for _ in range(20):
-        pv = rng.random(40) ** 3
-        a = 0.1
-        stepdown = set(mtc.stepdown_fwer(pv, a).rejected.tolist())
-        bonferroni = {i + 1 for i, v in enumerate(pv) if v <= a / pv.size}
-        assert bonferroni <= stepdown
+@settings(max_examples=300, deadline=None)
+@given(_P_VALUES, _LEVELS)
+# the last stage's critical value is a itself: -expm1(log1p(-0.25)) rounds below it
+@example(np.array([0.25]), 0.25)
+def test_stepdown_dominates_bonferroni(pv, a):
+    stepdown = set(mtc.stepdown_fwer(pv, a).rejected.tolist())
+    bonferroni = {i + 1 for i, v in enumerate(pv) if v <= a / pv.size}
+    assert bonferroni <= stepdown
 
 
 def test_stepdown_critical_values_are_independence_products():

@@ -206,39 +206,22 @@ def test_model_lag_correlations():
     assert pg.DependenceModel.iid().rho_max == 0.0
 
 
-def test_sample_rows_marginals():
-    rng = np.random.default_rng(8)
-    spec = pg.PanelSpec(
-        p=100, n=40, model=pg.DependenceModel.moving_average(5),
-        law=pg.InnovationLaw.rademacher(), seed=0, offsets=((7, 0.5),),
-    )
-    rows = pg.sample_rows(spec, 7, 20_000, rng)
-    assert rows.shape == (20_000, 40)
-    flat = rows.ravel()
-    assert abs(flat.mean() - 0.5) < 4.0 * _se(flat)
-    sq = (flat - 0.5) ** 2
-    assert abs(sq.mean() - 1.0) < 4.0 * _se(sq)
-
-
-def test_sample_row_pairs_overlap_correlation():
+@pytest.mark.parametrize("model, law, lags", [
+    (pg.DependenceModel.moving_average(4), pg.InnovationLaw.normal(), (1, 2, 4)),
+    (pg.DependenceModel.moving_average(3), pg.InnovationLaw.rademacher(), (1, 3)),
+    (pg.DependenceModel.gaussian_kdep((0.5, 0.2)), pg.InnovationLaw.normal(), (1, 2, 3)),
+], ids=["moving-average", "moving-average-rademacher", "gaussian-kdep"])
+def test_copies_sums_lag_products(model, law, lags):
+    # at n = 1 a row's S1 is its one cell: lag-m products of the copies of a
+    # sub-panel of m + 1 rows estimate the model's lag correlation
     rng = np.random.default_rng(9)
-    spec = pg.PanelSpec(
-        p=100, n=1, model=pg.DependenceModel.moving_average(4),
-        law=pg.InnovationLaw.normal(), seed=0,
-    )
-    r1, r2 = pg.sample_row_pairs(spec, 10, 12, 200_000, rng)
-    prod = (r1 * r2).ravel()
-    assert abs(prod.mean() - 0.5) < 4.0 * _se(prod)  # lag 2 of window 4
-    r1, r2 = pg.sample_row_pairs(spec, 10, 14, 100_000, rng)
-    prod = (r1 * r2).ravel()
-    assert abs(prod.mean()) < 4.0 * _se(prod)  # beyond the window
-    kdep = pg.PanelSpec(
-        p=10, n=1, model=pg.DependenceModel.gaussian_kdep((0.5,)),
-        law=pg.InnovationLaw.normal(), seed=0,
-    )
-    r1, r2 = pg.sample_row_pairs(kdep, 1, 2, 200_000, rng)
-    prod = (r1 * r2).ravel()
-    assert abs(prod.mean() - 0.5) < 4.0 * _se(prod)
+    for m in lags:
+        spec = pg.PanelSpec(p=m + 1, n=1, model=model, law=law)
+        s1, s2 = pg.copies_sums(spec, 200_000, rng)
+        assert s1.shape == s2.shape == (200_000, m + 1)
+        np.testing.assert_allclose(s2, s1 * s1, rtol=1e-12)
+        prod = s1[:, 0] * s1[:, m]
+        assert abs(prod.mean() - model.lag_correlation(m)) < 4.0 * _se(prod), m
 
 
 def test_panel_binary_round_trip(tmp_path):
@@ -546,6 +529,26 @@ def test_rademacher_matched_sums_equal_the_cells(kappa):
     assert not pg.rademacher_sums_supported(normal)
     with pytest.raises(pg.SpecError, match="Rademacher"):
         pg.rademacher_matched_sums(normal)
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3], ids=lambda k: f"kappa{k}" if k else "iid")
+def test_copies_sums_from_packed_bits_equal_the_cells(kappa, monkeypatch):
+    model = pg.DependenceModel.moving_average(kappa) if kappa else pg.DependenceModel.iid()
+    for n in (2, 7, 8, 30):
+        spec = pg.PanelSpec(p=20, n=n, model=model, law=pg.InnovationLaw.rademacher(),
+                            seed=73, replicate=n, offsets=((1, 0.5), (13, 2.25)))
+        packed = pg.copies_sums(spec, 50, np.random.default_rng(n))
+        with monkeypatch.context() as patch:
+            patch.setattr(pg, "rademacher_sums_supported", lambda spec: False)
+            cells = pg.copies_sums(spec, 50, np.random.default_rng(n))
+            # one copy of the cells is generate's panel
+            one = pg.copies_sums(spec, 1, pg.stream(spec.seed, spec.replicate))
+        data = pg.generate(spec).data
+        for a, b in zip(packed, cells):
+            assert a.shape == (50, 20)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(one[0][0], data.sum(axis=1), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(one[1][0], (data * data).sum(axis=1), rtol=1e-12)
 
 
 def test_rademacher_bits_law():
