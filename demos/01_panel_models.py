@@ -1,8 +1,8 @@
 """Panel generation walk-through: dependence models, laws, reproducibility.
 
 Generates small panels under each dependence model, verifies the lag
-correlations empirically, and shows the determinism and persistence
-contracts.  Run as ``python demos/01_panel_models.py``.
+correlations empirically, and shows the determinism contract and the
+flat text config round trip.  Run as ``python demos/01_panel_models.py``.
 """
 
 import numpy as np
@@ -67,7 +67,7 @@ frac = float((pg.generate(tp).data == 0.0).all(axis=1).mean())
 print(f"\n  all-zero rows with atom 0.5, n=3: {frac:.4f} (theory 0.125)")
 
 print("\n" + "=" * 70)
-print("3. Determinism and persistence")
+print("3. Determinism and the flat text config")
 print("=" * 70)
 spec = pg.PanelSpec(
     p=4, n=6, model=pg.DependenceModel.moving_average(2),
@@ -79,12 +79,6 @@ print("  same (spec, seed, replicate) twice -> bit-identical:",
       np.array_equal(a.data, b.data))
 c = pg.generate(spec.with_replicate(1))
 print("  different replicate id -> fresh panel:", not np.array_equal(a.data, c.data))
-
-path = "/tmp/demo_panel.xpnl"
-pg.write_panel(a, path)
-data, header = pg.read_panel(path)
-print(f"  binary round trip ({path}): bit-exact:", np.array_equal(data, a.data))
-print("  header:", header)
 
 print("\n  flat text config round trip:")
 text = pg.panel_spec_to_config(spec)

@@ -23,7 +23,9 @@ common random numbers where the construction permits), forms the
 count-match lower bound ``1 - sum_j |pi_j - pi'_j|`` and verifies it by
 realizing the shared-uniform construction: draw U_j once, count
 ``N = #{U_j <= pi_j}`` and ``N' = #{U_j <= pi'_j}`` and measure
-``P(N = N')``.
+``P(N = N')``.  Both panels of a pair arrive as row sums from
+``panelgen.matched_sums``, which alone decides how they are drawn, and R
+comes from ``studentize_sums``.
 """
 
 from __future__ import annotations
@@ -596,20 +598,13 @@ def _coupling_hits(
     spec: _pg.PanelSpec, starts: np.ndarray, ends: np.ndarray, s: float,
     start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dependent, independent) any-hit counts per large block, start..stop-1;
-    Rademacher iid and moving-average panels are studentized from row sums."""
+    """(dependent, independent) any-hit counts per large block, start..stop-1."""
     hits_dep = np.zeros(starts.size, dtype=np.int64)
     hits_ind = np.zeros(starts.size, dtype=np.int64)
-    packed = _pg.rademacher_sums_supported(spec)
-    draw = _pg.rademacher_matched_sums if packed else _pg.matched_panels
-
-    def stat(x):
-        return (_stu.studentize_sums(*x, spec.n) if packed else _stu.studentize_panel(x)).r
-
     for rep in range(start, stop):
-        dep, ind = draw(spec.with_replicate(rep))
-        r_dep = stat(dep)
-        r_ind = r_dep if ind is dep else stat(ind)
+        dep, ind = _pg.matched_sums(spec.with_replicate(rep))
+        r_dep = _stu.studentize_sums(*dep, spec.n).r
+        r_ind = r_dep if ind is dep else _stu.studentize_sums(*ind, spec.n).r
         hits_dep += _counts_in(np.flatnonzero(r_dep > s) + 1, starts, ends) >= 1
         hits_ind += _counts_in(np.flatnonzero(r_ind > s) + 1, starts, ends) >= 1
     return hits_dep, hits_ind

@@ -41,6 +41,7 @@ from exceedlab import mtc
 from exceedlab import panelgen as pg
 from exceedlab import studentize as stu
 from exceedlab.numerics import (
+    LOGLOG_COEFF,
     any_exceedence_prob,
     bivariate_normal_tail,
     dependence_summary,
@@ -96,7 +97,8 @@ class ExperimentConfig:
     ``"explicit"`` (use ``level_t`` as given).  ``s_level`` optionally
     fixes the R-scale level for tails/coupling; by default it is the
     mapped t-level.  How replicates are drawn follows from the kind and
-    the panel spec alone (:func:`resolve_sampler`).  Every field but
+    the panel spec alone (:func:`panelgen.panel_sums`,
+    :func:`panelgen.matched_sums`).  Every field but
     ``panel`` is one config-file key (``_CONFIG_TABLE``), defaulting to
     the field default.
     """
@@ -165,6 +167,28 @@ class ExperimentConfig:
             raise ValueError("fwer_a must lie in (0, 1)")
         if self.p0 < 2 or any(p < 2 for p in self.p_list):
             raise ValueError("paper-table test counts must be >= 2")
+        if not self.eta >= 0.0:
+            raise pg.SpecError(f"[level] eta must be >= 0, got {self.eta!r}")
+        rho = self.rho_max_override
+        if rho is not None and not 0.0 <= rho < 1.0:
+            raise pg.SpecError(f"[level] rho_max must lie in [0, 1), got {rho!r}")
+        ell, kappa = self.block_ell, self.panel.model.kappa
+        if ell is not None and ell < kappa + 2:
+            raise pg.SpecError(f"[level] ell must be >= kappa + 2 = {kappa + 2}, got {ell}")
+        if ell is not None and self.kind == "coupling" and ell > self.panel.p:
+            raise pg.SpecError(f"[level] ell = {ell} leaves no complete large block "
+                               f"in p = {self.panel.p} rows")
+        s = self.s_level
+        if s is not None and self.kind == "tails" and not s >= 0.0:
+            raise pg.SpecError(f"[level] s must be >= 0 for tails, got {s!r}")
+        # coupling counts R > s in blocks; cluster derives its blocks from s
+        needs_positive = self.kind == "coupling" or self.kind == "cluster" and ell is None
+        if s is not None and needs_positive and not s > 0.0:
+            raise pg.SpecError(f"[level] s must be > 0 for {self.kind}, got {s!r}")
+        if not self.se_cap > 0.0:
+            raise pg.SpecError(f"[coupling] se_cap must be > 0, got {self.se_cap!r}")
+        if self.match_draws < 1:
+            raise pg.SpecError(f"[coupling] match_draws must be >= 1, got {self.match_draws!r}")
 
     # -- flat text round trip ------------------------------------------------
 
@@ -249,14 +273,15 @@ _CONFIG_TABLE = (
 # fails instead of drawing differently.
 _RETIRED_KEYS = {
     ("experiment", "sampler"): "auto",
-    ("level", "loglog_coeff"): "3.0",
+    ("level", "loglog_coeff"): str(LOGLOG_COEFF),
     ("validate", "logp_n_ratio_max"): str(_LOGP_N_RATIO_MAX),
 }
 
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
-    """How replicates are drawn: from their cells ("explicit") or from row
-    sums, "sufficiency" for cluster and mtc, "packed-sums" for coupling."""
+    """The summaries' tag for how :mod:`panelgen` draws the row sums:
+    "sufficiency" (cluster and mtc) or "packed-sums" (coupling) where no
+    cell is drawn, otherwise "explicit", the panel's own stream."""
     if cfg.kind == "coupling":
         return "packed-sums" if pg.rademacher_sums_supported(cfg.panel) else "explicit"
     return "sufficiency" if pg.row_sums_preferred(cfg.panel) else "explicit"
@@ -397,18 +422,14 @@ def _block_scheme_for(cfg: ExperimentConfig, r_level: float) -> xc.BlockScheme:
 def _studentized_replicates(cfg: ExperimentConfig, start: int, stop: int):
     """Yield (rep, StudentizedRows) for replicates start..stop-1 in order.
 
-    The sufficiency sampler draws a few replicates at a time, so that its
-    working arrays stay within the size of one explicit p x n panel.
+    A few replicates are drawn at a time, so that the working arrays of
+    :func:`panelgen.row_sums` stay within the size of one p x n panel.
     """
     spec = cfg.panel
-    if resolve_sampler(cfg) == "explicit":
-        for rep in range(start, stop):
-            yield rep, stu.studentize_panel(pg.generate(spec.with_replicate(rep)))
-        return
     batch = max(1, min(64, spec.n // 4))
     for lo in range(start, stop, batch):
         reps = range(lo, min(lo + batch, stop))
-        sum1, sum2 = pg.row_sums(spec, reps)
+        sum1, sum2 = pg.panel_sums(spec, reps)
         for k, rep in enumerate(reps):
             yield rep, stu.studentize_sums(sum1[k], sum2[k], spec.n)
 

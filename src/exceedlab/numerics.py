@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
+    "LOGLOG_COEFF",
     "DependenceSummary",
     "ErrorBound",
     "ThresholdRegime",
@@ -452,6 +453,11 @@ def dependence_summary(rho_max: float) -> DependenceSummary:
     return DependenceSummary(rho_max=rho_max, alpha=alpha, gamma=alpha + 1.0)
 
 
+# The constant A of the refined moving-average level: the theory asks only
+# that it be sufficiently large.
+LOGLOG_COEFF = 3.0
+
+
 @dataclass(frozen=True)
 class ThresholdRegime:
     """Admissible level floor for a test count p and slack eta.
@@ -459,8 +465,7 @@ class ThresholdRegime:
     ``t_min = (1 + eta) sqrt(2 log(p) / gamma)``.  For the moving-average
     generalization the refined level
     ``t_refined = sqrt(2 (log p + A log log p) / gamma)`` is also filled
-    in, with A a configurable constant (the theory requires only
-    "sufficiently large"; 3 is the shipped default).
+    in, with A = ``LOGLOG_COEFF``.
     """
 
     p: int
@@ -468,7 +473,6 @@ class ThresholdRegime:
     gamma: float
     t_min: float
     t_refined: float | None = None
-    loglog_coeff: float | None = None
 
 
 def threshold_regime(
@@ -476,7 +480,6 @@ def threshold_regime(
     eta: float,
     gamma: float,
     variant: str = "plain",
-    loglog_coeff: float = 3.0,
 ) -> ThresholdRegime:
     """Level floor(s) for ``p`` tests, slack ``eta`` and constant ``gamma``.
 
@@ -495,16 +498,9 @@ def threshold_regime(
     logp = math.log(p)
     t_min = (1.0 + eta) * math.sqrt(2.0 * logp / gamma)
     t_refined = None
-    coeff = None
     if variant == "moving-average":
-        coeff = float(loglog_coeff)
-        if coeff <= 0.0:
-            raise ValueError("loglog_coeff must be positive")
-        t_refined = math.sqrt(2.0 * (logp + coeff * math.log(logp)) / gamma)
-    return ThresholdRegime(
-        p=p, eta=eta, gamma=gamma, t_min=t_min, t_refined=t_refined,
-        loglog_coeff=coeff,
-    )
+        t_refined = math.sqrt(2.0 * (logp + LOGLOG_COEFF * math.log(logp)) / gamma)
+    return ThresholdRegime(p=p, eta=eta, gamma=gamma, t_min=t_min, t_refined=t_refined)
 
 
 @dataclass(frozen=True)

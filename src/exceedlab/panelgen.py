@@ -29,9 +29,14 @@ Generation is pure: a panel is a deterministic function of
 (seed, replicate) pair and a fixed draw order, so disjoint replicates can
 be generated concurrently in any schedule.
 
-``row_sums`` and ``copies_sums`` draw only each row's sum and sum of
-squares: of Gaussian panels without their cells, and of many independent
-copies of a panel (Rademacher ones exactly, from packed bits).
+Every statistic the lab compares depends on a row only through its sum
+and sum of squares, and this module alone decides how a replicate's
+sums are drawn.  ``panel_sums`` (cluster, mtc) and ``matched_sums``
+(coupling) pick from the spec: ``row_sums`` draws Gaussian panels
+without their cells where ``row_sums_preferred`` holds; otherwise the
+replicate is one ``copies_sums`` copy from its stream, which is exactly
+``generate``'s draw, summed from packed bits for Rademacher iid and
+moving-average panels and from the filtered cells for every other.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from __future__ import annotations
 import configparser
 import io
 import math
-import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -51,26 +55,23 @@ __all__ = [
     "DependenceModel",
     "InnovationLaw",
     "Panel",
-    "PanelFileHeader",
     "PanelSpec",
     "SpecError",
     "copies_sums",
     "generate",
     "ma_filter_weights",
     "map_replicates",
-    "matched_panels",
+    "matched_sums",
     "panel_spec_from_config",
     "panel_spec_to_config",
+    "panel_sums",
     "rademacher_bits",
-    "rademacher_matched_sums",
     "rademacher_sums_supported",
-    "read_panel",
     "row_sums",
     "row_sums_preferred",
     "row_sums_unsupported",
     "standardized_law_moments",
     "stream",
-    "write_panel",
 ]
 
 LAW_KINDS = (
@@ -568,31 +569,6 @@ def generate(spec: PanelSpec) -> Panel:
     return Panel(spec=spec, data=data)
 
 
-def matched_panels(spec: PanelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The data of :func:`generate`'s panel and of a matched independent one.
-
-    The matched panel has the same law in every row, rows independent:
-    gaussian-kdep reuses the drivers (common random numbers),
-    moving-average then draws fresh per-row windows from the same stream,
-    and an iid panel is its own counterpart (the same array twice).
-    """
-    spec.validate()
-    rng = stream(spec.seed, spec.replicate)
-    dep, eps = _filtered_drivers(spec, rng)
-    if spec.model.kind == "gaussian-kdep":
-        ind = eps[: spec.p]
-    elif spec.model.kind == "moving-average":
-        kappa = spec.model.kappa
-        fresh = spec.law.sample(rng, (spec.p, kappa, spec.n))
-        ind = fresh.sum(axis=1) / math.sqrt(kappa)
-    else:
-        ind = dep
-    _add_offsets(dep, spec)
-    if ind is not dep:
-        _add_offsets(ind, spec)
-    return dep, ind
-
-
 def rademacher_sums_supported(spec: PanelSpec) -> bool:
     """Whether ``spec``'s panels are summed from packed bits (:func:`copies_sums`):
     Rademacher iid or moving-average ones (gaussian-kdep takes normal drivers)."""
@@ -626,30 +602,58 @@ def copies_sums(spec: PanelSpec, copies: int, rng: np.random.Generator):
     one copy being exactly :func:`generate`'s draw.
     """
     spec.validate()
+    if not rademacher_sums_supported(spec):
+        return _cells_sums(_filtered_drivers(spec, rng, (copies,))[0], spec)
     n = spec.n
-    if rademacher_sums_supported(spec):
-        kappa = max(spec.model.kappa, 1)
-        s1, s2 = _window_sums(rademacher_bits(rng, (copies, spec.p + kappa - 1, n)), kappa, n)
-        s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
-    else:
-        data, _ = _filtered_drivers(spec, rng, (copies,))
-        s1, s2 = data.sum(axis=-1), np.einsum("...i,...i->...", data, data)
+    kappa = max(spec.model.kappa, 1)
+    s1, s2 = _window_sums(rademacher_bits(rng, (copies, spec.p + kappa - 1, n)), kappa, n)
+    s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
     if spec.offsets:
         _shift_sums(s1, s2, spec.offset_vector(), n)
     return s1, s2
 
 
-def rademacher_matched_sums(spec: PanelSpec):
-    """Row sums of both panels of :func:`matched_panels`, from packed bits.
+def _cells_sums(data: np.ndarray, spec: PanelSpec):
+    """Row sums (S1, S2) of cells ``data`` without offsets, then shifted by them."""
+    s1, s2 = data.sum(axis=-1), np.einsum("...i,...i->...", data, data)
+    if spec.offsets:
+        _shift_sums(s1, s2, spec.offset_vector(), spec.n)
+    return s1, s2
 
-    Returns ((S1, S2), (S1', S2')) for the dependent and the matched
-    independent panel (the same pair twice for iid) from the draws of
-    :func:`matched_panels`, in its order: one copy of ``spec``, then p
-    copies of a one-row panel, each shifted by its row's offset.
+
+def panel_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums (S1, S2) of the panels of ``spec``, each (len(replicates), p).
+
+    Entry [k, i] belongs to row i + 1 of ``spec.with_replicate(replicates[k])``.
+    :func:`row_sums` draws them where :func:`row_sums_preferred` holds;
+    otherwise each replicate r is one :func:`copies_sums` copy from
+    ``stream(seed, r)``, the draw of :func:`generate`.
     """
-    if not rademacher_sums_supported(spec):
-        raise SpecError("packed row sums need a Rademacher iid or moving-average panel")
+    if row_sums_preferred(spec):
+        return row_sums(spec, replicates)
+    s1, s2 = np.empty((2, len(replicates), spec.p))
+    for k, r in enumerate(replicates):
+        c1, c2 = copies_sums(spec, 1, stream(spec.seed, r))
+        s1[k], s2[k] = c1[0], c2[0]
+    return s1, s2
+
+
+def matched_sums(spec: PanelSpec):
+    """Row sums of :func:`generate`'s panel and of a matched independent one.
+
+    Returns ((S1, S2), (S1', S2')).  The panel is one :func:`copies_sums`
+    copy from ``stream(seed, replicate)``.  The matched panel has the same
+    law in every row, rows independent: gaussian-kdep sums the panel's
+    first p drivers (common random numbers), moving-average draws p copies
+    of a one-row panel next from the same stream, each shifted by its
+    row's offset, and an iid panel is its own counterpart (the same pair
+    twice).
+    """
     rng = stream(spec.seed, spec.replicate)
+    if spec.model.kind == "gaussian-kdep":
+        spec.validate()
+        data, eps = _filtered_drivers(spec, rng)
+        return _cells_sums(data, spec), _cells_sums(eps[: spec.p], spec)
     s1, s2 = copies_sums(spec, 1, rng)
     dep = (s1[0], s2[0])
     if spec.model.kind != "moving-average":
@@ -810,59 +814,6 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
         norms = np.einsum("...d,...d->...", v, v)
         out[:, b0 * K:(b0 + nb) * K] = norms.reshape(batch, nb * K)
     return out[:, :p]
-
-
-# ---------------------------------------------------------------------------
-# Flat binary persistence
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"XPNL"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQQ")  # magic, version, p, n, seed
-
-
-@dataclass(frozen=True)
-class PanelFileHeader:
-    """Header of the flat binary panel format (documented in the README)."""
-
-    version: int
-    p: int
-    n: int
-    seed: int
-
-
-def write_panel(panel: Panel, path) -> None:
-    """Persist a panel: 32-byte header then p*n little-endian float64.
-
-    Layout (all little-endian): magic ``XPNL`` (4 bytes), version uint32,
-    p uint64, n uint64, seed uint64, then the data matrix row-major.
-    """
-    data = np.ascontiguousarray(panel.data, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, panel.spec.p, panel.spec.n,
-                              panel.spec.seed))
-        fh.write(data.tobytes())
-
-
-def read_panel(path) -> tuple[np.ndarray, PanelFileHeader]:
-    """Read a panel file, returning (data, header) with bit-exact payload."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated panel header")
-        magic, version, p, n, seed = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        payload = fh.read()
-    expected = p * n * 8
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(p, n).copy()
-    return data, PanelFileHeader(version=version, p=p, n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ def test_config_validation_errors():
     # a row of one cell has no variance to studentize by
     with pytest.raises(pg.SpecError, match="group size n"):
         _cfg(n=1).validate()
+    # the boundaries the range checks still accept
+    _cfg(kind="tails", s_level=0.0, eta=0.0, rho_max_override=0.0).validate()
+    _cfg(kind="cluster", s_level=0.0, block_ell=5).validate()  # blocks not from s
+    _cfg(kind="coupling", block_ell=300, match_draws=1).validate()  # ell = p
 
 
 def test_config_sizes_rejected_by_every_kind():
@@ -325,6 +329,28 @@ def test_cli_law_flags_apply_to_the_config_law(tmp_path):
         assert getattr(cli._build_config(args).panel.law, field) == want
 
 
+@pytest.mark.parametrize("argv, fields, key", [
+    (["coupling", "--se-cap", "0"], {}, "[coupling] se_cap"),
+    (["coupling", "--se-cap", "-0.1"], {}, "[coupling] se_cap"),
+    (["coupling", "--match-draws", "0"], {}, "[coupling] match_draws"),
+    (["cluster", "--eta", "-1"], {}, "[level] eta"),
+    (["cluster", "--ell", "1"], {}, "[level] ell"),
+    (["coupling", "--ell", "4"], {}, "[level] ell"),  # kappa + 1
+    (["coupling", "--p", "200", "--ell", "500"], {}, "[level] ell"),
+    (["calibrate", "--rho-max", "1.0"], {}, "[level] rho_max"),
+    (["calibrate"], {"rho_max_override": -0.1}, "[level] rho_max"),
+    (["tails", "--s", "-0.5"], {}, "[level] s"),
+    (["coupling", "--s", "0"], {}, "[level] s"),
+    (["cluster"], {"s_level": 0.0}, "[level] s"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_out_of_range_key_exits_2_before_any_replicate(argv, fields, key, tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(_cfg(kind=argv[0], reps=50, **fields).to_text())
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid configuration: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", ["calibrate", "tails"])
 def test_cli_group_size_below_2_exits_2(kind, tmp_path, capsys):
     assert cli.main([kind, "--n", "1", "--out", str(tmp_path / "o")]) == 2
@@ -481,6 +507,35 @@ def test_samplers_tag_their_outputs(tmp_path):
             ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, **spec), out_dir=out)
             summary = json.loads((out / f"{kind}_summary.json").read_text())
             assert summary["sampler"] == drawn
+
+
+def _studentized_cells(cfg, start, stop):
+    """The cells path that panel_sums replaced: generate, then studentize_panel."""
+    from exceedlab import studentize as stu
+
+    for rep in range(start, stop):
+        yield rep, stu.studentize_panel(pg.generate(cfg.panel.with_replicate(rep)))
+
+
+@pytest.mark.parametrize("model, law, n", [
+    (pg.DependenceModel.gaussian_kdep((0.2, 0.1)), pg.InnovationLaw.normal(), 8),
+    (pg.DependenceModel.moving_average(3), pg.InnovationLaw.pareto(4.5), 20),
+    (pg.DependenceModel.moving_average(2), pg.InnovationLaw.rademacher(), 12),
+    (pg.DependenceModel.iid(), pg.InnovationLaw.two_point(0.3), 10),
+], ids=["kdep", "ma-pareto", "ma-rademacher", "iid-two-point"])
+@pytest.mark.parametrize("kind", ["cluster", "mtc"])
+def test_records_from_panel_sums_equal_the_cells(kind, model, law, n, monkeypatch):
+    panel = pg.PanelSpec(p=300, n=n, model=model, law=law, seed=17,
+                         offsets=((5, 1.5), (100, 2.0), (101, 0.7)))
+    cfg = ex.ExperimentConfig(kind=kind, panel=panel, reps=40, eta=0.05, jobs=1)
+    assert ex.resolve_sampler(cfg) == "explicit"
+    worker = ex._cluster_worker if kind == "cluster" else ex._mtc_worker
+    sums = worker(cfg, 0, cfg.reps)
+    monkeypatch.setattr(ex, "_studentized_replicates", _studentized_cells)
+    cells = worker(cfg, 0, cfg.reps)
+    assert sums == cells
+    hits = [rec.total for rec in sums] if kind == "cluster" else [rec[3] for rec in sums]
+    assert sum(hits) > 0
 
 
 def _rademacher_coupling(**kw):

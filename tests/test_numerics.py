@@ -195,7 +195,8 @@ def test_threshold_regime_monotonicity_and_refinement():
     assert nm.threshold_regime(10**7, 0.0, 1.2).t_min > nm.threshold_regime(10**6, 0.0, 1.2).t_min
     assert nm.threshold_regime(10**6, 0.1, 1.2).t_min > nm.threshold_regime(10**6, 0.0, 1.2).t_min
     assert nm.threshold_regime(10**6, 0.0, 1.25).t_min < nm.threshold_regime(10**6, 0.0, 1.2).t_min
-    ma = nm.threshold_regime(10**6, 0.0, 1.225, variant="moving-average", loglog_coeff=3.0)
+    ma = nm.threshold_regime(10**6, 0.0, 1.225, variant="moving-average")
+    assert nm.LOGLOG_COEFF == 3.0
     want = math.sqrt(2.0 * (math.log(1e6) + 3.0 * math.log(math.log(1e6))) / 1.225)
     assert ma.t_refined == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):

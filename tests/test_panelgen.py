@@ -1,4 +1,4 @@
-"""Panel generation tests: determinism, dependence control, law moments, IO."""
+"""Panel generation tests: determinism, dependence control, law moments, row sums."""
 
 import math
 from dataclasses import replace
@@ -222,31 +222,6 @@ def test_copies_sums_lag_products(model, law, lags):
         np.testing.assert_allclose(s2, s1 * s1, rtol=1e-12)
         prod = s1[:, 0] * s1[:, m]
         assert abs(prod.mean() - model.lag_correlation(m)) < 4.0 * _se(prod), m
-
-
-def test_panel_binary_round_trip(tmp_path):
-    spec = pg.PanelSpec(
-        p=7, n=5, model=pg.DependenceModel.iid(),
-        law=pg.InnovationLaw.pareto(3.5), seed=2**40 + 3,
-    )
-    panel = pg.generate(spec)
-    path = tmp_path / "panel.xpnl"
-    pg.write_panel(panel, path)
-    data, header = pg.read_panel(path)
-    assert np.array_equal(data, panel.data)
-    assert (header.p, header.n, header.seed) == (7, 5, 2**40 + 3)
-    assert path.stat().st_size == 32 + 7 * 5 * 8
-
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord("Y")
-    bad = tmp_path / "bad.xpnl"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="magic"):
-        pg.read_panel(bad)
-    trunc = tmp_path / "trunc.xpnl"
-    trunc.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="payload"):
-        pg.read_panel(trunc)
 
 
 def test_spec_config_round_trip():
@@ -485,50 +460,80 @@ def test_row_sums_wide_filter_moments():
 # ---------------------------------------------------------------------------
 
 
+def _matched_cells(spec):
+    """The cells of both panels :func:`pg.matched_sums` sums: the generated
+    panel, and the matched independent one rebuilt from the same stream."""
+    dep = pg.generate(spec).data
+    model, law, p, n = spec.model, spec.law, spec.p, spec.n
+    rng = pg.stream(spec.seed, spec.replicate)
+    d = spec.offset_vector()[:, None]
+    if model.kind == "gaussian-kdep":  # the panel's own first p drivers
+        return dep, rng.standard_normal((p + model.kappa, n))[:p] + d
+    if model.kind == "moving-average":  # fresh windows drawn after the panel's
+        law.sample(rng, (p + model.kappa - 1, n))
+        fresh = law.sample(rng, (p, model.kappa, n))
+        return dep, fresh.sum(axis=1) / math.sqrt(model.kappa) + d
+    return dep, dep
+
+
+def _assert_sums_of(sums, cells):
+    for (s1, s2), data in zip(sums, cells):
+        np.testing.assert_allclose(s1, data.sum(axis=1), rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(s2, np.einsum("ij,ij->i", data, data), rtol=1e-12, atol=0)
+
+
+_PARETO, _TWO_POINT = pg.InnovationLaw.pareto(4.5), pg.InnovationLaw.two_point(0.3)
+
+
 @pytest.mark.parametrize("model, law", [
     (pg.DependenceModel.gaussian_kdep((0.4, 0.2)), pg.InnovationLaw.normal()),
     (pg.DependenceModel.moving_average(3), pg.InnovationLaw.rademacher()),
-    (pg.DependenceModel.iid(), pg.InnovationLaw.pareto(4.5)),
+    (pg.DependenceModel.iid(), _PARETO),
+    (pg.DependenceModel.moving_average(3), pg.InnovationLaw.normal()),
+    (pg.DependenceModel.moving_average(2), _PARETO),
+    (pg.DependenceModel.moving_average(4), _TWO_POINT),
+    (pg.DependenceModel.iid(), pg.InnovationLaw.normal()),
+    (pg.DependenceModel.iid(), _TWO_POINT),
+    (pg.DependenceModel.iid(), pg.InnovationLaw.rademacher()),
 ])
 def test_matched_panels_draw_order(model, law):
-    spec = pg.PanelSpec(p=30, n=12, model=model, law=law, seed=8, replicate=5,
-                        offsets=((3, 0.5), (30, 1.25)))
-    dep, ind = pg.matched_panels(spec)
-    # the dependent arm is exactly the generated panel
-    assert np.array_equal(dep, pg.generate(spec).data)
-    # the independent arm, rebuilt from the same stream in the same order
-    rng = pg.stream(spec.seed, spec.replicate)
-    d = spec.offset_vector()[:, None]
-    if model.kind == "gaussian-kdep":
-        expect = rng.standard_normal((spec.p + model.kappa, spec.n))[: spec.p] + d
-    elif model.kind == "moving-average":
-        law.sample(rng, (spec.p + model.kappa - 1, spec.n))
-        fresh = law.sample(rng, (spec.p, model.kappa, spec.n))
-        expect = fresh.sum(axis=1) / math.sqrt(model.kappa) + d
-    else:
-        assert ind is dep
-        expect = dep
-    assert np.array_equal(ind, expect)
+    # matched_sums sums the matched panels drawn in the order of _matched_cells
+    for n in (2, 7, 30):
+        for offsets in ((), ((3, 0.5), (30, 1.25))):
+            spec = pg.PanelSpec(p=30, n=n, model=model, law=law, seed=8, replicate=5,
+                                offsets=offsets)
+            sums = pg.matched_sums(spec)
+            assert (sums[1] is sums[0]) == (model.kind == "iid")
+            _assert_sums_of(sums, _matched_cells(spec))
 
 
 @pytest.mark.parametrize("kappa", [0, 1, 2, 3, 5], ids=lambda k: f"kappa{k}" if k else "iid")
 def test_rademacher_matched_sums_equal_the_cells(kappa):
+    # packed-bit sums, padding bits of a partial last byte included (n = 7, 203)
     model = pg.DependenceModel.moving_average(kappa) if kappa else pg.DependenceModel.iid()
     for n in (2, 7, 8, 30, 203):
         for offsets in ((), ((1, 0.5), (17, 2.25), (40, 0.125))):
             spec = pg.PanelSpec(p=40, n=n, model=model, law=pg.InnovationLaw.rademacher(),
                                 seed=71, replicate=n, offsets=offsets)
-            sums = pg.rademacher_matched_sums(spec)
-            panels = pg.matched_panels(spec)
-            assert (sums[1] is sums[0]) == (panels[1] is panels[0]) == (kappa == 0)
-            for (s1, s2), data in zip(sums, panels):
-                np.testing.assert_allclose(s1, data.sum(axis=1), rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(s2, np.einsum("ij,ij->i", data, data),
-                                           rtol=1e-12, atol=0)
-    normal = pg.PanelSpec(p=4, n=8, model=model, law=pg.InnovationLaw.normal())
-    assert not pg.rademacher_sums_supported(normal)
-    with pytest.raises(pg.SpecError, match="Rademacher"):
-        pg.rademacher_matched_sums(normal)
+            _assert_sums_of(pg.matched_sums(spec), _matched_cells(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    _strong_spec(50, 8, seed=3, offsets=((2, 0.5),)),  # exact, but slower than the cells
+    pg.PanelSpec(p=50, n=9, model=pg.DependenceModel.moving_average(2),
+                 law=pg.InnovationLaw.rademacher(), seed=3, offsets=((50, 1.5),)),
+    pg.PanelSpec(p=50, n=6, model=pg.DependenceModel.iid(), law=_TWO_POINT, seed=3),
+], ids=["kdep", "ma-rademacher", "iid-two-point"])
+def test_panel_sums_are_the_sums_of_generated_panels(spec):
+    assert not pg.row_sums_preferred(spec)
+    reps = [4, 0, 9]
+    s1, s2 = pg.panel_sums(spec, reps)
+    assert s1.shape == s2.shape == (3, spec.p)
+    _assert_sums_of(zip(s1, s2), [pg.generate(spec.with_replicate(r)).data for r in reps])
+    preferred = _strong_spec(50, 9, seed=3)
+    assert pg.row_sums_preferred(preferred)
+    for a, b in zip(pg.panel_sums(preferred, reps), pg.row_sums(preferred, reps)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0, 1, 2, 3], ids=lambda k: f"kappa{k}" if k else "iid")
