@@ -254,6 +254,13 @@ def _echo_summary(kind: str, out: str) -> None:
             value = summary[key]
             print(f"  {key} = {value:.6g}" if isinstance(value, float)
                   else f"  {key} = {value}")
+    if kind == "tails":
+        for name in ("single", "pair"):
+            if name in summary:
+                est = summary[name]
+                lag = f" lag={est['lag']}" if name == "pair" else ""
+                print(f"  {name}: estimate={est['estimate']:.6g} se={est['se']:.3g} "
+                      f"hits={est['hits']}{lag}")
     if kind == "mtc":
         for name, proc in summary.get("procedures", {}).items():
             print(f"  {name}: fwer={proc['fwer']:.4f} fdr={proc['fdr']:.4f} "

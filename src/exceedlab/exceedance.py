@@ -9,13 +9,12 @@ so that exceedances in distinct large blocks are independent and, at
 admissible levels, each large block rarely holds more than one.
 
 Monte Carlo tail estimators ship with hit-count guards and Wilson
-intervals.  For Gaussian innovation laws the single and pair estimators
-sample the exact sufficient statistics (sample mean plus chi-square /
-Bartlett-decomposed scatter) instead of whole rows; this is plain Monte
-Carlo of a statistic equal in law to the row construction and is
-cross-checked against the explicit method in the test suite, which draws
-the rows it reads as a panel of their own (``panelgen.copies_sums``) and
-takes R from ``studentize_sums``, the lab's one R definition.
+intervals.  The single and pair estimators share one body: their rows'
+sums come from ``panelgen.rows_sums`` (for Gaussian laws the exact law of
+the sums, sample mean plus Bartlett-decomposed scatter, instead of whole
+rows; otherwise the rows drawn as a panel of their own) and R from
+``studentize_sums``, the lab's one R definition.  The test suite
+cross-checks the two methods against each other.
 
 The coupling machinery estimates per-block hit probabilities for a
 dependent panel and a matched independent panel (same marginal law,
@@ -31,7 +30,7 @@ comes from ``studentize_sums``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -305,39 +304,21 @@ class TailEstimate:
 
 
 @dataclass
-class PairTailEstimate:
+class PairTailEstimate(TailEstimate):
     """Monte Carlo estimate of P(R_i1 > s, R_i2 > s) with interval.
 
-    ``exponent`` is -log(estimate) / (s^2 / 2), to be compared against
-    1 + alpha for within-range pairs.
+    ``exponent`` is to be compared against 1 + alpha for within-range
+    pairs; ``lag`` is |i1 - i2| and ``rho_lag`` the model's correlation
+    at that lag.
     """
 
-    s: float
     lag: int
     rho_lag: float
-    estimate: float
-    hits: int
-    reps: int
-    se: float
-    wilson_low: float
-    wilson_high: float
-    exponent: float
-    method: str
 
 
-_CHUNK = 2_000_000
-_CELL_BUDGET = 1 << 22  # cells one explicit draw may take, filter window included
-
-
-def _guard(reps: int, q_ref: float, min_hits: int, what: str) -> None:
-    expected = reps * q_ref
-    if expected < min_hits:
-        required = 2 ** 62 if q_ref <= 0.0 else int(math.ceil(min_hits / q_ref))
-        raise InsufficientReplicates(
-            f"{what}: expected hits {expected:.2f} below the guard ({min_hits}); "
-            f"need at least {required} replicates at this level",
-            required=required,
-        )
+_CHUNK = 2_000_000  # copies drawn at a time; the draw order depends on it
+_SLICE = 1 << 16  # copies studentized at a time: their temporaries stay in cache
+_MIN_EXPECTED_HITS = 50
 
 
 def _exponent(estimate: float, s: float) -> float:
@@ -353,26 +334,57 @@ def _check_row(spec: _pg.PanelSpec, name: str, i: int) -> None:
         raise _pg.SpecError(f"{name} = {i} outside the rows [1, {spec.p}]")
 
 
-def _explicit_r(spec: _pg.PanelSpec, rows, c: int, rng):
-    """(copies, R of each of ``rows``) from up to ``c`` independent panels:
-    rows min..max drawn as a panel of their own (the model is stationary
-    down the rows), as many copies as fit the cell budget."""
-    lo, hi = min(rows), max(rows)
-    c = min(c, max(1, _CELL_BUDGET // ((hi - lo + 1 + spec.model.kappa) * spec.n)))
-    sub = replace(spec, p=hi - lo + 1, sizes=None, offsets=tuple(
-        (i - lo + 1, d) for i, d in spec.offsets if lo <= i <= hi))
-    s1, s2 = _pg.copies_sums(sub, c, rng)
-    return c, [_stu.studentize_sums(s1[:, i - lo], s2[:, i - lo], spec.n).r for i in rows]
+def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: int,
+                   seed: int | None, method: str) -> TailEstimate:
+    """P(R > s in every one of ``rows``), the body of both tail estimators.
 
-
-def _single_guard_reference(spec: _pg.PanelSpec, s: float) -> float:
-    n = spec.n
-    if s == 0.0:
-        return 0.5
+    The expected hit count under a reference law must reach 50: the
+    Student t tail of the divisor-n statistic for one row, the bivariate
+    normal tail at the lag correlation for two.
+    """
+    if s < 0.0:
+        raise ValueError(f"level s must be nonnegative, got {s!r}")
+    n, what = spec.n, ("single", "pair")[len(rows) - 1]
     if s * s >= n:
-        return 0.0
-    t_level = _stu.r_level_to_t_level(s, n)
-    return float(student_t_sf(t_level, n - 1))
+        q_ref = 0.0
+    elif len(rows) == 1:
+        q_ref = float(student_t_sf(_stu.r_level_to_t_level(s, n), n - 1)) if s else 0.5
+    else:
+        rho = spec.model.lag_correlation(rows[1] - rows[0])
+        q_ref = bivariate_normal_tail(s, min(rho, 0.999))
+    if reps * q_ref < _MIN_EXPECTED_HITS:
+        required = 2 ** 62 if q_ref <= 0.0 else int(math.ceil(_MIN_EXPECTED_HITS / q_ref))
+        raise InsufficientReplicates(
+            f"{what} tail at s={s:g}: expected hits {reps * q_ref:.2f} below the guard "
+            f"({_MIN_EXPECTED_HITS}); need at least {required} replicates at this level",
+            required=required,
+        )
+    exact = spec.law.is_gaussian and n > len(rows)
+    if method == "auto":
+        method = "sufficiency" if exact else "explicit"
+    if method not in ("sufficiency", "explicit"):
+        raise ValueError(f"unknown tail method {method!r}")
+    if method == "sufficiency" and not exact:
+        raise ValueError(f"{what} sufficiency sampling needs a Gaussian innovation law "
+                         f"and n >= {len(rows) + 1}")
+
+    rng = _pg.stream(spec.seed if seed is None else seed, 0, lane=len(rows))
+    hits = 0
+    done = 0
+    while done < reps:
+        drawn, s1, s2 = _pg.rows_sums(spec, rows, min(_CHUNK, reps - done), rng, method)
+        for a in range(0, drawn, _SLICE):
+            part = np.s_[:, a:a + _SLICE]
+            r = _stu.studentize_sums(s1[part].ravel(), s2[part].ravel(), n).r
+            hits += int((r.reshape(len(rows), -1) > s).all(axis=0).sum())
+        done += drawn
+    est = hits / reps
+    lo, hi = wilson_interval(hits, reps)
+    return TailEstimate(
+        s=s, estimate=est, hits=hits, reps=reps,
+        se=math.sqrt(max(est * (1.0 - est), 0.0) / reps),
+        wilson_low=lo, wilson_high=hi, exponent=_exponent(est, s), method=method,
+    )
 
 
 def tail_probability_single(
@@ -382,50 +394,19 @@ def tail_probability_single(
     i: int = 1,
     seed: int | None = None,
     method: str = "auto",
-    min_expected_hits: int = 50,
-    chunk: int = _CHUNK,
 ) -> TailEstimate:
     """Estimate P(R_i > s) for row ``i`` of panels drawn from ``spec``.
 
     Guards against starved estimates: the expected hit count under the
-    Student t reference must reach ``min_expected_hits`` or the call is
-    rejected naming the required replicate count.  ``method`` is
-    ``"auto"`` (sufficiency sampling for Gaussian laws, explicit rows
-    otherwise), ``"sufficiency"`` or ``"explicit"``.
+    Student t reference must reach 50 or the call is rejected naming the
+    required replicate count.  ``method`` is ``"auto"`` (sufficiency
+    sampling for Gaussian laws, explicit rows otherwise),
+    ``"sufficiency"`` or ``"explicit"`` (:func:`panelgen.rows_sums`); R
+    comes from :func:`studentize.studentize_sums` either way.
     """
     spec.validate()
     _check_row(spec, "i", i)
-    if s < 0.0:
-        raise ValueError(f"level s must be nonnegative, got {s!r}")
-    _guard(reps, _single_guard_reference(spec, s), min_expected_hits,
-           f"single tail at s={s:g}")
-    if method == "auto":
-        method = "sufficiency" if spec.law.is_gaussian else "explicit"
-    if method == "sufficiency" and not spec.law.is_gaussian:
-        raise ValueError("sufficiency sampling requires a Gaussian innovation law")
-
-    rng = _pg.stream(spec.seed if seed is None else seed, 0, lane=1)
-    n = spec.n
-    d = spec.offset_vector()[i - 1]
-    hits = 0
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        if method == "sufficiency":
-            w = rng.standard_normal(c) * math.sqrt(n) + n * d
-            cc = rng.chisquare(n - 1, c)
-            r = w / np.sqrt(cc + w * w / n)
-        else:
-            c, (r,) = _explicit_r(spec, (i,), c, rng)
-        hits += int((r > s).sum())
-        done += c
-    est = hits / reps
-    lo, hi = wilson_interval(hits, reps)
-    se = math.sqrt(max(est * (1.0 - est), 0.0) / reps)
-    return TailEstimate(
-        s=s, estimate=est, hits=hits, reps=reps, se=se,
-        wilson_low=lo, wilson_high=hi, exponent=_exponent(est, s), method=method,
-    )
+    return _tail_estimate(spec, (i,), s, reps, seed, method)
 
 
 def tail_probability_pair(
@@ -436,71 +417,22 @@ def tail_probability_pair(
     reps: int,
     seed: int | None = None,
     method: str = "auto",
-    min_expected_hits: int = 50,
-    chunk: int = _CHUNK,
 ) -> PairTailEstimate:
-    """Estimate P(R_i1 > s, R_i2 > s) for a row pair of ``spec`` panels.
+    """Estimate P(R_i1 > s, R_i2 > s) for two distinct rows of ``spec`` panels.
 
     The joint law enters only through the lag |i1 - i2|.  The hit-count
     guard uses the bivariate normal tail at the model's lag correlation
     as its reference.  Methods as in :func:`tail_probability_single`;
-    sufficiency sampling draws the exact joint sufficient statistics
-    (mean vector and Bartlett-decomposed scatter) and needs n >= 3.
+    sufficiency sampling of a pair needs n >= 3.
     """
     spec.validate()
     _check_row(spec, "i1", i1)
     _check_row(spec, "i2", i2)
-    if s < 0.0:
-        raise ValueError(f"level s must be nonnegative, got {s!r}")
-    n = spec.n
+    if i1 == i2:
+        raise _pg.SpecError(f"i2 = {i2} equals i1: a pair needs two distinct rows")
+    est = _tail_estimate(spec, (i1, i2), s, reps, seed, method)
     lag = abs(i2 - i1)
-    rho = spec.model.lag_correlation(lag)
-    q_ref = 0.0 if s * s >= n else bivariate_normal_tail(s, min(rho, 0.999))
-    _guard(reps, q_ref, min_expected_hits, f"pair tail at s={s:g}")
-    if method == "auto":
-        method = "sufficiency" if (spec.law.is_gaussian and n >= 3) else "explicit"
-    if method == "sufficiency":
-        if not spec.law.is_gaussian:
-            raise ValueError("sufficiency sampling requires a Gaussian innovation law")
-        if n < 3:
-            raise ValueError("pair sufficiency sampling needs n >= 3")
-
-    rng = _pg.stream(spec.seed if seed is None else seed, 0, lane=2)
-    d = spec.offset_vector()
-    d1, d2 = d[i1 - 1], d[i2 - 1]
-    sqrt_n = math.sqrt(n)
-    rr = math.sqrt(max(1.0 - rho * rho, 0.0))
-    hits = 0
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        if method == "sufficiency":
-            g1 = rng.standard_normal(c)
-            g2 = rng.standard_normal(c)
-            m1 = d1 + g1 / sqrt_n
-            m2 = d2 + (rho * g1 + rr * g2) / sqrt_n
-            t11 = np.sqrt(rng.chisquare(n - 1, c))
-            t21 = rng.standard_normal(c)
-            t22sq = rng.chisquare(n - 2, c)
-            s11 = t11 * t11
-            b21 = rho * t11 + rr * t21
-            s22 = b21 * b21 + rr * rr * t22sq
-            r1 = n * m1 / np.sqrt(s11 + n * m1 * m1)
-            r2 = n * m2 / np.sqrt(s22 + n * m2 * m2)
-        elif rho == 0.0:  # independent rows: jointly Gaussian, or disjoint windows
-            c, (r1,) = _explicit_r(spec, (i1,), c, rng)
-            _, (r2,) = _explicit_r(spec, (i2,), c, rng)
-        else:
-            c, (r1, r2) = _explicit_r(spec, (i1, i2), c, rng)
-        hits += int(((r1 > s) & (r2 > s)).sum())
-        done += c
-    est = hits / reps
-    lo, hi = wilson_interval(hits, reps)
-    se = math.sqrt(max(est * (1.0 - est), 0.0) / reps)
-    return PairTailEstimate(
-        s=s, lag=lag, rho_lag=rho, estimate=est, hits=hits, reps=reps, se=se,
-        wilson_low=lo, wilson_high=hi, exponent=_exponent(est, s), method=method,
-    )
+    return PairTailEstimate(**vars(est), lag=lag, rho_lag=spec.model.lag_correlation(lag))
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise pg.SpecError(f"[experiment] kind {self.kind!r} is unknown")
         self.panel.validate()
         if self.panel.n < 2:
             raise pg.SpecError(
@@ -141,32 +141,35 @@ class ExperimentConfig:
             raise pg.SpecError("[panel] sizes is not accepted: every experiment's "
                                "references and levels use the full group size n")
         if self.level_policy not in ("eta", "ma-refined", "explicit"):
-            raise ValueError(f"unknown level policy {self.level_policy!r}")
+            raise pg.SpecError(f"[level] policy {self.level_policy!r} is unknown")
         if self.level_policy == "explicit" and (
             self.level_t is None or self.level_t <= 0.0
         ):
-            raise ValueError("explicit level policy needs a positive level_t")
+            raise pg.SpecError(f"[level] t must be > 0 for policy explicit, got {self.level_t!r}")
         if self.level_policy == "ma-refined" and self.panel.model.kind != "moving-average":
-            raise ValueError("ma-refined level policy needs a moving-average model")
+            raise pg.SpecError("[level] policy ma-refined needs a moving-average model")
         if self.reps < 1:
-            raise ValueError(f"replicate count must be >= 1, got {self.reps!r}")
+            raise pg.SpecError(f"[experiment] reps must be >= 1, got {self.reps!r}")
         if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 means auto)")
+            raise pg.SpecError(f"[experiment] jobs must be >= 0 (0 means auto), got {self.jobs}")
         if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
+            raise pg.SpecError(f"[experiment] format {self.fmt!r} is not csv or json")
         if not 1 <= self.row <= self.panel.p:
-            raise pg.SpecError(f"row {self.row} outside [1, {self.panel.p}]")
+            raise pg.SpecError(f"[tails] row {self.row} outside [1, {self.panel.p}]")
         if self.pair is not None and (
             len(self.pair) != 2 or self.pair[0] == self.pair[1]
             or not all(1 <= i <= self.panel.p for i in self.pair)
         ):
-            raise ValueError(f"invalid pair {self.pair!r}")
+            raise pg.SpecError(f"[tails] pair {self.pair!r} is not two distinct rows "
+                               f"in [1, {self.panel.p}]")
         if not 0.0 < self.bh_q < 1.0:
-            raise ValueError("bh_q must lie in (0, 1)")
+            raise pg.SpecError(f"[mtc] bh_q must lie in (0, 1), got {self.bh_q!r}")
         if not 0.0 < self.fwer_a < 1.0:
-            raise ValueError("fwer_a must lie in (0, 1)")
-        if self.p0 < 2 or any(p < 2 for p in self.p_list):
-            raise ValueError("paper-table test counts must be >= 2")
+            raise pg.SpecError(f"[mtc] fwer_a must lie in (0, 1), got {self.fwer_a!r}")
+        if any(p < 2 for p in self.p_list):
+            raise pg.SpecError(f"[paper-table] p_list entries must be >= 2, got {self.p_list}")
+        if self.p0 < 2:
+            raise pg.SpecError(f"[paper-table] p0 must be >= 2, got {self.p0!r}")
         if not self.eta >= 0.0:
             raise pg.SpecError(f"[level] eta must be >= 0, got {self.eta!r}")
         rho = self.rho_max_override

@@ -37,6 +37,9 @@ without their cells where ``row_sums_preferred`` holds; otherwise the
 replicate is one ``copies_sums`` copy from its stream, which is exactly
 ``generate``'s draw, summed from packed bits for Rademacher iid and
 moving-average panels and from the filtered cells for every other.
+``rows_sums`` (tails) draws one or two rows of many independent panels:
+from the exact law of their sums for Gaussian panels, otherwise as
+``copies_sums`` of the panel those rows span.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
     "row_sums",
     "row_sums_preferred",
     "row_sums_unsupported",
+    "rows_sums",
     "standardized_law_moments",
     "stream",
 ]
@@ -663,6 +667,53 @@ def matched_sums(spec: PanelSpec):
     if spec.offsets:
         _shift_sums(s1, s2, spec.offset_vector(), spec.n)
     return dep, (s1, s2)
+
+
+_CELL_BUDGET = 1 << 22  # cells one explicit draw may take, filter window included
+
+
+def rows_sums(spec: PanelSpec, rows, copies: int, rng: np.random.Generator,
+              method: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row sums of the 1-based ``rows`` (one or two) of independent panels of ``spec``.
+
+    Returns (drawn, S1, S2), S1 and S2 of shape (len(rows), drawn) with
+    drawn <= ``copies``; entry [k, c] belongs to row rows[k] of copy c.
+
+    ``"sufficiency"`` draws all ``copies`` from the exact law of the sums
+    of a Gaussian panel, which needs n > len(rows): the mean vector is
+    d + L g / sqrt(n) and the scatter L B B' L', with L the Cholesky
+    factor of the model's correlations among ``rows``, g standard normal
+    and B lower triangular (Bartlett): row j of B takes j normals, then
+    the square root of chi2(n - 1 - j).  ``"explicit"`` draws rows
+    min..max as a panel of their own (:func:`copies_sums`; the model is
+    stationary down the rows), as many copies as fit 2^22 cells; rows at
+    zero lag correlation are independent, and each is drawn in turn as a
+    one-row panel.
+    """
+    n = spec.n
+    if method == "sufficiency":
+        chol = np.linalg.cholesky([[spec.model.lag_correlation(a - b) for b in rows]
+                                   for a in rows])
+        s1 = (math.sqrt(n) * chol) @ rng.standard_normal((len(rows), copies))
+        s1 += n * spec.offset_vector()[[i - 1 for i in rows], None]
+        s2 = s1 * s1 / n
+        chi = rng.chisquare(n - 1, copies)  # B_00^2
+        s2[0] += chi
+        if len(rows) == 2:
+            b1 = chol[1, 0] * np.sqrt(chi) + chol[1, 1] * rng.standard_normal(copies)
+            s2[1] += chol[1, 1] ** 2 * rng.chisquare(n - 2, copies) + b1 * b1
+        return copies, s1, s2
+    lo, hi = min(rows), max(rows)
+    if spec.model.lag_correlation(hi - lo) == 0.0:
+        drawn, a1, a2 = rows_sums(spec, rows[:1], copies, rng, method)
+        _, b1, b2 = rows_sums(spec, rows[1:], drawn, rng, method)
+        return drawn, np.vstack((a1, b1)), np.vstack((a2, b2))
+    drawn = min(copies, max(1, _CELL_BUDGET // ((hi - lo + 1 + spec.model.kappa) * n)))
+    sub = replace(spec, p=hi - lo + 1, sizes=None, offsets=tuple(
+        (i - lo + 1, d) for i, d in spec.offsets if lo <= i <= hi))
+    s1, s2 = copies_sums(sub, drawn, rng)
+    cols = [i - lo for i in rows]
+    return drawn, s1[:, cols].T, s2[:, cols].T
 
 
 # ---------------------------------------------------------------------------

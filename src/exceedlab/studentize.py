@@ -76,10 +76,11 @@ def r_level_to_t_level(r: float, n: float) -> float:
     return r / math.sqrt(1.0 - r * r / n)
 
 
-def _finish(sum1: np.ndarray, sum2: np.ndarray, n_eff: np.ndarray,
+def _finish(sum1: np.ndarray, sum2: np.ndarray, n,
             constant: np.ndarray | None = None) -> StudentizedRows:
     """T, R and the degenerate-row conventions from the row sums.
 
+    ``n`` is the group size: one number for every row, or one per row.
     A row is degenerate when its variance s2 is 0 or, if ``constant`` is
     given, when that mask flags it (all its values equal).  Non-finite
     sums are rejected here, on the O(p) sums rather than the p x n cells.
@@ -90,32 +91,32 @@ def _finish(sum1: np.ndarray, sum2: np.ndarray, n_eff: np.ndarray,
             f"row sums are not finite (NaN or infinite cells) in rows "
             f"{(bad + 1).tolist()[:20]}"
         )
-    mean = sum1 / n_eff
-    msq = sum2 / n_eff
+    n_rows = np.broadcast_to(n, sum1.shape)  # a view: one n is not copied per row
+    mean = sum1 / n
+    msq = sum2 / n
     s2 = np.maximum(msq - mean * mean, 0.0)
     degenerate = s2 == 0.0 if constant is None else constant | (s2 == 0.0)
 
     scale = np.sqrt(s2)
     scale[degenerate] = 0.0
 
-    sqrt_n = np.sqrt(n_eff)
+    num = np.sqrt(n) * mean
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = sqrt_n * mean / scale
-        r = sqrt_n * mean / np.sqrt(msq)
+        t = num / scale
+        r = num / np.sqrt(msq)
 
-    zero_rows = degenerate & (mean == 0.0)
-    const_rows = degenerate & (mean != 0.0)
-    if np.any(zero_rows):
+    if degenerate.any():
+        zero_rows = degenerate & (mean == 0.0)
+        const_rows = degenerate & (mean != 0.0)
         t[zero_rows] = 1.0
-        r[zero_rows] = 1.0 / np.sqrt(1.0 + 1.0 / n_eff[zero_rows])
-    if np.any(const_rows):
+        r[zero_rows] = 1.0 / np.sqrt(1.0 + 1.0 / n_rows[zero_rows])
         sign = np.sign(mean[const_rows])
         t[const_rows] = sign * np.inf
-        r[const_rows] = sign * sqrt_n[const_rows]
+        r[const_rows] = sign * np.sqrt(n_rows[const_rows])
 
     return StudentizedRows(
         mean=mean, scale=scale, t=t, r=r, degenerate=degenerate,
-        sizes=n_eff.astype(np.int64),
+        sizes=n_rows.astype(np.int64, copy=False),
     )
 
 
@@ -133,7 +134,7 @@ def studentize_sums(sum1, sum2, n: int) -> StudentizedRows:
         raise ValueError("sum1 and sum2 must be equal-length vectors")
     if n < 2:
         raise ValueError("group size n must be >= 2")
-    return _finish(sum1, sum2, np.full(sum1.shape[0], float(n)))
+    return _finish(sum1, sum2, n)
 
 
 def studentize_panel(panel, sizes=None) -> StudentizedRows:
@@ -152,8 +153,7 @@ def studentize_panel(panel, sizes=None) -> StudentizedRows:
     if sizes is None:
         if n < 2:
             raise ValueError("group size n must be >= 2")
-        return _finish(data.sum(axis=1), np.einsum("ij,ij->i", data, data),
-                       np.full(p, float(n)),
+        return _finish(data.sum(axis=1), np.einsum("ij,ij->i", data, data), n,
                        constant=data.max(axis=1) == data.min(axis=1))
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.shape != (p,):
@@ -167,5 +167,5 @@ def studentize_panel(panel, sizes=None) -> StudentizedRows:
     ym = np.where(mask, data, 0.0)
     ymax = np.where(mask, data, -np.inf).max(axis=1)
     ymin = np.where(mask, data, np.inf).min(axis=1)
-    return _finish(ym.sum(axis=1), (ym * ym).sum(axis=1), sizes.astype(float),
+    return _finish(ym.sum(axis=1), (ym * ym).sum(axis=1), sizes,
                    constant=ymax == ymin)

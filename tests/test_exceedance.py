@@ -284,7 +284,7 @@ def test_single_tail_guard():
     with pytest.raises(xc.InsufficientReplicates) as err:
         xc.tail_probability_single(spec, 3.5, 1000)
     assert err.value.required > 1000
-    xc.tail_probability_single(spec, 3.5, err.value.required, chunk=10**6)
+    xc.tail_probability_single(spec, 3.5, err.value.required)
 
 
 def test_tail_row_indices_range_checked():
@@ -294,7 +294,8 @@ def test_tail_row_indices_range_checked():
             xc.tail_probability_single(spec, 2.0, 10_000, i=i)
     kdep = pg.PanelSpec(p=5, n=20, model=pg.DependenceModel.gaussian_kdep((0.3,)),
                         law=pg.InnovationLaw.normal())
-    for i1, i2, name in ((0, 2, "i1"), (6, 2, "i1"), (1, 0, "i2"), (1, 6, "i2")):
+    for i1, i2, name in ((0, 2, "i1"), (6, 2, "i1"), (1, 0, "i2"), (1, 6, "i2"),
+                         (3, 3, "i2")):
         with pytest.raises(pg.SpecError, match=name):
             xc.tail_probability_pair(kdep, i1, i2, 1.0, 10_000, method="sufficiency")
 
@@ -346,6 +347,8 @@ def test_single_tail_non_gaussian_falls_back_to_explicit():
     assert est.method == "explicit"
     with pytest.raises(ValueError):
         xc.tail_probability_single(spec, 1.5, 100_000, method="sufficiency")
+    with pytest.raises(ValueError, match="unknown tail method"):
+        xc.tail_probability_single(spec, 1.5, 100_000, method="sufficiencyy")
 
 
 @pytest.mark.parametrize("model, law", [

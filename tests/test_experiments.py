@@ -3,6 +3,7 @@
 import configparser
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -342,6 +343,7 @@ def test_cli_law_flags_apply_to_the_config_law(tmp_path):
     (["tails", "--s", "-0.5"], {}, "[level] s"),
     (["coupling", "--s", "0"], {}, "[level] s"),
     (["cluster"], {"s_level": 0.0}, "[level] s"),
+    (["mtc"], {"bh_q": 0.0}, "[mtc] bh_q"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_out_of_range_key_exits_2_before_any_replicate(argv, fields, key, tmp_path, capsys):
     path = tmp_path / "exp.ini"
@@ -364,6 +366,19 @@ def test_cli_guard_exit_code(tmp_path, capsys):
     ])
     assert rc == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_cli_tails_prints_its_estimates(tmp_path, capsys):
+    assert cli.main(["tails", "--p", "20", "--n", "30", "--s", "1.5", "--pair", "1,2",
+                     "--reps", "20000", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    summary = json.loads((tmp_path / "tails_summary.json").read_text())
+    single, pair = summary["single"], summary["pair"]
+    assert (f"  single: estimate={single['estimate']:.6g} se={single['se']:.3g} "
+            f"hits={single['hits']}\n") in out
+    assert (f"  pair: estimate={pair['estimate']:.6g} se={pair['se']:.3g} "
+            f"hits={pair['hits']} lag=1\n") in out
+    assert single["hits"] > pair["hits"] > 0
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):
@@ -475,6 +490,29 @@ def test_config_text_round_trip_every_kind(kind):
     back = ex.ExperimentConfig.from_text(cfg.to_text())
     assert back == cfg
     assert back.to_text() == cfg.to_text()
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"kind": "nope"}, "[experiment] kind"),
+    ({"reps": 0}, "[experiment] reps"),
+    ({"jobs": -1}, "[experiment] jobs"),
+    ({"fmt": "xml"}, "[experiment] format"),
+    ({"level_policy": "nope"}, "[level] policy"),
+    ({"level_policy": "ma-refined", "model": pg.DependenceModel.iid()}, "[level] policy"),
+    ({"level_policy": "explicit"}, "[level] t"),
+    ({"level_policy": "explicit", "level_t": 0.0}, "[level] t"),
+    ({"kind": "tails", "row": 0}, "[tails] row"),
+    ({"kind": "tails", "pair": (2, 2)}, "[tails] pair"),
+    ({"kind": "tails", "pair": (1, 2, 3)}, "[tails] pair"),
+    ({"bh_q": 1.0}, "[mtc] bh_q"),
+    ({"fwer_a": 0.0}, "[mtc] fwer_a"),
+    ({"p_list": (10, 1)}, "[paper-table] p_list"),
+    ({"p0": 1}, "[paper-table] p0"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_config_errors_name_their_section_and_key(fields, key):
+    assert key in {f"[{section}] {name}" for section, name, _, _ in ex._CONFIG_TABLE}
+    with pytest.raises(pg.SpecError, match=rf"^{re.escape(key)} "):
+        _cfg(**fields).validate()
 
 
 def test_config_row_range_checked():

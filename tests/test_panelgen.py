@@ -455,6 +455,43 @@ def test_row_sums_wide_filter_moments():
     assert not bad, bad
 
 
+# lag-m correlation 1 - m/10 (m < 10), which moving-average(10) implies too
+_TRIANGLE = tuple((10 - m) / 10 for m in range(1, 10))
+
+
+@pytest.mark.parametrize("model", [
+    pg.DependenceModel.gaussian_kdep(_TRIANGLE), pg.DependenceModel.moving_average(10),
+], ids=["gaussian-kdep", "moving-average"])
+def test_rows_sums_sufficiency_exact_law(model):
+    # for W = S2 - S1^2 / n: S1 ~ N(n d, n), W ~ chi2(n - 1) independent of
+    # S1, Cov(S1_a, S1_b) = n rho and Cov(W_a, W_b) = 2 (n - 1) rho^2
+    n, copies = 12, 40_000
+    spec = pg.PanelSpec(p=15, n=n, model=model, law=pg.InnovationLaw.normal(),
+                        offsets=((2, 0.3), (3, 0.5), (7, 0.2)), seed=71)
+    d = spec.offset_vector()
+    cases = [(2,), (2, 3), (7, 2), (2, 12)]  # one row; lags 1, 5 and 10
+    assert [model.lag_correlation(abs(b - a)) for a, b in cases[1:]] == [0.9, 0.5, 0.0]
+    z = {}
+    for k, rows in enumerate(cases):
+        drawn, s1, s2 = pg.rows_sums(spec, rows, copies, pg.stream(71, k), "sufficiency")
+        assert drawn == copies and s1.shape == s2.shape == (len(rows), copies)
+        c1 = s1 - n * d[[i - 1 for i in rows], None]
+        w = s2 - s1 * s1 / n - (n - 1)
+        for a, i in enumerate(rows):
+            z[rows, i, "E S1"] = _z(c1[a], 0.0)
+            z[rows, i, "Var S1"] = _z(c1[a] ** 2, n)
+            z[rows, i, "E W"] = _z(w[a], 0.0)
+            z[rows, i, "Var W"] = _z(w[a] ** 2, 2.0 * (n - 1))
+            for b, j in enumerate(rows):
+                z[rows, (i, j), "Cov(S1, W)"] = _z(c1[a] * w[b], 0.0)
+        if len(rows) == 2:
+            rho = model.lag_correlation(rows[1] - rows[0])
+            z[rows, "Cov S1"] = _z(c1[0] * c1[1], n * rho)
+            z[rows, "Cov W"] = _z(w[0] * w[1], 2.0 * (n - 1) * rho * rho)
+    bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
+    assert not bad, bad
+
+
 # ---------------------------------------------------------------------------
 # Matched panels and the replicate engine
 # ---------------------------------------------------------------------------
