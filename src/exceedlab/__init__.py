@@ -14,7 +14,7 @@ Subpackages
 numerics    special functions (normal/Student t, bivariate tail) and the
             alpha/gamma/threshold/error-bound calculus
 panelgen    synthetic panel generation with exact dependence control
-studentize  T and R statistics, per-row group sizes, degenerate-row conventions
+studentize  T and R statistics of rows of one group size n, degenerate-row conventions
 exceedance  exceedance sets, block schemes, tail estimation, coupling
 mtc         bin thresholds/counts, BH, step-down FWER, realized error rates
 experiments experiment runner used by the command line interface

@@ -93,14 +93,13 @@ class ExceedanceSet:
 
     level: float
     indices: np.ndarray
-    values: np.ndarray
     width: int
 
     def __len__(self) -> int:
         return self.indices.shape[0]
 
 
-def extract(rows, level: float, width: int | None = None) -> ExceedanceSet:
+def extract(rows, level: float) -> ExceedanceSet:
     """Exact threshold pass over statistics (a StudentizedRows or an array).
 
     Rows at +inf exceed every finite level; rows pinned at the T = 1
@@ -111,13 +110,8 @@ def extract(rows, level: float, width: int | None = None) -> ExceedanceSet:
     values = np.asarray(getattr(rows, "t", rows), dtype=float)
     if values.ndim != 1:
         raise ValueError("extract expects a 1-d statistic vector")
-    p = values.shape[0] if width is None else int(width)
-    if p < values.shape[0]:
-        raise ValueError("width smaller than the statistic vector")
-    mask = values > level
-    idx = np.flatnonzero(mask).astype(np.int64) + 1
-    return ExceedanceSet(level=float(level), indices=idx, values=values[mask],
-                         width=p)
+    idx = np.flatnonzero(values > level).astype(np.int64) + 1
+    return ExceedanceSet(level=float(level), indices=idx, width=values.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,8 @@ class ExperimentConfig:
         self.panel.validate()
         if self.panel.n < 2:
             raise pg.SpecError(
-                f"group size n must be >= 2 to studentize a row, got {self.panel.n}"
+                f"[panel] n: group size n must be >= 2 to studentize a row, got {self.panel.n}"
             )
-        if self.panel.sizes is not None:
-            raise pg.SpecError("[panel] sizes is not accepted: every experiment's "
-                               "references and levels use the full group size n")
         if self.level_policy not in ("eta", "ma-refined", "explicit"):
             raise pg.SpecError(f"[level] policy {self.level_policy!r} is unknown")
         if self.level_policy == "explicit" and (

@@ -129,17 +129,17 @@ class InnovationLaw:
 
     def validate(self) -> None:
         if self.kind not in LAW_KINDS:
-            raise SpecError(f"unknown innovation law {self.kind!r}")
+            raise SpecError(f"[panel] law: unknown innovation law {self.kind!r}")
         if self.kind == "standardized-pareto":
             if self.tail_exponent is None or not self.tail_exponent > 3.0:
                 raise SpecError(
-                    "pareto tail exponent must be strictly greater than 3, "
-                    f"got {self.tail_exponent!r}"
+                    "[panel] pareto_exponent: pareto tail exponent must be strictly "
+                    f"greater than 3, got {self.tail_exponent!r}"
                 )
         if self.kind == "two-point-with-atom":
             if self.atom is None or not 0.0 < self.atom < 1.0:
                 raise SpecError(
-                    f"zero-atom probability must lie in (0, 1), got {self.atom!r}"
+                    f"[panel] atom: zero-atom probability must lie in (0, 1), got {self.atom!r}"
                 )
 
     @property
@@ -252,24 +252,29 @@ class DependenceModel:
 
     def validate(self) -> None:
         if self.kind not in MODEL_KINDS:
-            raise SpecError(f"unknown dependence model {self.kind!r}")
+            raise SpecError(f"[panel] model: unknown dependence model {self.kind!r}")
         if self.kind == "iid":
             if self.kappa != 0 or self.rho:
-                raise SpecError("iid model takes no kappa or correlations")
+                raise SpecError("[panel] kappa: the iid model takes no kappa or correlations")
         elif self.kind == "gaussian-kdep":
             if len(self.rho) != self.kappa or self.kappa < 1:
                 raise SpecError(
-                    "gaussian-kdep needs a lag-correlation vector of length kappa >= 1"
+                    "[panel] rho: gaussian-kdep needs a lag-correlation vector "
+                    "of length kappa >= 1"
                 )
             bad = [r for r in self.rho if not 0.0 <= r < 1.0]
             if bad:
                 raise SpecError(
-                    f"lag correlations must lie in [0, 1); offending entries {bad}"
+                    f"[panel] rho: lag correlations must lie in [0, 1); offending entries {bad}"
                 )
-            ma_filter_weights(self.rho)  # realizability; raises SpecError if not
+            try:
+                ma_filter_weights(self.rho)  # realizability
+            except SpecError as exc:
+                raise SpecError(f"[panel] rho: {exc}") from None
         elif self.kind == "moving-average":
             if self.kappa < 1:
-                raise SpecError("moving-average window length must be >= 1")
+                raise SpecError("[panel] kappa: moving-average window length must be "
+                                f">= 1, got {self.kappa!r}")
 
     def lag_correlation(self, m: int) -> float:
         """Model correlation between tests m apart (0 beyond kappa)."""
@@ -410,9 +415,9 @@ class PanelSpec:
 
     ``offsets`` is a sparse tuple of (row, value) pairs with 1-based row
     indices and nonnegative values (the default empty tuple is the global
-    null).  ``sizes`` optionally records per-row group sizes n_i <= n;
-    generation always fills the full width and studentization uses the
-    first n_i entries.  No experiment accepts it.
+    null).  Every row has the same group size n: ``sizes`` stays a field
+    only because the benchmark's config-snapshot check reads it, and any
+    value but None is refused.
     """
 
     p: int
@@ -426,38 +431,37 @@ class PanelSpec:
 
     def validate(self) -> None:
         if self.p < 1:
-            raise SpecError(f"test count p must be >= 1, got {self.p!r}")
+            raise SpecError(f"[panel] p: test count p must be >= 1, got {self.p!r}")
         if self.n < 1:
-            raise SpecError(f"group size n must be >= 1, got {self.n!r}")
+            raise SpecError(f"[panel] n: group size n must be >= 1, got {self.n!r}")
         self.law.validate()
         self.model.validate()
         if self.model.kind == "gaussian-kdep" and not self.law.is_gaussian:
             raise SpecError(
-                "gaussian-kdep builds columns from standard-normal drivers; "
-                f"innovation law {self.law.kind!r} is not compatible "
+                "[panel] law: gaussian-kdep builds columns from standard-normal "
+                f"drivers; innovation law {self.law.kind!r} is not compatible "
                 "(use the moving-average model for non-Gaussian dependence)"
             )
         seen = set()
         for idx, d in self.offsets:
             if not 1 <= idx <= self.p:
-                raise SpecError(f"offset row {idx} outside [1, {self.p}]")
+                raise SpecError(f"[panel] offsets: row {idx} outside [1, {self.p}]")
             if idx in seen:
-                raise SpecError(f"duplicate offset row {idx}")
+                raise SpecError(f"[panel] offsets: duplicate row {idx}")
             seen.add(idx)
             if d < 0.0:
-                raise SpecError(f"offsets d_i must be >= 0, got {d!r} at row {idx}")
+                raise SpecError(f"[panel] offsets: d_i must be >= 0, got {d!r} at row {idx}")
         if self.sizes is not None:
-            if len(self.sizes) != self.p:
-                raise SpecError("sizes must give one group size per row")
-            bad = [i + 1 for i, ni in enumerate(self.sizes) if not 2 <= ni <= self.n]
-            if bad:
-                raise SpecError(
-                    f"per-row sizes must lie in [2, n]; offending rows {bad[:20]}"
-                )
+            raise SpecError("[panel] sizes: per-row group sizes are not accepted; "
+                            "every row has the group size n")
         if not 0 <= self.seed < 2 ** 64:
-            raise SpecError("seed must be a 64-bit nonnegative integer")
+            raise SpecError(
+                f"[panel] seed: seed must be a 64-bit nonnegative integer, got {self.seed!r}"
+            )
         if self.replicate < 0:
-            raise SpecError("replicate index must be >= 0")
+            raise SpecError(
+                f"[panel] replicate: replicate index must be >= 0, got {self.replicate!r}"
+            )
 
     def offset_vector(self) -> np.ndarray:
         d = np.zeros(self.p)
@@ -662,7 +666,7 @@ def matched_sums(spec: PanelSpec):
     dep = (s1[0], s2[0])
     if spec.model.kind != "moving-average":
         return dep, dep
-    one_row = replace(spec, p=1, offsets=(), sizes=None)
+    one_row = replace(spec, p=1, offsets=())
     s1, s2 = (s.reshape(spec.p) for s in copies_sums(one_row, spec.p, rng))
     if spec.offsets:
         _shift_sums(s1, s2, spec.offset_vector(), spec.n)
@@ -709,7 +713,7 @@ def rows_sums(spec: PanelSpec, rows, copies: int, rng: np.random.Generator,
         _, b1, b2 = rows_sums(spec, rows[1:], drawn, rng, method)
         return drawn, np.vstack((a1, b1)), np.vstack((a2, b2))
     drawn = min(copies, max(1, _CELL_BUDGET // ((hi - lo + 1 + spec.model.kappa) * n)))
-    sub = replace(spec, p=hi - lo + 1, sizes=None, offsets=tuple(
+    sub = replace(spec, p=hi - lo + 1, offsets=tuple(
         (i - lo + 1, d) for i, d in spec.offsets if lo <= i <= hi))
     s1, s2 = copies_sums(sub, drawn, rng)
     cols = [i - lo for i in rows]
@@ -732,8 +736,6 @@ def row_sums_unsupported(spec: PanelSpec) -> str | None:
     """Why :func:`row_sums` cannot draw ``spec``'s panels, or None if it can."""
     if not spec.law.is_gaussian:
         return f"innovation law {spec.law.kind!r} is not standard-normal"
-    if spec.sizes is not None:
-        return "per-row sizes need the cells"
     taps = _driver_filter(spec.model).shape[0]
     if spec.n < max(2, 2 * taps - 1):
         return (f"n = {spec.n} is below 2L - 1 = {2 * taps - 1} "
@@ -893,8 +895,6 @@ def panel_spec_to_config(spec: PanelSpec) -> str:
         sec["atom"] = repr(spec.law.atom)
     if spec.offsets:
         sec["offsets"] = ", ".join(f"{i}:{repr(d)}" for i, d in spec.offsets)
-    if spec.sizes is not None:
-        sec["sizes"] = ", ".join(str(s) for s in spec.sizes)
     cp["panel"] = sec
     buf = io.StringIO()
     cp.write(buf)
@@ -923,7 +923,7 @@ def panel_spec_from_config(source) -> PanelSpec:
     sec = cp["panel"]
     known = {
         "p", "n", "model", "law", "kappa", "rho", "pareto_exponent", "atom",
-        "offsets", "sizes", "seed", "replicate",
+        "offsets", "seed", "replicate",
     }
     unknown = set(sec) - known
     if unknown:
@@ -960,7 +960,6 @@ def panel_spec_from_config(source) -> PanelSpec:
         model=model,
         law=law,
         offsets=value("offsets", _parse_offsets, ()),
-        sizes=value("sizes", _tuple_of(int), ()) or None,
         seed=value("seed", int, 0),
         replicate=value("replicate", int, 0),
     )

@@ -1,7 +1,8 @@
 """Row-wise studentized statistics T and their transformed companions R.
 
-For row i with values U_i1..U_in the statistic is ``T_i = sqrt(n) Ubar_i / S_i``
-with the variance divisor n (not n - 1):
+Every row holds the same number n of values.  For row i with values
+U_i1..U_in the statistic is ``T_i = sqrt(n) Ubar_i / S_i`` with the
+variance divisor n (not n - 1):
 
     Ubar_i = n^-1 sum_j U_ij,      S_i^2 = n^-1 sum_j U_ij^2 - Ubar_i^2.
 
@@ -42,29 +43,23 @@ __all__ = [
 
 @dataclass
 class StudentizedRows:
-    """Per-row statistics for a whole panel, stored as parallel arrays.
+    """T and R of every row of a panel, stored as parallel arrays.
 
     Entry i refers to test i + 1 in the 1-based labelling used throughout
     outputs.
     """
 
-    mean: np.ndarray
-    scale: np.ndarray
     t: np.ndarray
     r: np.ndarray
-    degenerate: np.ndarray
-    sizes: np.ndarray
 
 
-def t_level_to_r_level(t: float, n) -> float:
+def t_level_to_r_level(t: float, n: int) -> float:
     """Map a T-level to the equivalent R-level t / sqrt(1 + t^2/n)."""
     if t <= 0.0:
         raise ValueError(f"level t must be positive, got {t!r}")
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 1):
+    if n < 1:
         raise ValueError("group size n must be >= 1")
-    out = t / np.sqrt(1.0 + t * t / n_arr)
-    return float(out) if out.ndim == 0 else out
+    return float(t / math.sqrt(1.0 + t * t / n))
 
 
 def r_level_to_t_level(r: float, n: float) -> float:
@@ -76,11 +71,10 @@ def r_level_to_t_level(r: float, n: float) -> float:
     return r / math.sqrt(1.0 - r * r / n)
 
 
-def _finish(sum1: np.ndarray, sum2: np.ndarray, n,
+def _finish(sum1: np.ndarray, sum2: np.ndarray, n: int,
             constant: np.ndarray | None = None) -> StudentizedRows:
     """T, R and the degenerate-row conventions from the row sums.
 
-    ``n`` is the group size: one number for every row, or one per row.
     A row is degenerate when its variance s2 is 0 or, if ``constant`` is
     given, when that mask flags it (all its values equal).  Non-finite
     sums are rejected here, on the O(p) sums rather than the p x n cells.
@@ -91,33 +85,24 @@ def _finish(sum1: np.ndarray, sum2: np.ndarray, n,
             f"row sums are not finite (NaN or infinite cells) in rows "
             f"{(bad + 1).tolist()[:20]}"
         )
-    n_rows = np.broadcast_to(n, sum1.shape)  # a view: one n is not copied per row
     mean = sum1 / n
     msq = sum2 / n
     s2 = np.maximum(msq - mean * mean, 0.0)
-    degenerate = s2 == 0.0 if constant is None else constant | (s2 == 0.0)
-
-    scale = np.sqrt(s2)
-    scale[degenerate] = 0.0
-
-    num = np.sqrt(n) * mean
+    num = math.sqrt(n) * mean
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / scale
+        t = num / np.sqrt(s2)
         r = num / np.sqrt(msq)
 
+    degenerate = s2 == 0.0 if constant is None else constant | (s2 == 0.0)
     if degenerate.any():
         zero_rows = degenerate & (mean == 0.0)
         const_rows = degenerate & (mean != 0.0)
         t[zero_rows] = 1.0
-        r[zero_rows] = 1.0 / np.sqrt(1.0 + 1.0 / n_rows[zero_rows])
+        r[zero_rows] = 1.0 / math.sqrt(1.0 + 1.0 / n)
         sign = np.sign(mean[const_rows])
         t[const_rows] = sign * np.inf
-        r[const_rows] = sign * np.sqrt(n_rows[const_rows])
-
-    return StudentizedRows(
-        mean=mean, scale=scale, t=t, r=r, degenerate=degenerate,
-        sizes=n_rows.astype(np.int64, copy=False),
-    )
+        r[const_rows] = sign * math.sqrt(n)
+    return StudentizedRows(t=t, r=r)
 
 
 def studentize_sums(sum1, sum2, n: int) -> StudentizedRows:
@@ -137,35 +122,17 @@ def studentize_sums(sum1, sum2, n: int) -> StudentizedRows:
     return _finish(sum1, sum2, n)
 
 
-def studentize_panel(panel, sizes=None) -> StudentizedRows:
+def studentize_panel(panel) -> StudentizedRows:
     """Studentize every row of a panel (or a plain p-by-n array).
 
-    ``sizes`` optionally gives per-row group sizes n_i (each at least 2);
-    row i then uses its first n_i entries.  When the panel's spec carries
-    sizes they are picked up automatically.
+    A row whose values are all equal is degenerate even where rounding
+    leaves the variance s2 from its sums above 0 (a row of 1.1s, say).
     """
     data = np.asarray(getattr(panel, "data", panel), dtype=float)
     if data.ndim != 2:
         raise ValueError(f"panel data must be 2-dimensional, got shape {data.shape}")
-    p, n = data.shape
-    if sizes is None:
-        sizes = getattr(getattr(panel, "spec", None), "sizes", None)
-    if sizes is None:
-        if n < 2:
-            raise ValueError("group size n must be >= 2")
-        return _finish(data.sum(axis=1), np.einsum("ij,ij->i", data, data), n,
-                       constant=data.max(axis=1) == data.min(axis=1))
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.shape != (p,):
-        raise ValueError("sizes must give one group size per row")
-    if np.any(sizes < 2):
-        bad = np.flatnonzero(sizes < 2) + 1
-        raise ValueError(f"per-row sizes must be >= 2; offending rows {bad.tolist()}")
-    if np.any(sizes > n):
-        raise ValueError("per-row sizes cannot exceed the panel width n")
-    mask = np.arange(n)[None, :] < sizes[:, None]
-    ym = np.where(mask, data, 0.0)
-    ymax = np.where(mask, data, -np.inf).max(axis=1)
-    ymin = np.where(mask, data, np.inf).min(axis=1)
-    return _finish(ym.sum(axis=1), (ym * ym).sum(axis=1), sizes,
-                   constant=ymax == ymin)
+    n = data.shape[1]
+    if n < 2:
+        raise ValueError("group size n must be >= 2")
+    return _finish(data.sum(axis=1), np.einsum("ij,ij->i", data, data), n,
+                   constant=data.max(axis=1) == data.min(axis=1))

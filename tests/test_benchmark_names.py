@@ -1,16 +1,20 @@
-"""The package names that the benchmark under perfbench/ reads still exist.
+"""The benchmark under perfbench/ still runs on the package.
 
 ``perfbench/tracing.py`` patches every function of its ``LAYERS`` table in
 the namespace that owns it, and ``perfbench/checks.py`` compares config
-snapshots field by field.  Deleting or renaming one of those names breaks
-a traced run (``--trace 1``) or the round checks, and nothing else in this
-suite would notice.  The two files are loaded, never edited.
+snapshots field by field and checks every round's outputs.  Deleting or
+renaming one of those names breaks a traced run (``--trace 1``); a change
+to the config snapshot or to an output field fails every benchmark round.
+Nothing else in this suite would notice.  The files are loaded, never
+edited.
 """
 
 import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from exceedlab import experiments as ex
 from exceedlab import panelgen as pg
@@ -36,3 +40,11 @@ def test_names_the_benchmark_reads_exist():
     config_fields = {field.name for field in dataclasses.fields(ex.ExperimentConfig)}
     assert set(checks.SNAPSHOT_FIELDS) <= config_fields, (
         set(checks.SNAPSHOT_FIELDS) - config_fields)
+
+
+@pytest.mark.parametrize("name", _load("workloads").NAMES)
+def test_one_benchmark_round_passes_its_checks(name, tmp_path):
+    workloads, checks = _load("workloads"), _load("checks")
+    cfg = workloads.config(name, 2024, jobs=1)
+    ex.run(cfg, out_dir=tmp_path)
+    assert checks.check_round(cfg, checks.read_outputs(tmp_path, cfg.kind)) == []

@@ -637,6 +637,34 @@ def test_panel_keys_that_do_not_parse_name_their_key(body, key, tmp_path, capsys
     assert f"invalid configuration: [panel] {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, flags, key", [
+    ("", ["--p", "0"], "p"),
+    ("", ["--n", "0"], "n"),
+    ("", ["--n", "1"], "n"),  # a row of one cell has no variance
+    ("", ["--seed", "-1"], "seed"),
+    ("replicate = -1\n", [], "replicate"),
+    ("offsets = 41:0.5\n", [], "offsets"),
+    ("offsets = 3:0.5, 3:0.25\n", [], "offsets"),
+    ("offsets = 3:-0.5\n", [], "offsets"),
+    ("model = banded\n", [], "model"),
+    ("model = moving-average\nkappa = 0\n", [], "kappa"),
+    ("model = gaussian-kdep\n", [], "rho"),
+    ("model = gaussian-kdep\nrho = 0.5, 1.5\n", [], "rho"),
+    ("model = gaussian-kdep\nrho = 0.9, 0.9\n", [], "rho"),  # not realizable
+    ("law = cauchy\n", [], "law"),
+    ("model = gaussian-kdep\nrho = 0.5\nlaw = standardized-rademacher\n", [], "law"),
+    ("", ["--law", "standardized-pareto", "--pareto-exponent", "3"], "pareto_exponent"),
+    ("", ["--law", "two-point-with-atom", "--atom", "1.5"], "atom"),
+], ids=lambda v: v.strip().replace("\n", "; ") if isinstance(v, str) else " ".join(v))
+def test_panel_values_out_of_range_name_their_key(body, flags, key, tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text("[panel]\np = 40\nn = 30\n" + body)
+    argv = ["calibrate", "--config", str(path), *flags, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"invalid configuration: [panel] {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
     from exceedlab import mtc
     from exceedlab import studentize as stu

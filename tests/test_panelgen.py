@@ -228,7 +228,7 @@ def test_spec_config_round_trip():
     spec = pg.PanelSpec(
         p=1000, n=64, model=pg.DependenceModel.moving_average(6),
         law=pg.InnovationLaw.pareto(4.25), seed=77, replicate=2,
-        offsets=((3, 0.5), (10, 1.25)), sizes=tuple([64] * 999 + [32]),
+        offsets=((3, 0.5), (10, 1.25)),
     )
     text = pg.panel_spec_to_config(spec)
     back = pg.panel_spec_from_config(text)
@@ -236,7 +236,6 @@ def test_spec_config_round_trip():
     assert back.model == spec.model
     assert back.law == spec.law
     assert back.offsets == spec.offsets
-    assert back.sizes == spec.sizes
     assert back.seed == spec.seed and back.replicate == spec.replicate
 
 
@@ -267,6 +266,9 @@ def test_spec_config_unknown_key_rejected():
     text = "[panel]\np = 4\nn = 3\nbogus = 1\n"
     with pytest.raises(pg.SpecError, match="bogus"):
         pg.panel_spec_from_config(text)
+    # per-row group sizes are not a key: every row has the group size n
+    with pytest.raises(pg.SpecError, match="unknown \\[panel\\] keys: \\['sizes'\\]"):
+        pg.panel_spec_from_config("[panel]\np = 2\nn = 3\nsizes = 3, 2\n")
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +419,6 @@ def test_row_sums_refuses_what_it_cannot_draw():
     ma = pg.DependenceModel.moving_average(3)
     cases = [
         pg.PanelSpec(p=10, n=20, model=ma, law=pg.InnovationLaw.rademacher()),
-        pg.PanelSpec(p=3, n=20, model=ma, law=pg.InnovationLaw.normal(),
-                     sizes=(5, 20, 9)),
         _strong_spec(10, 4, seed=0),  # n = 2L - 2
     ]
     for spec in cases:

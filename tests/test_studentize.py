@@ -22,31 +22,39 @@ def _direct_t(row):
 def test_symmetric_row_is_zero():
     rows = stu.studentize_panel(np.array([[1.0, -1.0, 1.0, -1.0]]))
     assert rows.t[0] == 0.0
-    assert rows.scale[0] == 1.0
 
 
 def test_worked_row():
     row = [1.0, 1.0, 1.0, -1.0]
     rows = stu.studentize_panel(np.array([row]))
-    assert rows.mean[0] == 0.5
-    assert rows.scale[0] == pytest.approx(math.sqrt(0.75), rel=1e-15)
     assert rows.t[0] == pytest.approx(1.154700, abs=1e-6)
     assert rows.t[0] == pytest.approx(_direct_t(row), rel=1e-15)
 
 
 def test_zero_row_convention():
     rows = stu.studentize_panel(np.zeros((1, 4)))
-    assert rows.degenerate[0]
     assert rows.t[0] == 1.0
     assert rows.r[0] == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-15)
 
 
 def test_constant_row_convention():
     rows = stu.studentize_panel(np.array([[2.0] * 4, [-3.0] * 4]))
-    assert rows.degenerate.all()
     assert rows.t[0] == math.inf and rows.t[1] == -math.inf
     assert rows.r[0] == 2.0 and rows.r[1] == -2.0
-    assert (rows.scale == 0.0).all()
+
+
+@pytest.mark.parametrize("value, n", [(1.0 / 3.0, 12), (1.1, 40)], ids=["third", "1.1"])
+def test_constant_row_convention_from_the_cells(value, n):
+    # rounding leaves these rows' variance from their sums above 0, so only
+    # the cells can show that every value is equal
+    data = np.array([[value] * n, [-value] * n])
+    s1, s2 = data.sum(axis=1), np.einsum("ij,ij->i", data, data)
+    assert np.maximum(s2 / n - (s1 / n) ** 2, 0.0).min() > 0.0
+    sums = stu.studentize_sums(s1, s2, n)
+    assert np.all(np.isfinite(sums.t)) and sums.t[0] > 1e8
+    rows = stu.studentize_panel(data)
+    assert rows.t[0] == math.inf and rows.t[1] == -math.inf
+    assert rows.r[0] == math.sqrt(n) and rows.r[1] == -math.sqrt(n)
 
 
 def test_rejects_single_column():
@@ -94,10 +102,10 @@ def test_integer_window_sums_studentize_like_the_cells(seed, p, n, kappa, t):
     s2 = (cells * cells).sum(axis=1)
     sums = stu.studentize_sums(s1, s2, n)
     rows = stu.studentize_panel(cells.astype(float))
-    for field in ("mean", "scale", "t", "r", "degenerate"):
+    for field in ("t", "r"):
         assert np.array_equal(getattr(sums, field), getattr(rows, field)), field
     assert sums.t[-2] == math.inf and sums.r[-2] == math.sqrt(n)
-    assert sums.t[-1] == 1.0 and sums.degenerate[-2:].all()
+    assert sums.t[-1] == 1.0
     # T > t iff R > t_level_to_r_level(t, n), away from ties within rounding
     assume(np.all(np.abs(sums.t - t) > 1e-9 * t))
     assert np.array_equal(sums.t > t, sums.r > stu.t_level_to_r_level(t, n))
@@ -134,21 +142,6 @@ def test_null_distribution_matches_student_t():
     assert stat < 1.63 / math.sqrt(reps)
 
 
-def test_per_row_sizes():
-    data = np.array([
-        [1.0, 2.0, 3.0, 4.0],
-        [5.0, 6.0, 7.0, 999.0],  # the 999 must be ignored (size 3)
-    ])
-    rows = stu.studentize_panel(data, sizes=[4, 3])
-    oracle = _direct_t([5.0, 6.0, 7.0])
-    assert rows.t[1] == pytest.approx(oracle, rel=1e-13)
-    assert rows.sizes.tolist() == [4, 3]
-    with pytest.raises(ValueError, match="rows \\[2\\]"):
-        stu.studentize_panel(data, sizes=[4, 1])
-    with pytest.raises(ValueError):
-        stu.studentize_panel(data, sizes=[4, 5])
-
-
 def test_studentize_sums_matches_panel_arithmetic():
     rng = np.random.default_rng(8)
     data = rng.standard_normal((50, 12)) + np.linspace(-1.0, 1.0, 50)[:, None]
@@ -157,7 +150,7 @@ def test_studentize_sums_matches_panel_arithmetic():
     data[9] = -0.5
     sums = stu.studentize_sums(data.sum(axis=1), np.einsum("ij,ij->i", data, data), 12)
     cells = stu.studentize_panel(data)
-    for field in ("mean", "scale", "t", "r", "degenerate", "sizes"):
+    for field in ("t", "r"):
         assert getattr(sums, field).tobytes() == getattr(cells, field).tobytes(), field
     assert sums.t[3] == 1.0 and sums.t[7] == math.inf and sums.t[9] == -math.inf
     with pytest.raises(ValueError):
@@ -174,8 +167,6 @@ def test_non_finite_rows_fail_at_the_boundary():
         data[row - 1, 3] = value
     with pytest.raises(ValueError, match=r"rows \[2, 6, 7, 25\]"):
         stu.studentize_panel(data)
-    with pytest.raises(ValueError, match=r"rows \[6\]"):
-        stu.studentize_panel(data, sizes=[3] * 5 + [5] + [3] * 24)
     sum1 = data.sum(axis=1)
     sum2 = np.einsum("ij,ij->i", data, data)
     with pytest.raises(ValueError, match=r"rows \[2, 6, 7, 25\]"):
