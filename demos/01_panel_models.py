@@ -7,6 +7,7 @@ flat text config round trip.  Run as ``python demos/01_panel_models.py``.
 
 import numpy as np
 
+from exceedlab import experiments as ex
 from exceedlab import panelgen as pg
 
 print("=" * 70)
@@ -81,7 +82,7 @@ c = pg.generate(spec.with_replicate(1))
 print("  different replicate id -> fresh panel:", not np.array_equal(a.data, c.data))
 
 print("\n  flat text config round trip:")
-text = pg.panel_spec_to_config(spec)
-print("    " + "\n    ".join(text.strip().splitlines()))
-back = pg.panel_spec_from_config(text)
+text = ex.ExperimentConfig(kind="calibrate", panel=spec).to_text()
+print("    " + "\n    ".join(text[text.index("[panel]"):].strip().splitlines()))
+back = ex.ExperimentConfig.from_text(text).panel
 print("  regenerates identically:", np.array_equal(pg.generate(back).data, a.data))

@@ -30,6 +30,7 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +99,9 @@ class ExperimentConfig:
     fixes the R-scale level for tails/coupling; by default it is the
     mapped t-level.  How replicates are drawn follows from the kind and
     the panel spec alone (:func:`panelgen.panel_sums`,
-    :func:`panelgen.matched_sums`).  Every field but
-    ``panel`` is one config-file key (``_CONFIG_TABLE``), defaulting to
-    the field default.
+    :func:`panelgen.matched_sums`).  Every field but ``panel``, and each
+    panel setting its model and law take (:func:`_panel_keys`), is one
+    config-file key (``_CONFIG_TABLE``), defaulting to the field default.
     """
 
     kind: str
@@ -193,30 +194,32 @@ class ExperimentConfig:
     # -- flat text round trip ------------------------------------------------
 
     def to_text(self) -> str:
+        taken = _panel_keys(self.panel.model.kind, self.panel.law.kind)
         sections: dict[str, dict[str, str]] = {}
         for section, key, field, _ in _CONFIG_TABLE:
-            value = getattr(self, field)
-            if value is not None:
-                sections.setdefault(section, {})[key] = (
-                    ", ".join(str(v) for v in value) if isinstance(value, tuple)
-                    else str(value)
-                )
-        cp = configparser.ConfigParser()
+            value = attrgetter(field)(self)
+            if value not in (None, ()) and (section != "panel" or key in taken):
+                sections.setdefault(section, {})[key] = _text(value)
+        cp = configparser.ConfigParser(interpolation=None)
         cp.read_dict(sections)
         buf = io.StringIO()
         cp.write(buf)
-        return buf.getvalue() + pg.panel_spec_to_config(self.panel)
+        return buf.getvalue()
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        """Parse a config; a key left out or empty takes the field default."""
-        cp = configparser.ConfigParser()
-        cp.read_string(text)
-        panel = pg.panel_spec_from_config(text)
+        """Parse a config; a key left out or empty takes the field default.
+
+        ``[panel]`` may set only the keys its model and law take
+        (:func:`_panel_keys`), and the panel it describes is validated.
+        """
+        cp = configparser.ConfigParser(interpolation=None)
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise pg.SpecError(f"config text does not parse: {exc}") from None
         known = {row[:2] for row in _CONFIG_TABLE} | set(_RETIRED_KEYS)
         for name in cp.sections():
-            if name == "panel":
-                continue  # checked by panel_spec_from_config
             if name not in {section for section, _ in known}:
                 raise pg.SpecError(f"unknown config section [{name}]")
             unknown = sorted(key for key in cp[name] if (name, key) not in known)
@@ -225,15 +228,21 @@ class ExperimentConfig:
         for (section, key), fixed in _RETIRED_KEYS.items():
             if cp.get(section, key, fallback=fixed) != fixed:
                 raise pg.SpecError(f"[{section}] {key} is retired; only {fixed} is accepted")
-        values = {"kind": "calibrate"}
+        if "panel" not in cp:
+            raise pg.SpecError("config has no [panel] section")
+        values, panel = {"kind": "calibrate"}, {}
         for section, key, field, parse in _CONFIG_TABLE:
             raw = cp.get(section, key, fallback="")
             if raw:
                 try:
-                    values[field] = parse(raw)
+                    value = parse(raw)
                 except ValueError as exc:
                     raise pg.SpecError(f"[{section}] {key}: {exc}") from None
-        return cls(panel=panel, **values)
+                if section == "panel":
+                    panel[key] = value
+                else:
+                    values[field] = value
+        return cls(panel=_panel_spec(panel), **values)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -245,7 +254,25 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _offsets(text: str) -> tuple[tuple[int, float], ...]:
+    pairs = (tok.partition(":") for tok in text.split(",") if tok.strip())
+    return tuple((int(idx), float(val)) for idx, _, val in pairs)
+
+
+def _text(value) -> str:
+    """A config value as text: tuples comma-separated, offsets as row:value."""
+    if isinstance(value, tuple):
+        return ", ".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                         for v in value)
+    return str(value)
+
+
 # The config file's keys: (section, key, ExperimentConfig field, parser).
+# A [panel] field is a path into the panel spec; _panel_spec reads its keys.
 _CONFIG_TABLE = (
     ("experiment", "kind", "kind", str),
     ("experiment", "reps", "reps", int),
@@ -266,7 +293,63 @@ _CONFIG_TABLE = (
     ("mtc", "fwer_a", "fwer_a", float),
     ("paper-table", "p_list", "p_list", _ints),
     ("paper-table", "p0", "p0", int),
+    ("panel", "p", "panel.p", int),
+    ("panel", "n", "panel.n", int),
+    ("panel", "model", "panel.model.kind", str),
+    ("panel", "law", "panel.law.kind", str),
+    ("panel", "seed", "panel.seed", int),
+    ("panel", "kappa", "panel.model.kappa", int),
+    ("panel", "rho", "panel.model.rho", _floats),
+    ("panel", "pareto_exponent", "panel.law.tail_exponent", float),
+    ("panel", "atom", "panel.law.atom", float),
+    ("panel", "offsets", "panel.offsets", _offsets),
 )
+
+
+def _panel_keys(model: str, law: str) -> set[str]:
+    """The [panel] keys a panel of this dependence model and law takes."""
+    keys = {"p", "n", "model", "law", "seed", "offsets"}
+    if model != "iid":
+        keys.add("kappa")
+    if model == "gaussian-kdep":
+        keys.add("rho")
+    if law == "standardized-pareto":
+        keys.add("pareto_exponent")
+    if law == "two-point-with-atom":
+        keys.add("atom")
+    return keys
+
+
+def _panel_spec(given: dict) -> pg.PanelSpec:
+    """The validated panel of the parsed [panel] values ``given``, by key."""
+    model = given.get("model", "iid")
+    law = given.get("law", "standard-normal")
+    extra = sorted(given.keys() - _panel_keys(model, law))
+    if extra:
+        raise pg.SpecError(f"[panel] {extra[0]}: not a key of the {model} model "
+                           f"with the {law} law")
+    for key in ("p", "n"):
+        if key not in given:
+            raise pg.SpecError(f"[panel] {key} is required")
+    if model == "gaussian-kdep":
+        dependence = pg.DependenceModel.gaussian_kdep(given.get("rho", ()))
+        if given.get("kappa", dependence.kappa) != dependence.kappa:
+            raise pg.SpecError(f"[panel] kappa: {given['kappa']} differs from the "
+                               f"{dependence.kappa} lag correlations in rho")
+    else:
+        dependence = pg.DependenceModel(model, kappa=given.get("kappa", 0))
+    spec = pg.PanelSpec(
+        p=given["p"],
+        n=given["n"],
+        model=dependence,
+        law=pg.InnovationLaw(law, tail_exponent=given.get("pareto_exponent"),
+                             atom=given.get("atom")),
+        offsets=given.get("offsets", ()),
+        seed=given.get("seed", 0),
+    )
+    spec.validate()
+    return spec
+
 
 # Keys that earlier versions wrote into every manifest, with the one value
 # the code now fixes: those manifests still replay, and any other value
@@ -275,6 +358,7 @@ _RETIRED_KEYS = {
     ("experiment", "sampler"): "auto",
     ("level", "loglog_coeff"): str(LOGLOG_COEFF),
     ("validate", "logp_n_ratio_max"): str(_LOGP_N_RATIO_MAX),
+    ("panel", "replicate"): "0",
 }
 
 

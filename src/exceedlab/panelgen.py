@@ -44,9 +44,8 @@ from the exact law of their sums for Gaussian panels, otherwise as
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -65,8 +64,6 @@ __all__ = [
     "ma_filter_weights",
     "map_replicates",
     "matched_sums",
-    "panel_spec_from_config",
-    "panel_spec_to_config",
     "panel_sums",
     "rademacher_bits",
     "rademacher_sums_supported",
@@ -500,9 +497,10 @@ def stream(seed: int, replicate: int = 0, lane: int = 0) -> np.random.Generator:
 def map_replicates(fn, reps: int, jobs: int, *args) -> list:
     """``fn(*args, start, stop)`` on ``jobs`` contiguous chunks of 0..reps-1.
 
-    Chunks run in forked workers (``fn`` must pickle: a top-level
-    function) and their results come back in chunk order; with one chunk
-    ``fn`` runs in this process.  Replicate r draws only from
+    Chunks run in forked workers, no more at once than the CPUs this
+    process may use (``fn`` must pickle: a top-level function), and their
+    results come back in chunk order; with one chunk ``fn`` runs in this
+    process.  Replicate r draws only from
     ``stream(seed, r)``, so merged results do not depend on ``jobs``.  A
     worker that dies raises RuntimeError naming the unfinished replicates.
     """
@@ -515,8 +513,12 @@ def map_replicates(fn, reps: int, jobs: int, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(spans), mp_context=ctx) as pool:
+    with ProcessPoolExecutor(min(len(spans), cpus), mp_context=ctx) as pool:
         futures = [pool.submit(fn, *args, a, b) for a, b in spans]
         try:
             return [f.result() for f in futures]
@@ -867,101 +869,3 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
         norms = np.einsum("...d,...d->...", v, v)
         out[:, b0 * K:(b0 + nb) * K] = norms.reshape(batch, nb * K)
     return out[:, :p]
-
-
-# ---------------------------------------------------------------------------
-# Flat text configuration
-# ---------------------------------------------------------------------------
-
-
-def panel_spec_to_config(spec: PanelSpec) -> str:
-    """Serialize a spec to the flat text format (section ``[panel]``)."""
-    cp = configparser.ConfigParser()
-    sec = {
-        "p": str(spec.p),
-        "n": str(spec.n),
-        "model": spec.model.kind,
-        "law": spec.law.kind,
-        "seed": str(spec.seed),
-        "replicate": str(spec.replicate),
-    }
-    if spec.model.kind != "iid":
-        sec["kappa"] = str(spec.model.kappa)
-    if spec.model.kind == "gaussian-kdep":
-        sec["rho"] = ", ".join(repr(r) for r in spec.model.rho)
-    if spec.law.kind == "standardized-pareto":
-        sec["pareto_exponent"] = repr(spec.law.tail_exponent)
-    if spec.law.kind == "two-point-with-atom":
-        sec["atom"] = repr(spec.law.atom)
-    if spec.offsets:
-        sec["offsets"] = ", ".join(f"{i}:{repr(d)}" for i, d in spec.offsets)
-    cp["panel"] = sec
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def _tuple_of(parse):
-    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_offsets(text: str) -> tuple[tuple[int, float], ...]:
-    pairs = (tok.partition(":") for tok in text.split(",") if tok.strip())
-    return tuple((int(idx), float(val)) for idx, _, val in pairs)
-
-
-def panel_spec_from_config(source) -> PanelSpec:
-    """Parse a spec from flat text (a string, or a path to a config file)."""
-    cp = configparser.ConfigParser()
-    text = str(source)
-    if "\n" not in text and not text.lstrip().startswith("["):
-        with open(source) as fh:
-            text = fh.read()
-    cp.read_string(text)
-    if "panel" not in cp:
-        raise SpecError("config has no [panel] section")
-    sec = cp["panel"]
-    known = {
-        "p", "n", "model", "law", "kappa", "rho", "pareto_exponent", "atom",
-        "offsets", "seed", "replicate",
-    }
-    unknown = set(sec) - known
-    if unknown:
-        raise SpecError(f"unknown [panel] keys: {sorted(unknown)}")
-
-    def value(key: str, parse, default=None):  # no default: the key is required
-        raw = sec.get(key, "").strip()
-        if not raw:
-            if default is None:
-                raise SpecError(f"[panel] {key} is required")
-            return default
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise SpecError(f"[panel] {key}: {exc}") from None
-
-    model_kind = sec.get("model", "iid")
-    if model_kind == "gaussian-kdep":
-        model = DependenceModel.gaussian_kdep(value("rho", _tuple_of(float), ()))
-    else:  # an unknown kind fails in spec.validate()
-        kappa = value("kappa", int) if model_kind == "moving-average" else 0
-        model = DependenceModel(model_kind, kappa=kappa)
-    law_kind = sec.get("law", "standard-normal")
-    law = InnovationLaw(
-        law_kind,
-        tail_exponent=(value("pareto_exponent", float)
-                       if law_kind == "standardized-pareto" else None),
-        atom=value("atom", float) if law_kind == "two-point-with-atom" else None,
-    )
-
-    spec = PanelSpec(
-        p=value("p", int),
-        n=value("n", int),
-        model=model,
-        law=law,
-        offsets=value("offsets", _parse_offsets, ()),
-        seed=value("seed", int, 0),
-        replicate=value("replicate", int, 0),
-    )
-    spec.validate()
-    return spec

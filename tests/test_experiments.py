@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exceedlab import cli
 from exceedlab import experiments as ex
@@ -34,6 +35,16 @@ def test_config_text_round_trip():
     assert back.block_ell == 30
     assert back.panel.model == cfg.panel.model
     assert back.panel.seed == cfg.panel.seed
+    for panel in (
+        pg.PanelSpec(p=1000, n=64, model=pg.DependenceModel.moving_average(6),
+                     law=pg.InnovationLaw.pareto(4.25), seed=77,
+                     offsets=((3, 0.5), (10, 1.25))),
+        pg.PanelSpec(p=50, n=8, model=pg.DependenceModel.gaussian_kdep((0.1, 0.05)),
+                     law=pg.InnovationLaw.normal(), seed=5),
+    ):
+        back = ex.ExperimentConfig.from_text(replace(cfg, panel=panel).to_text())
+        assert back.panel == panel
+        assert np.array_equal(pg.generate(back.panel).data, pg.generate(panel).data)
 
 
 def test_config_validation_errors():
@@ -421,6 +432,10 @@ def test_config_rejects_unknown_keys_and_sections():
         (text.replace("bh_q = ", "bhq = "), ["[mtc]", "bhq"]),
         (text.replace("reps = ", "repz = "), ["[experiment]", "repz"]),
         (text + "\n[mtcc]\nbh_q = 0.2\n", ["[mtcc]"]),
+        (text.replace("[panel]\n", "[panel]\nbogus = 1\n"), ["[panel]", "bogus"]),
+        # per-row group sizes are not a key: every row has the group size n
+        (text.replace("[panel]\n", "[panel]\nsizes = 3, 2\n"),
+         ["unknown [panel] keys: ['sizes']"]),
     ]
     for bad, words in cases:
         with pytest.raises(pg.SpecError) as err:
@@ -443,15 +458,18 @@ def test_config_naming_weights_file_is_rejected(tmp_path, capsys):
 
 
 def test_config_retired_keys_accept_only_their_fixed_value(tmp_path, capsys):
-    # every manifest written before the keys were retired carries all three
+    # every manifest written before the keys were retired carries all four
     text = _cfg(kind="cluster", reps=5).to_text()
     text = text.replace("[experiment]\n", "[experiment]\nsampler = auto\n")
     text = text.replace("[level]\n", "[level]\nloglog_coeff = 3.0\n")
+    text = text.replace("[panel]\n", "[panel]\nreplicate = 0\n")
     text += "[validate]\nlogp_n_ratio_max = 0.5\n"
     assert ex.ExperimentConfig.from_text(text) == _cfg(kind="cluster", reps=5)
     for key, old, new in (("sampler", "auto", "explicit"),
                           ("loglog_coeff", "3.0", "4.0"),
-                          ("logp_n_ratio_max", "0.5", "0.7")):
+                          ("logp_n_ratio_max", "0.5", "0.7"),
+                          ("replicate", "0", "-1"),
+                          ("replicate", "0", "7")):
         bad = text.replace(f"{key} = {old}", f"{key} = {new}")
         with pytest.raises(pg.SpecError, match=key):
             ex.ExperimentConfig.from_text(bad)
@@ -490,6 +508,74 @@ def test_config_text_round_trip_every_kind(kind):
     back = ex.ExperimentConfig.from_text(cfg.to_text())
     assert back == cfg
     assert back.to_text() == cfg.to_text()
+
+
+@st.composite
+def _panels(draw):
+    model = draw(st.sampled_from(pg.MODEL_KINDS))
+    if model == "gaussian-kdep":
+        # the lag correlations of a moving average are realizable
+        w = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+        rho = tuple(sum(a * b for a, b in zip(w, w[m:])) / sum(a * a for a in w)
+                    for m in range(1, len(w)))
+        dependence, law = pg.DependenceModel.gaussian_kdep(rho), pg.InnovationLaw.normal()
+    else:
+        dependence = (pg.DependenceModel.iid() if model == "iid"
+                      else pg.DependenceModel.moving_average(draw(st.integers(1, 6))))
+        law = draw(st.one_of(
+            st.just(pg.InnovationLaw.normal()),
+            st.builds(pg.InnovationLaw.pareto, st.floats(3.0, 50.0, exclude_min=True)),
+            st.just(pg.InnovationLaw.rademacher()),
+            st.builds(pg.InnovationLaw.two_point,
+                      st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        ))
+    p = draw(st.integers(2, 500))
+    rows = draw(st.lists(st.integers(1, p), unique=True, max_size=4))
+    offsets = tuple((i, draw(st.floats(0.0, 10.0))) for i in rows)
+    return pg.PanelSpec(p=p, n=draw(st.integers(2, 300)), model=dependence, law=law,
+                        offsets=offsets, seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(ex.EXPERIMENT_KINDS), panel=_panels(),
+       reps=st.integers(1, 10 ** 6))
+def test_config_text_round_trips_and_refuses_keys_its_panel_cannot_use(kind, panel, reps):
+    cfg = ex.ExperimentConfig(kind=kind, panel=panel, reps=reps)
+    text = cfg.to_text()
+    back = ex.ExperimentConfig.from_text(text)
+    assert back == cfg
+    assert back.to_text() == text
+    model, law = panel.model.kind, panel.law.kind
+    taken = {"kappa": model != "iid", "rho": model == "gaussian-kdep",
+             "pareto_exponent": law == "standardized-pareto",
+             "atom": law == "two-point-with-atom"}
+    for key, value in (("kappa", "2"), ("rho", "0.5"), ("pareto_exponent", "4.0"),
+                       ("atom", "0.5")):
+        if not taken[key]:
+            bad = text.replace("[panel]\n", f"[panel]\n{key} = {value}\n")
+            with pytest.raises(pg.SpecError, match=rf"^\[panel\] {key}: "):
+                ex.ExperimentConfig.from_text(bad)
+    if model == "gaussian-kdep":
+        kappa = panel.model.kappa
+        bad = text.replace(f"kappa = {kappa}\n", f"kappa = {kappa + 1}\n")
+        with pytest.raises(pg.SpecError, match=r"^\[panel\] kappa: "):
+            ex.ExperimentConfig.from_text(bad)
+
+
+@pytest.mark.parametrize("text, rc", [
+    ("p = 40\n[panel]\nn = 30\n", 2),  # a key before any section header
+    ("[panel]\np = 40\nn = 30\np = 50\n", 2),  # a key given twice
+    ("[experiment]\nout = {tmp}/100%\n[panel]\np = 40\nn = 30\n", 0),  # % is a plain character
+], ids=["no-section-header", "duplicate-key", "percent-sign"])
+def test_cli_config_text_errors_exit_2_and_percent_is_plain_text(text, rc, tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(text.format(tmp=tmp_path))
+    assert cli.main(["calibrate", "--config", str(path)]) == rc
+    if rc == 2:
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: config text does not parse: ")
+    else:
+        assert (tmp_path / "100%" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("fields, key", [
@@ -630,7 +716,7 @@ def test_manifest_of_the_unpacked_rademacher_draw_replays_as_a_mismatch(tmp_path
 def test_panel_keys_that_do_not_parse_name_their_key(body, key, tmp_path, capsys):
     text = "[panel]\n" + body
     with pytest.raises(pg.SpecError, match=rf"^\[panel\] {key}\b"):
-        pg.panel_spec_from_config(text)
+        ex.ExperimentConfig.from_text(text)
     path = tmp_path / "exp.ini"
     path.write_text(text)
     assert cli.main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -642,7 +728,6 @@ def test_panel_keys_that_do_not_parse_name_their_key(body, key, tmp_path, capsys
     ("", ["--n", "0"], "n"),
     ("", ["--n", "1"], "n"),  # a row of one cell has no variance
     ("", ["--seed", "-1"], "seed"),
-    ("replicate = -1\n", [], "replicate"),
     ("offsets = 41:0.5\n", [], "offsets"),
     ("offsets = 3:0.5, 3:0.25\n", [], "offsets"),
     ("offsets = 3:-0.5\n", [], "offsets"),
@@ -655,6 +740,13 @@ def test_panel_keys_that_do_not_parse_name_their_key(body, key, tmp_path, capsys
     ("model = gaussian-kdep\nrho = 0.5\nlaw = standardized-rademacher\n", [], "law"),
     ("", ["--law", "standardized-pareto", "--pareto-exponent", "3"], "pareto_exponent"),
     ("", ["--law", "two-point-with-atom", "--atom", "1.5"], "atom"),
+    # keys the model or law does not take are refused, not dropped
+    ("kappa = 2\n", [], "kappa"),
+    ("rho = 0.5\n", [], "rho"),
+    ("pareto_exponent = 2\n", [], "pareto_exponent"),
+    ("atom = 7\n", [], "atom"),
+    ("model = moving-average\nkappa = 2\nrho = 0.9, 0.9\n", [], "rho"),
+    ("model = gaussian-kdep\nkappa = 7\nrho = 0.1, 0.05\n", [], "kappa"),
 ], ids=lambda v: v.strip().replace("\n", "; ") if isinstance(v, str) else " ".join(v))
 def test_panel_values_out_of_range_name_their_key(body, flags, key, tmp_path, capsys):
     path = tmp_path / "exp.ini"

@@ -224,53 +224,6 @@ def test_copies_sums_lag_products(model, law, lags):
         assert abs(prod.mean() - model.lag_correlation(m)) < 4.0 * _se(prod), m
 
 
-def test_spec_config_round_trip():
-    spec = pg.PanelSpec(
-        p=1000, n=64, model=pg.DependenceModel.moving_average(6),
-        law=pg.InnovationLaw.pareto(4.25), seed=77, replicate=2,
-        offsets=((3, 0.5), (10, 1.25)),
-    )
-    text = pg.panel_spec_to_config(spec)
-    back = pg.panel_spec_from_config(text)
-    assert back.p == spec.p and back.n == spec.n
-    assert back.model == spec.model
-    assert back.law == spec.law
-    assert back.offsets == spec.offsets
-    assert back.seed == spec.seed and back.replicate == spec.replicate
-
-
-def test_spec_config_round_trip_kdep():
-    spec = pg.PanelSpec(
-        p=50, n=8, model=pg.DependenceModel.gaussian_kdep((0.1, 0.05)),
-        law=pg.InnovationLaw.normal(), seed=5,
-    )
-    back = pg.panel_spec_from_config(pg.panel_spec_to_config(spec))
-    assert back.model == spec.model
-    assert np.array_equal(pg.generate(back).data, pg.generate(spec).data)
-
-
-def test_spec_config_weights_file(tmp_path):
-    # weights_file is not a [panel] key: it fails like any unknown key,
-    # before any file is read
-    spec = pg.PanelSpec(
-        p=4, n=3, model=pg.DependenceModel.iid(), law=pg.InnovationLaw.normal(),
-    )
-    text = pg.panel_spec_to_config(spec).replace(
-        "[panel]\n", f"[panel]\nweights_file = {tmp_path / 'w.npy'}\n"
-    )
-    with pytest.raises(pg.SpecError, match="weights_file"):
-        pg.panel_spec_from_config(text)
-
-
-def test_spec_config_unknown_key_rejected():
-    text = "[panel]\np = 4\nn = 3\nbogus = 1\n"
-    with pytest.raises(pg.SpecError, match="bogus"):
-        pg.panel_spec_from_config(text)
-    # per-row group sizes are not a key: every row has the group size n
-    with pytest.raises(pg.SpecError, match="unknown \\[panel\\] keys: \\['sizes'\\]"):
-        pg.panel_spec_from_config("[panel]\np = 2\nn = 3\nsizes = 3, 2\n")
-
-
 # ---------------------------------------------------------------------------
 # Row sums drawn without cells
 # ---------------------------------------------------------------------------
@@ -628,6 +581,40 @@ def test_map_replicates_chunks_in_order():
     assert pg.map_replicates(_span, 10, 0) == [(0, 10)]
     assert pg.map_replicates(_span, 2, 5) == [(0, 1), (1, 2)]
     assert pg.map_replicates(_span, 0, 2) == []
+
+
+def test_map_replicates_starts_no_more_workers_than_usable_cpus(monkeypatch):
+    # a fake pool records its size and runs the chunks here: no process starts
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert pg.map_replicates(_span, 5000, 5000) == [(r, r + 1) for r in range(5000)]
+    assert pg.map_replicates(_span, 10, 2) == [(0, 5), (5, 10)]
+    assert sizes == [3, 2]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pg.map_replicates(_span, 10, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert pg.map_replicates(_span, 60, 60) == [(r, r + 1) for r in range(60)]
+    assert sizes[2:] == [3, 4]
 
 
 def test_map_replicates_reraises_a_worker_error():
