@@ -227,7 +227,7 @@ class ExperimentConfig:
                 raise pg.SpecError(f"unknown [{name}] keys: {unknown}")
         for (section, key), fixed in _RETIRED_KEYS.items():
             if cp.get(section, key, fallback=fixed) != fixed:
-                raise pg.SpecError(f"[{section}] {key} is retired; only {fixed} is accepted")
+                raise pg.SpecError(f"[{section}] {key}: retired; only {fixed} is accepted")
         if "panel" not in cp:
             raise pg.SpecError("config has no [panel] section")
         values, panel = {"kind": "calibrate"}, {}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from exceedlab import experiments as ex
 from exceedlab import panelgen as pg
 from exceedlab import studentize as stu
 
@@ -222,6 +223,60 @@ def test_copies_sums_lag_products(model, law, lags):
         np.testing.assert_allclose(s2, s1 * s1, rtol=1e-12)
         prod = s1[:, 0] * s1[:, m]
         assert abs(prod.mean() - model.lag_correlation(m)) < 4.0 * _se(prod), m
+
+
+def _panel_text(spec):
+    # the panel's config text is the [panel] section ExperimentConfig writes
+    return ex.ExperimentConfig(kind="calibrate", panel=spec).to_text()
+
+
+def test_spec_config_round_trip():
+    spec = pg.PanelSpec(
+        p=1000, n=64, model=pg.DependenceModel.moving_average(6),
+        law=pg.InnovationLaw.pareto(4.25), seed=77, replicate=2,
+        offsets=((3, 0.5), (10, 1.25)),
+    )
+    text = _panel_text(spec)
+    back = ex.ExperimentConfig.from_text(text).panel
+    assert back.p == spec.p and back.n == spec.n
+    assert back.model == spec.model
+    assert back.law == spec.law
+    assert back.offsets == spec.offsets
+    # replicate r always draws from stream(seed, r), so the text carries no replicate
+    assert "replicate" not in text
+    assert back.seed == spec.seed and back == spec.with_replicate(0)
+
+
+def test_spec_config_round_trip_kdep():
+    spec = pg.PanelSpec(
+        p=50, n=8, model=pg.DependenceModel.gaussian_kdep((0.1, 0.05)),
+        law=pg.InnovationLaw.normal(), seed=5,
+    )
+    back = ex.ExperimentConfig.from_text(_panel_text(spec)).panel
+    assert back.model == spec.model
+    assert np.array_equal(pg.generate(back).data, pg.generate(spec).data)
+
+
+def test_spec_config_weights_file(tmp_path):
+    # weights_file is not a [panel] key: it fails like any unknown key,
+    # before any file is read
+    spec = pg.PanelSpec(
+        p=4, n=3, model=pg.DependenceModel.iid(), law=pg.InnovationLaw.normal(),
+    )
+    text = _panel_text(spec).replace(
+        "[panel]\n", f"[panel]\nweights_file = {tmp_path / 'w.npy'}\n"
+    )
+    with pytest.raises(pg.SpecError, match="weights_file"):
+        ex.ExperimentConfig.from_text(text)
+
+
+def test_spec_config_unknown_key_rejected():
+    text = "[panel]\np = 4\nn = 3\nbogus = 1\n"
+    with pytest.raises(pg.SpecError, match="bogus"):
+        ex.ExperimentConfig.from_text(text)
+    # per-row group sizes are not a key: every row has the group size n
+    with pytest.raises(pg.SpecError, match="unknown \\[panel\\] keys: \\['sizes'\\]"):
+        ex.ExperimentConfig.from_text("[panel]\np = 2\nn = 3\nsizes = 3, 2\n")
 
 
 # ---------------------------------------------------------------------------
