@@ -541,14 +541,14 @@ def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[Cluste
 
 def _mtc_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
     t_level, _, _ = resolve_level(cfg)
-    marginal = mtc.StudentizedNormalMarginal(cfg.panel.n)
-    nonnull = cfg.panel.nonnull_rows()
+    decider = mtc.TailDecider(mtc.StudentizedNormalMarginal(cfg.panel.n),
+                              cfg.bh_q, cfg.fwer_a)
+    nonnull = np.zeros(cfg.panel.p, dtype=bool)
+    nonnull[cfg.panel.nonnull_rows() - 1] = True
     records = []
     for rep, rows in _studentized_replicates(cfg, start, stop):
-        pv = mtc.one_sided_p_values(rows, marginal)
         reports = (
-            mtc.bh_fdr(pv, cfg.bh_q, nonnull=nonnull),
-            mtc.stepdown_fwer(pv, cfg.fwer_a, nonnull=nonnull),
+            *decider.decide(rows.t, nonnull),
             mtc.single_threshold(rows.t, t_level, nonnull=nonnull),
         )
         records.extend((rep, rpt.kind, rpt.nominal, *rpt.outcome) for rpt in reports)

@@ -18,6 +18,14 @@ degrees of freedom, or the exact finite-sample law of the divisor-n
 studentized normal mean.
 Degenerate rows flow through unchanged (T = +inf maps to p-value 0,
 T = -inf to 1).
+
+:class:`TailDecider` runs BH and step-down together on the statistics
+and computes p-values only for the rows either could reject: BH rejects
+only p <= q, step-down only p <= a (its last critical value is a).  Rows
+with T below the upper quantile of max(q, a) therefore never get a
+p-value or a place in the sort, and the decisions equal those of
+:func:`bh_fdr` and :func:`stepdown_fwer` on every p-value, which stay as
+the reference.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "ErrorRateSummary",
     "StudentTMarginal",
     "StudentizedNormalMarginal",
+    "TailDecider",
     "bh_fdr",
     "bin_counts",
     "bin_thresholds",
@@ -202,7 +211,9 @@ class DecisionReport:
     """Outcome of one multiple-testing procedure on one panel.
 
     ``rejected`` holds 1-based indices.  ``false_rejections`` and ``fdp``
-    are filled when the ground truth (the non-null index set) is known.
+    are filled when the ground truth is known: the procedures take it as
+    ``nonnull``, the 1-based non-null test indices or a boolean mask over
+    the tests.
     """
 
     procedure: str
@@ -233,11 +244,77 @@ def one_sided_p_values(rows, marginal) -> np.ndarray:
 def _attach_truth(report: DecisionReport, nonnull) -> DecisionReport:
     if nonnull is None:
         return report
-    nonnull = set(int(i) for i in nonnull)
-    false = sum(1 for i in report.rejected if int(i) not in nonnull)
-    report.false_rejections = int(false)
+    null = ~_nonnull_mask(nonnull, report.n_tests)
+    false = int(np.count_nonzero(null[report.rejected - 1]))
+    report.false_rejections = false
     report.fdp = false / max(1, report.rejected.size)
     return report
+
+
+def _nonnull_mask(nonnull, m: int) -> np.ndarray:
+    """The non-null tests as a boolean mask over tests 1..m.
+
+    ``nonnull`` is that mask already or the 1-based non-null test indices.
+    """
+    given = np.asarray(nonnull)
+    if given.dtype == bool:
+        if given.shape != (m,):
+            raise ValueError(f"non-null mask has shape {given.shape}, not ({m},)")
+        return given
+    rows = given.astype(np.int64).ravel()
+    if np.any((rows < 1) | (rows > m)):
+        raise ValueError(f"non-null test indices must lie in 1..{m}")
+    mask = np.zeros(m, dtype=bool)
+    mask[rows - 1] = True
+    return mask
+
+
+def _check_p_values(p_values) -> np.ndarray:
+    pv = np.asarray(p_values, dtype=float)
+    if pv.ndim != 1:
+        raise ValueError("p-values must form a vector")
+    if np.any((pv < 0.0) | (pv > 1.0)):
+        raise ValueError("p-values must lie in [0, 1]")
+    return pv
+
+
+def _check_level(level: float, name: str) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {level!r}")
+
+
+def _bh_count(sorted_pv: np.ndarray, q: float, m: int) -> int:
+    """How many BH rejects, given the smallest p-values of m in ascending order."""
+    ok = sorted_pv <= q * np.arange(1, sorted_pv.size + 1) / m
+    return int(np.flatnonzero(ok).max()) + 1 if ok.any() else 0
+
+
+def _stepdown_count(sorted_pv: np.ndarray, a: float, m: int) -> int:
+    """How many step-down rejects, given the smallest p-values of m in ascending order."""
+    remaining = m - np.arange(sorted_pv.size)
+    crit = -np.expm1(np.log1p(-a) / remaining)
+    # exactly a at the last stage, where the rounded form can fall below it
+    crit[remaining == 1] = a
+    ok = sorted_pv <= crit
+    return sorted_pv.size if bool(ok.all()) else int(np.argmin(ok))
+
+
+def _bh_report(rows: np.ndarray, q: float, m: int, nonnull) -> DecisionReport:
+    """The BH report rejecting the 0-based test indices ``rows``."""
+    report = DecisionReport(
+        procedure=f"BH(q={q:g})", kind="bh", nominal=q, n_tests=m,
+        rejected=(np.sort(rows) + 1).astype(np.int64),
+    )
+    return _attach_truth(report, nonnull)
+
+
+def _stepdown_report(rows: np.ndarray, a: float, m: int, nonnull) -> DecisionReport:
+    """The step-down report rejecting the 0-based test indices ``rows``."""
+    report = DecisionReport(
+        procedure=f"stepdown-FWER(a={a:g})", kind="stepdown-fwer", nominal=a,
+        n_tests=m, rejected=(np.sort(rows) + 1).astype(np.int64),
+    )
+    return _attach_truth(report, nonnull)
 
 
 def bh_fdr(p_values, q: float, nonnull=None) -> DecisionReport:
@@ -247,27 +324,10 @@ def bh_fdr(p_values, q: float, nonnull=None) -> DecisionReport:
     index with p_(i) <= i q / m.  Ties are broken by original index
     (stable sort), keeping the outcome deterministic.
     """
-    pv = np.asarray(p_values, dtype=float)
-    if pv.ndim != 1:
-        raise ValueError("p-values must form a vector")
-    if np.any((pv < 0.0) | (pv > 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"FDR level q must lie in (0, 1), got {q!r}")
-    m = pv.shape[0]
+    pv = _check_p_values(p_values)
+    _check_level(q, "FDR level q")
     order = np.argsort(pv, kind="stable")
-    sorted_pv = pv[order]
-    ok = sorted_pv <= q * np.arange(1, m + 1) / m
-    if np.any(ok):
-        cut = int(np.flatnonzero(ok).max()) + 1
-        rejected = np.sort(order[:cut]) + 1
-    else:
-        rejected = np.empty(0, dtype=np.int64)
-    report = DecisionReport(
-        procedure=f"BH(q={q:g})", kind="bh", nominal=q, n_tests=m,
-        rejected=rejected.astype(np.int64),
-    )
-    return _attach_truth(report, nonnull)
+    return _bh_report(order[:_bh_count(pv[order], q, pv.size)], q, pv.size, nonnull)
 
 
 def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
@@ -283,25 +343,65 @@ def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
     i.e. p_(k) <= 1 - (1 - a)^{1/(m - k + 1)}.  Stops at the first
     failure.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"FWER level a must lie in (0, 1), got {a!r}")
-    pv = np.asarray(p_values, dtype=float)
-    if np.any((pv < 0.0) | (pv > 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
-    m = pv.shape[0]
+    _check_level(a, "FWER level a")
+    pv = _check_p_values(p_values)
     order = np.argsort(pv, kind="stable")
-    sorted_pv = pv[order]
-    remaining = m - np.arange(m)
-    crit = -np.expm1(np.log1p(-a) / remaining)
-    crit[-1:] = a  # exactly a at the last stage, where the rounded form can fall below it
-    ok = sorted_pv <= crit
-    cut = m if bool(ok.all()) else int(np.argmin(ok))
-    rejected = np.sort(order[:cut]) + 1
-    report = DecisionReport(
-        procedure=f"stepdown-FWER(a={a:g})", kind="stepdown-fwer", nominal=a,
-        n_tests=m, rejected=rejected.astype(np.int64),
-    )
-    return _attach_truth(report, nonnull)
+    return _stepdown_report(
+        order[:_stepdown_count(pv[order], a, pv.size)], a, pv.size, nonnull)
+
+
+# Relative widening of the candidate level max(q, a): far above the
+# rounding of the quantile solve and of the p-values, so that every row
+# below the cut has a computed p-value above max(q, a).
+_CUT_MARGIN = 1e-6
+
+
+class TailDecider:
+    """BH at FDR level q and step-down FWER at level a from the upper tail of T.
+
+    Gives the reports of :func:`bh_fdr` and :func:`stepdown_fwer` on the
+    p-values of every test, but computes p-values for, and sorts, only
+    the candidates: the rows with T at or above the cut, the upper
+    ``marginal`` quantile of max(q, a) widened by ``_CUT_MARGIN``.  Every
+    other row has a p-value above max(q, a), which neither procedure can
+    reject.  The cut is solved once, here, for every panel decided.
+    """
+
+    def __init__(self, marginal, q: float, a: float):
+        _check_level(q, "FDR level q")
+        _check_level(a, "FWER level a")
+        self.marginal, self.q, self.a = marginal, q, a
+        level = max(q, a) * (1.0 + _CUT_MARGIN)
+        self.cut = marginal.upper_quantile(level) if level < 1.0 else -math.inf
+
+    def decide(self, t, nonnull=None) -> tuple[DecisionReport, DecisionReport]:
+        """(BH report, step-down report) for the statistics ``t`` of m tests.
+
+        Exact: a non-candidate's p-value sorts after every candidate's
+        p-value at or below max(q, a), so those candidates hold the same
+        ranks among themselves as among all m tests, and the critical
+        values keep the full m.  Equal T give equal p-values and fall on
+        the same side of the cut.  Should either procedure reject every
+        candidate, the rows below the cut are next in line, and the
+        decision is taken on the p-values of all m tests instead, so that
+        it never rests on the margin alone.
+        """
+        values = np.asarray(getattr(t, "t", t), dtype=float)
+        if values.ndim != 1:
+            raise ValueError("statistics must form a vector")
+        m = values.shape[0]
+        rows = np.flatnonzero(values >= self.cut)
+        pv = one_sided_p_values(values[rows], self.marginal)
+        order = np.argsort(pv, kind="stable")
+        sorted_pv = pv[order]
+        k_bh = _bh_count(sorted_pv, self.q, m)
+        k_sd = _stepdown_count(sorted_pv, self.a, m)
+        if rows.size in (k_bh, k_sd):
+            pv_all = one_sided_p_values(values, self.marginal)
+            return (bh_fdr(pv_all, self.q, nonnull),
+                    stepdown_fwer(pv_all, self.a, nonnull))
+        return (_bh_report(rows[order[:k_bh]], self.q, m, nonnull),
+                _stepdown_report(rows[order[:k_sd]], self.a, m, nonnull))
 
 
 def single_threshold(rows, t: float, nonnull=None) -> DecisionReport:

@@ -647,6 +647,40 @@ def test_records_from_panel_sums_equal_the_cells(kind, model, law, n, monkeypatc
     assert sum(hits) > 0
 
 
+def _mtc_records_explicit(cfg):
+    """The mtc records from p-values of every row, then bh_fdr and stepdown_fwer."""
+    from exceedlab import mtc
+
+    t_level, _, _ = ex.resolve_level(cfg)
+    marginal = mtc.StudentizedNormalMarginal(cfg.panel.n)
+    nonnull = cfg.panel.nonnull_rows()
+    records = []
+    for rep, rows in ex._studentized_replicates(cfg, 0, cfg.reps):
+        pv = mtc.one_sided_p_values(rows, marginal)
+        for rpt in (mtc.bh_fdr(pv, cfg.bh_q, nonnull=nonnull),
+                    mtc.stepdown_fwer(pv, cfg.fwer_a, nonnull=nonnull),
+                    mtc.single_threshold(rows.t, t_level, nonnull=nonnull)):
+            records.append((rep, rpt.kind, rpt.nominal, *rpt.outcome))
+    return records
+
+
+@pytest.mark.parametrize("model, law, n, bh_q, fwer_a", [
+    (pg.DependenceModel.gaussian_kdep((0.3, 0.1)), pg.InnovationLaw.normal(), 12, 0.1, 0.05),
+    # few distinct T on n = 6 cells of +-1: T ties heavily at every level
+    (pg.DependenceModel.moving_average(2), pg.InnovationLaw.rademacher(), 6, 0.2, 0.3),
+], ids=["gaussian", "rademacher"])
+def test_mtc_records_equal_the_explicit_decisions(model, law, n, bh_q, fwer_a):
+    offsets = tuple((i, 1.5) for i in range(1, 400, 37))
+    panel = pg.PanelSpec(p=400, n=n, model=model, law=law, seed=23, offsets=offsets)
+    cfg = ex.ExperimentConfig(kind="mtc", panel=panel, reps=60, eta=0.05, jobs=1,
+                              bh_q=bh_q, fwer_a=fwer_a)
+    fast = ex._mtc_worker(cfg, 0, cfg.reps)
+    assert fast == _mtc_records_explicit(cfg)
+    rejections = {kind: sum(rec[3] for rec in fast if rec[1] == kind)
+                  for kind in ("bh", "stepdown-fwer")}
+    assert min(rejections.values()) > 0
+
+
 def _rademacher_coupling(**kw):
     panel = pg.PanelSpec(p=60, n=20, model=pg.DependenceModel.moving_average(3),
                          law=kw.pop("law", pg.InnovationLaw.rademacher()), seed=13)

@@ -206,6 +206,13 @@ def test_single_threshold_and_truth_annotation():
     assert report.false_rejections == 1
     assert report.fdp == 0.5
     assert report.outcome == (2, 1, 0.5)
+    # the truth as a boolean mask over the tests reads the same
+    mask = np.array([False, False, True, False])
+    assert mtc.single_threshold(values, 2.0, nonnull=mask).outcome == (2, 1, 0.5)
+    with pytest.raises(ValueError, match="1..4"):
+        mtc.single_threshold(values, 2.0, nonnull=[5])
+    with pytest.raises(ValueError, match="shape"):
+        mtc.single_threshold(values, 2.0, nonnull=mask[:3])
 
 
 def test_realized_error_rates_never_rejecting():
@@ -296,3 +303,79 @@ def test_upper_quantile_round_trips_into_the_deep_tail(marginal):
     for q in (0.7, 0.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12):
         back = float(marginal.sf(marginal.upper_quantile(q)))
         assert back == pytest.approx(q, rel=1e-10, abs=0)
+
+
+class _PValueMarginal:
+    """T = -p: the statistic is the negated p-value, so p = sf(T) exactly."""
+
+    def sf(self, x):
+        return np.clip(-np.asarray(x, dtype=float), 0.0, 1.0)
+
+    def upper_quantile(self, q):
+        return -q
+
+
+def _as_tuple(report):
+    return (report.procedure, report.kind, report.nominal, report.n_tests,
+            report.rejected.tolist(), report.false_rejections, report.fdp)
+
+
+def _decide_both_ways(values, marginal, q, a, nonnull):
+    decider = mtc.TailDecider(marginal, q, a)
+    mask = np.zeros(values.size, dtype=bool)
+    mask[np.asarray(nonnull, dtype=np.int64) - 1] = True
+    fast = decider.decide(values, mask)
+    pv = mtc.one_sided_p_values(values, marginal)
+    oracle = (mtc.bh_fdr(pv, q, nonnull=nonnull), mtc.stepdown_fwer(pv, a, nonnull=nonnull))
+    assert [_as_tuple(r) for r in fast] == [_as_tuple(r) for r in oracle]
+    return pv
+
+
+# A statistic is drawn as a code: a value tied exactly at the cut, the
+# floats either side of it, the upper q and a quantiles, +-inf, the
+# degenerate T = 1.0, or any float.
+_T_CODES = hst.lists(
+    hst.one_of(hst.sampled_from(["cut", "below", "above", "q", "a", "inf", "-inf", "one"]),
+               hst.floats(-4.0, 12.0)),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(codes=_T_CODES, n=hst.sampled_from([None, 2, 3, 5, 40]), q=_LEVELS, a=_LEVELS,
+       data=hst.data())
+# every row is a candidate and every one is rejected: the full-vector fallback
+@example(codes=["inf", "inf"], n=40, q=0.1, a=0.05, data=None)
+# m = 1 at p exactly a: the last step-down critical value is a itself
+@example(codes=[-0.25], n=None, q=0.1, a=0.25, data=None)
+@example(codes=[-0.25], n=None, q=0.25, a=0.1, data=None)
+def test_tail_decider_equals_bh_and_stepdown_on_every_p_value(codes, n, q, a, data):
+    marginal = _PValueMarginal() if n is None else mtc.StudentizedNormalMarginal(n)
+    cut = mtc.TailDecider(marginal, q, a).cut
+    named = {"cut": cut, "below": np.nextafter(cut, -np.inf),
+             "above": np.nextafter(cut, np.inf), "q": marginal.upper_quantile(q),
+             "a": marginal.upper_quantile(a), "inf": np.inf, "-inf": -np.inf, "one": 1.0}
+    if n is None:  # this marginal's statistic lives on [-1, 0]
+        codes = [c / -12.0 if isinstance(c, float) and c >= 0.0 else c for c in codes]
+    values = np.array([named.get(c, c) for c in codes], dtype=float)
+    nonnull = [] if data is None else data.draw(
+        hst.sets(hst.integers(1, values.size)), label="nonnull")
+    pv = _decide_both_ways(values, marginal, q, a, sorted(nonnull))
+    below = pv[values < cut]
+    assert np.all(below > max(q, a))  # the margin: no row below the cut is rejectable
+
+
+def test_tail_decider_decides_on_every_p_value_when_all_candidates_are_rejected(monkeypatch):
+    marginal = mtc.StudentizedNormalMarginal(40)
+    sizes = []
+    original = mtc.one_sided_p_values
+    monkeypatch.setattr(mtc, "one_sided_p_values",
+                        lambda rows, m: sizes.append(np.size(rows)) or original(rows, m))
+    values = np.full(500, -1.0)
+    values[[3, 70]] = [np.inf, 12.0]  # the only candidates; both are rejected
+    _decide_both_ways(values, marginal, 0.1, 0.05, [4])
+    assert sizes == [2, 500, 500]  # the candidates, every row, then the oracle's every row
+    sizes.clear()
+    values[70] = 2.5  # a candidate neither procedure rejects
+    _decide_both_ways(values, marginal, 0.1, 0.05, [4])
+    assert sizes == [2, 500]
