@@ -364,11 +364,12 @@ _RETIRED_KEYS = {
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
     """The summaries' tag for how :mod:`panelgen` draws the row sums:
-    "sufficiency" (cluster and mtc) or "packed-sums" (coupling) where no
-    cell is drawn, otherwise "explicit", the panel's own stream."""
+    "sufficiency-v2" (cluster and mtc, :func:`panelgen.row_sums` in blocks
+    of L - 1 new drivers) or "packed-sums" (coupling) where no cell is
+    drawn, otherwise "explicit", the panel's own stream."""
     if cfg.kind == "coupling":
         return "packed-sums" if pg.rademacher_sums_supported(cfg.panel) else "explicit"
-    return "sufficiency" if pg.row_sums_preferred(cfg.panel) else "explicit"
+    return "sufficiency-v2" if pg.row_sums_preferred(cfg.panel) else "explicit"
 
 
 def _effective_rho_max(cfg: ExperimentConfig) -> float:
@@ -798,6 +799,8 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "bit_generator": type(pg.stream(0).bit_generator).__name__,
         "rademacher": "packed-bytes",  # how +-1 cells are drawn; unrecorded before
+        # how row_sums blocks its Bartlett draw; unrecorded before blocks of L - 1
+        "row_sums": "blocks-of-L-1",
     }
 
 

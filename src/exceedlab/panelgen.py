@@ -726,12 +726,27 @@ def rows_sums(spec: PanelSpec, rows, copies: int, rng: np.random.Generator,
 # Row sums of Gaussian panels, drawn without their cells
 # ---------------------------------------------------------------------------
 
-_SUMS_BLOCK = 16  # new driver rows per Bartlett block, at least L - 1, at most n - L
 _SUMS_CHUNK_ROWS = 512  # driver rows whose normals one replicate draws at a time
-# With fewer new drivers per block than this, the per-block Gram and
-# Cholesky work of row_sums costs more than drawing the n cells of a row
-# (measured over filters of 2 to 21 taps; BENCH_4.json, "crossover").
+# Frame entries, over all replicates, that one elementwise pass of
+# _window_norms works on (2 MB): enough blocks to amortise its numpy calls
+# at small batches; 2^17 to 2^19 measured alike (BENCH_15.json).
+_SUMS_PASS_ENTRIES = 1 << 18
+# Filters of up to this many taps work their frames elementwise, many
+# blocks at once; wider ones one frame at a time, where BLAS and LAPACK
+# were faster (BENCH_15.json, "crossover").
+_SUMS_ELEMENTWISE_TAPS = 8
+# With n - L below this, drawing the n cells of a row costs less than
+# row_sums (measured over filters of 2 to 21 taps; BENCH_4.json, "crossover").
 _SUMS_MIN_NEW = 6
+
+
+def _sums_block(taps: int) -> int:
+    """New drivers per Bartlett block of :func:`row_sums` for ``taps`` >= 2.
+
+    L - 1, the fewest that leave no carry chained: each block's carry is
+    the previous block's new drivers.
+    """
+    return taps - 1
 
 
 def row_sums_unsupported(spec: PanelSpec) -> str | None:
@@ -749,7 +764,8 @@ def row_sums_preferred(spec: PanelSpec) -> bool:
     """Whether :func:`row_sums` applies to ``spec`` and beats drawing cells.
 
     It does for iid panels from n = 2, and for filters of L >= 2 taps from
-    n >= max(2L - 1, L + 6), where blocks get at least 6 new drivers.
+    n >= max(2L - 1, L + 6): with n - L below 6, drawing the n cells of a
+    row was measured faster.
     """
     if row_sums_unsupported(spec) is not None:
         return False
@@ -771,19 +787,23 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
     independent.  Data row i = sum_k w_k eps_{i+k} then has
     S1_i = sqrt(n) sum_k w_k a_{i+k} and
     S2_i = (sum_k w_k a_{i+k})^2 + |sum_k w_k e_{i+k}|^2.  The e-part is
-    built in blocks of K new drivers in an orthonormal frame of dimension
-    L - 1 + K: the L - 1 drivers carried over from the previous block take
-    the Cholesky factor of their Gram matrix as coordinates, and new driver
-    j takes N(0, 1) coordinates on the first L - 1 + j directions plus a
-    residual of squared norm chi2(n - L - j) (Bartlett's decomposition).
-    With K >= L - 1, which n >= 2L - 1 allows, a block's last L - 1 drivers
-    are all new, so every carry of a chunk of blocks comes from one batched
-    Gram and Cholesky step.  Offsets enter in closed form.
+    built in blocks of K = L - 1 new drivers in an orthonormal frame of
+    dimension 2(L - 1): the L - 1 drivers carried over from the previous
+    block, which are exactly its new drivers, take the Cholesky factor of
+    their Gram matrix as coordinates, and new driver j takes N(0, 1)
+    coordinates on the first L - 1 + j directions plus a residual of squared
+    norm chi2(n - L - j) (Bartlett's decomposition; n >= 2L - 1 keeps every
+    degree of freedom positive).  No carry is chained, so the carries of
+    many blocks come from one factorisation step: elementwise across blocks
+    and replicates for filters of up to 8 taps, one LAPACK call per block
+    for wider ones.  Offsets enter in closed form.
 
-    Replicate r draws only from ``stream(seed, r)``, in a fixed order (the
-    a_j, the first frame, then the normals and chi-squares of the blocks,
-    about 512 drivers at a time), and the arithmetic is separate per
-    replicate, so its sums are bit-identical in any batch of replicates.
+    Replicate r draws only from ``stream(seed, r)``, in a fixed order: the
+    a_j; the first frame's normals, then its L - 1 chi-squares; then, for
+    each chunk of 512 // K blocks (about 512 drivers), the normals of its
+    blocks block by block, then their chi-squares.  The arithmetic is
+    separate per replicate and block, so its sums are bit-identical in any
+    batch of replicates.
     """
     spec.validate()
     why = row_sums_unsupported(spec)
@@ -815,8 +835,26 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram_cholesky(rows: np.ndarray) -> np.ndarray:
-    """Cholesky factors of the Gram matrices of stacked (c, D) row sets."""
-    return np.linalg.cholesky(rows @ rows.swapaxes(-1, -2))
+    """Cholesky factors of the Gram matrices of row sets stacked on the last axes.
+
+    ``rows`` is (c, D, ...), entry [i, d, ...] coordinate d of row i, and
+    row i must vanish beyond coordinate D - c + i, as the last c rows of a
+    lower triangular frame do.  Returns (c, c, ...), lower triangular.
+    Every operation is elementwise along the stacked axes, so each factor
+    is computed alone and bit-identically in any stack.
+    """
+    c, D = rows.shape[:2]
+    chol = np.zeros((c, c) + rows.shape[2:])
+    for j in range(c):
+        # column j of the Gram matrix from row j and below, over row j's support
+        col = rows[j:, 0] * rows[j, 0]
+        for d in range(1, D - c + j + 1):
+            col += rows[j:, d] * rows[j, d]
+        for k in range(j):
+            col -= chol[j:, k] * chol[j, k]
+        chol[j, j] = np.sqrt(col[0])
+        np.divide(col[1:], chol[j, j], out=chol[j + 1:, j])
+    return chol
 
 
 def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -827,7 +865,7 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
     """
     batch, taps = len(rngs), w.shape[0]
     c = taps - 1
-    K = min(max(_SUMS_BLOCK, c), n - taps)
+    K = _sums_block(taps)
     D = c + K
     # Flat positions, within one frame, of the new rows' normal coordinates
     # and residuals; new row j sits on frame row c + j.
@@ -835,9 +873,6 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
     normal_at = c * D + np.flatnonzero(np.arange(D)[None, :] < (c + j)[:, None])
     resid_at = (c + j) * D + c + j
     df = n - taps - j
-    band = np.zeros((K, D))  # output t sums frame rows t..t+c with weights w
-    for t in range(K):
-        band[t, t:t + taps] = w
 
     # The first frame: the first c drivers in Bartlett form.
     r = np.arange(c)
@@ -849,23 +884,82 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
     carry = carry.reshape(batch, c, c)
 
     blocks = -(-p // K)
-    out = np.empty((batch, blocks * K))
-    chunk = max(1, _SUMS_CHUNK_ROWS // K)
-    for b0 in range(0, blocks, chunk):
-        nb = min(chunk, blocks - b0)
-        frame = np.zeros((batch, nb, D, D))
+    chunk = max(1, _SUMS_CHUNK_ROWS // K)  # blocks a replicate draws at a time
+    elementwise = taps <= _SUMS_ELEMENTWISE_TAPS
+    per_pass = chunk
+    if elementwise:  # long passes amortise the numpy calls
+        per_pass *= max(1, _SUMS_PASS_ENTRIES // (D * D * batch * chunk))
+    per_pass = min(blocks, per_pass)
+    # One frame buffer for every pass: the entries above the diagonal stay
+    # zero, and every other entry of a pass's blocks is rewritten.
+    if elementwise:
+        buf = np.zeros((D * D, batch, per_pass))
+        carry = np.moveaxis(carry, 0, -1)
+    else:
+        buf = np.zeros((batch, per_pass, D * D))
+    out = np.empty((batch, blocks, K))
+    for b0 in range(0, blocks, per_pass):
+        nb = min(per_pass, blocks - b0)
         for b, rng in enumerate(rngs):
-            flat = frame[b].reshape(nb, D * D)  # a view: frame[b] is contiguous
-            flat[:, normal_at] = rng.standard_normal((nb, normal_at.size))
-            flat[:, resid_at] = np.sqrt(rng.chisquare(df, (nb, K)))
-        # K >= c: a block's last c rows are all new, so no carry is chained.
-        nxt = _gram_cholesky(frame[:, :, K:, :])
-        frame[:, 0, :c, :c] = carry
-        frame[:, 1:, :c, :c] = nxt[:, :-1]
-        carry = nxt[:, -1]
-        # matmul, cholesky and this einsum work one matrix or row at a
-        # time, so a replicate's values do not depend on its batch.
-        v = band @ frame
-        norms = np.einsum("...d,...d->...", v, v)
-        out[:, b0 * K:(b0 + nb) * K] = norms.reshape(batch, nb * K)
-    return out[:, :p]
+            for q in range(0, nb, chunk):
+                size = min(chunk, nb - q)
+                flat = buf[:, b, q:q + size].T if elementwise else buf[b, q:q + size]
+                flat[:, normal_at] = rng.standard_normal((size, normal_at.size))
+                flat[:, resid_at] = np.sqrt(rng.chisquare(df, (size, K)))
+        if elementwise:
+            norms, carry = _band_norms_elementwise(
+                buf[..., :nb].reshape(D, D, batch, nb), w, carry)
+            out[:, b0:b0 + nb] = norms.transpose(1, 2, 0)
+        else:
+            out[:, b0:b0 + nb], carry = _band_norms_stacked(
+                buf[:, :nb].reshape(batch, nb, D, D), w, carry)
+    return out.reshape(batch, blocks * K)[:, :p]
+
+
+def _band_norms_elementwise(frame: np.ndarray, w: np.ndarray, carry: np.ndarray):
+    """Output norms and the next carry of frames stacked on the last axes.
+
+    ``frame`` is (D, D, batch, blocks) with its carried rows still unset,
+    ``carry`` (c, c, batch) the carry of the first block.  Returns the
+    norms, (K, batch, blocks), and the carry of the block after the last.
+    """
+    taps = w.shape[0]
+    c = taps - 1
+    K = frame.shape[0] - c
+    # K >= c: a block's last c rows are all new, so no carry is chained.
+    nxt = _gram_cholesky(frame[K:])
+    frame[:c, :c, :, 0] = carry
+    frame[:c, :c, :, 1:] = nxt[..., :-1]
+    norms = np.empty((K,) + frame.shape[2:])
+    for t in range(K):
+        # frame row r vanishes beyond column r
+        v = frame[t + c, :t + taps] * w[c]
+        for k in range(c):
+            v[:t + k + 1] += frame[t + k, :t + k + 1] * w[k]
+        v *= v
+        norms[t] = v[0]
+        for d in range(1, t + taps):
+            norms[t] += v[d]
+    return norms, nxt[..., -1]
+
+
+def _band_norms_stacked(frame: np.ndarray, w: np.ndarray, carry: np.ndarray):
+    """:func:`_band_norms_elementwise` one (D, D) frame at a time.
+
+    ``frame`` is (batch, blocks, D, D) and ``carry`` (batch, c, c); returns
+    norms (batch, blocks, K) and the next carry.  matmul, cholesky and the
+    einsum work one matrix or row at a time, so a replicate's values do not
+    depend on its batch.
+    """
+    taps = w.shape[0]
+    c = taps - 1
+    K = frame.shape[-1] - c
+    rows = frame[:, :, K:, :]
+    nxt = np.linalg.cholesky(rows @ rows.swapaxes(-1, -2))
+    frame[:, 0, :c, :c] = carry
+    frame[:, 1:, :c, :c] = nxt[:, :-1]
+    band = np.zeros((K, K + c))  # output t sums frame rows t..t+c with weights w
+    for t in range(K):
+        band[t, t:t + taps] = w
+    v = band @ frame
+    return np.einsum("...d,...d->...", v, v), nxt[:, -1]

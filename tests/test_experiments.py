@@ -593,9 +593,9 @@ def test_config_row_range_checked():
 
 
 def test_sampler_resolution_and_fallback():
-    assert ex.resolve_sampler(_cfg()) == "sufficiency"
+    assert ex.resolve_sampler(_cfg()) == "sufficiency-v2"
     kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
-    assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency"  # n = L + 6
+    assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency-v2"  # n = L + 6
     explicit = [
         replace(_cfg(), panel=replace(_cfg().panel, law=pg.InnovationLaw.rademacher())),
         _cfg(model=kdep, n=8),  # exact, but slower than the cells
@@ -610,7 +610,7 @@ def test_samplers_tag_their_outputs(tmp_path):
     # the summaries record how the rule drew the panels: n = 8 < L + 6 for
     # the 3 taps of a kappa = 2 gaussian-kdep filter takes the cells
     kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
-    for spec, drawn in (({"model": kdep, "n": 8}, "explicit"), ({}, "sufficiency")):
+    for spec, drawn in (({"model": kdep, "n": 8}, "explicit"), ({}, "sufficiency-v2")):
         for kind in ("cluster", "mtc"):
             out = tmp_path / f"{kind}-{drawn}"
             ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, **spec), out_dir=out)
@@ -727,6 +727,21 @@ def test_manifest_of_the_unpacked_rademacher_draw_replays_as_a_mismatch(tmp_path
     assert any(line.startswith("MISMATCH coupling.csv") for line in report)
 
 
+def test_manifest_of_the_blocks_of_16_replays_as_a_mismatch(tmp_path, monkeypatch):
+    # Gaussian row sums in blocks of 16 new drivers, as before blocks of L - 1
+    monkeypatch.setattr(pg, "_sums_block", lambda taps: 16)
+    out = tmp_path / "run"
+    ex.run(_cfg(kind="mtc", reps=10, eta=0.1, jobs=1), out_dir=out)
+    monkeypatch.undo()
+    raw = json.loads((out / "manifest.json").read_text())
+    del raw["environment"]["row_sums"]  # not recorded before the blocks of L - 1
+    (out / "manifest.json").write_text(json.dumps(raw))
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r")
+    assert not ok
+    assert report[0] == "ENV changed: row_sums None -> blocks-of-L-1"
+    assert any(line.startswith("MISMATCH mtc.csv") for line in report)
+
+
 @pytest.mark.parametrize("body, key", [
     ("n = 30\n", "p"),
     ("p = 1e3\nn = 30\n", "p"),
@@ -798,9 +813,11 @@ def test_manifest_records_environment_and_replay_reports_it(tmp_path, monkeypatc
     out = tmp_path / "run"
     m = ex.run(_cfg(reps=10, eta=0.1, jobs=1), out_dir=out)
     assert m.environment == ex.environment()
-    assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator", "rademacher"}
+    assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator", "rademacher",
+                                  "row_sums"}
     assert m.environment["bit_generator"] == "PCG64"
     assert m.environment["rademacher"] == "packed-bytes"
+    assert m.environment["row_sums"] == "blocks-of-L-1"
     ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r1")
     assert ok and report[0].startswith("ENV same")
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from exceedlab import experiments as ex
@@ -326,27 +326,35 @@ def _moment_z(s1, s2, spec, rows, pair_rows):
     return z
 
 
+# Strong filters of L = 6 taps (the benchmark's kappa = 5 band) and L = 9,
+# the narrowest filter whose frames are worked one matrix at a time.
+STRONG6 = pg.DependenceModel.gaussian_kdep((0.6, 0.45, 0.3, 0.2, 0.1))
+STRONG9 = pg.DependenceModel.gaussian_kdep(tuple(0.6 * (8 - m) / 8 for m in range(8)))
+
+
 def test_row_sums_exact_second_moments():
-    # n = 30: blocks of K = 16 new drivers; p = 640 rows span 40 blocks,
-    # more than one chunk of blocks.
-    spec = _strong_spec(640, 30, seed=41)
-    s1, s2 = _sums(spec, 2000)
-    K = 16
-    everywhere = _moment_z(s1, s2, spec, slice(None),
-                           lambda m: np.arange(spec.p - m))
+    # n = 30 at K = L - 1 for L = 3, 6 and 9; p = 640 rows span more than
+    # one chunk of blocks at each K
+    for model in (STRONG, STRONG6, STRONG9):
+        spec = pg.PanelSpec(p=640, n=30, model=model, law=pg.InnovationLaw.normal(),
+                            seed=41)
+        s1, s2 = _sums(spec, 2000)
+        K = pg._sums_block(model.kappa + 1)
+        everywhere = _moment_z(s1, s2, spec, slice(None),
+                               lambda m: np.arange(spec.p - m))
 
-    def straddling(m):
-        i = np.arange(spec.p - m)
-        return i[i // K != (i + m) // K]
+        def straddling(m):
+            i = np.arange(spec.p - m)
+            return i[i // K != (i + m) // K]
 
-    # rows whose window reaches into the carried drivers, and pairs that
-    # straddle a block boundary
-    straddle = _moment_z(s1, s2, spec,
-                         np.flatnonzero(np.arange(spec.p) % K < spec.model.kappa),
-                         straddling)
-    for label, z in (("all rows", everywhere), ("block boundaries", straddle)):
-        bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
-        assert not bad, (label, bad)
+        # rows whose window reaches into the carried drivers, and pairs
+        # that straddle a block boundary
+        straddle = _moment_z(s1, s2, spec,
+                             np.flatnonzero(np.arange(spec.p) % K < model.kappa),
+                             straddling)
+        for label, z in (("all rows", everywhere), ("block boundaries", straddle)):
+            bad = {k: round(v, 2) for k, v in z.items() if abs(v) > Z_MAX}
+            assert not bad, (model.kappa + 1, label, bad)
 
 
 def test_row_sums_smallest_group_size():
@@ -387,6 +395,10 @@ def test_row_sums_max_t_matches_explicit_panels():
 _SPLIT_SPECS = (
     _strong_spec(1100, 30, seed=0),  # more blocks than one chunk
     _strong_spec(600, 5, seed=0),  # n = 2L - 1, more blocks than one chunk
+    # L = 6: each carry is the previous block's new rows; 7 chunks of
+    # blocks, worked in 1 to 4 passes as the batch grows from 1 to 9
+    pg.PanelSpec(p=3600, n=40, model=STRONG6, law=pg.InnovationLaw.normal()),
+    pg.PanelSpec(p=600, n=20, model=STRONG9, law=pg.InnovationLaw.normal()),
     pg.PanelSpec(p=257, n=9, model=pg.DependenceModel.moving_average(4),
                  law=pg.InnovationLaw.normal(), offsets=((3, 1.0), (257, 0.5))),
     pg.PanelSpec(p=60, n=5, model=pg.DependenceModel.iid(),
@@ -395,6 +407,7 @@ _SPLIT_SPECS = (
 
 
 @settings(max_examples=30, deadline=None)
+@example(which=2, seed=0, reps=list(range(9)), cuts=[1])
 @given(
     which=st.integers(0, len(_SPLIT_SPECS) - 1),
     seed=st.integers(0, 2**64 - 1),
@@ -410,6 +423,23 @@ def test_row_sums_bit_identical_across_batch_splits(which, seed, reps, cuts):
         joined = np.concatenate([part[k] for part in parts])
         assert joined.shape == (len(reps), spec.p)
         assert joined.tobytes() == whole[k].tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 10, 20])
+def test_gram_cholesky_matches_lapack(c):
+    # stacks of c rows shaped as a frame's last c rows (D = 2c columns, row i
+    # vanishing beyond column c + i); in the second half every row is within
+    # 1% of the first, Gram condition numbers up to ~1e7
+    rng = np.random.default_rng(c)
+    stack, D = 40, 2 * c
+    support = np.arange(D) <= c + np.arange(c)[:, None]
+    rows = rng.standard_normal((stack, c, D)) * support
+    rows[stack // 2:] = (rows[stack // 2:, :1] + 1e-2 * rows[stack // 2:]) * support
+    got = np.moveaxis(pg._gram_cholesky(np.moveaxis(rows, 0, -1)), -1, 0)
+    want = np.linalg.cholesky(rows @ rows.swapaxes(-1, -2))
+    assert not np.any(np.triu(got, 1))
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() <= 1e-12, err.max()
 
 
 def test_row_sums_offsets_shift_in_closed_form():
@@ -439,7 +469,7 @@ def test_row_sums_refuses_what_it_cannot_draw():
     assert s1.shape == s2.shape == (0, 10)
 
 
-def test_row_sums_preferred_from_six_new_drivers_per_block():
+def test_row_sums_preferred_from_n_minus_L_of_six():
     normal = pg.InnovationLaw.normal()
     iid = pg.DependenceModel.iid()
     assert pg.row_sums_preferred(pg.PanelSpec(p=10, n=2, model=iid, law=normal))
@@ -454,7 +484,7 @@ def test_row_sums_preferred_from_six_new_drivers_per_block():
 
 
 def test_row_sums_wide_filter_moments():
-    # L = 21 > 16 taps: blocks grow to K = L - 1 new drivers
+    # L = 21: blocks of K = L - 1 = 20 new drivers, worked one frame at a time
     model = pg.DependenceModel.gaussian_kdep(tuple(0.6 * (20 - m) / 20 for m in range(20)))
     spec = pg.PanelSpec(p=200, n=41, model=model, law=pg.InnovationLaw.normal(), seed=61)
     s1, s2 = _sums(spec, 2000)
