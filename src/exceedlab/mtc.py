@@ -20,12 +20,15 @@ Degenerate rows flow through unchanged (T = +inf maps to p-value 0,
 T = -inf to 1).
 
 :class:`TailDecider` runs BH and step-down together on the statistics
-and computes p-values only for the rows either could reject: BH rejects
-only p <= q, step-down only p <= a (its last critical value is a).  Rows
-with T below the upper quantile of max(q, a) therefore never get a
-p-value or a place in the sort, and the decisions equal those of
-:func:`bh_fdr` and :func:`stepdown_fwer` on every p-value, which stay as
-the reference.
+and decides them in T space.  BH rejects only p <= q, step-down only
+p <= a (its last critical value is a), so rows with T below the upper
+quantile of max(q, a) never get a place in the sort.  The candidates are
+counted against the critical values mapped to T, c_k = the upper
+quantile of u_k, solved once per decider for every stage of both
+procedures; a p-value is computed only for a T within a band of
+relative width 1e-6 around some c_k, and only where that T could change
+whether stage k passes.  The decisions equal those of :func:`bh_fdr` and
+:func:`stepdown_fwer` on every p-value, which stay as the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from exceedlab.exceedance import wilson_interval
-from exceedlab.numerics import student_t_quantile, student_t_sf, threshold_regime
+from exceedlab.numerics import (
+    student_t_isf, student_t_quantile, student_t_sf, threshold_regime,
+)
 
 __all__ = [
     "BinCounts",
@@ -73,6 +78,9 @@ class StudentTMarginal:
     def upper_quantile(self, q: float) -> float:
         return -student_t_quantile(q, self.df)
 
+    def upper_quantiles(self, levels) -> np.ndarray:
+        return student_t_isf(levels, self.df)
+
     def describe(self) -> str:
         return f"student-t(df={self.df:g})"
 
@@ -97,6 +105,9 @@ class StudentizedNormalMarginal:
 
     def upper_quantile(self, q: float) -> float:
         return -student_t_quantile(q, self.n - 1) / self._scale
+
+    def upper_quantiles(self, levels) -> np.ndarray:
+        return student_t_isf(levels, self.n - 1) / self._scale
 
     def describe(self) -> str:
         return f"studentized-normal(n={self.n})"
@@ -269,10 +280,20 @@ def _nonnull_mask(nonnull, m: int) -> np.ndarray:
     return mask
 
 
+def _refuse_nan(values: np.ndarray, what: str) -> None:
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise ValueError(
+            f"{what} must not be NaN: {nan.size} of {values.size} are, "
+            f"the first at test {nan[0] + 1}"
+        )
+
+
 def _check_p_values(p_values) -> np.ndarray:
     pv = np.asarray(p_values, dtype=float)
     if pv.ndim != 1:
         raise ValueError("p-values must form a vector")
+    _refuse_nan(pv, "p-values")
     if np.any((pv < 0.0) | (pv > 1.0)):
         raise ValueError("p-values must lie in [0, 1]")
     return pv
@@ -283,20 +304,29 @@ def _check_level(level: float, name: str) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {level!r}")
 
 
-def _bh_count(sorted_pv: np.ndarray, q: float, m: int) -> int:
-    """How many BH rejects, given the smallest p-values of m in ascending order."""
-    ok = sorted_pv <= q * np.arange(1, sorted_pv.size + 1) / m
-    return int(np.flatnonzero(ok).max()) + 1 if ok.any() else 0
+def _bh_levels(q: float, m: int, start: int, stop: int) -> np.ndarray:
+    """BH's critical values q k / m at stages k = start + 1 .. stop of m tests."""
+    return q * np.arange(start + 1, stop + 1) / m
 
 
-def _stepdown_count(sorted_pv: np.ndarray, a: float, m: int) -> int:
-    """How many step-down rejects, given the smallest p-values of m in ascending order."""
-    remaining = m - np.arange(sorted_pv.size)
+def _stepdown_levels(a: float, m: int, start: int, stop: int) -> np.ndarray:
+    """Step-down's critical values 1 - (1 - a)^(1/(m - k + 1)) at stages k = start + 1 .. stop."""
+    remaining = m - np.arange(start, stop)
     crit = -np.expm1(np.log1p(-a) / remaining)
     # exactly a at the last stage, where the rounded form can fall below it
     crit[remaining == 1] = a
-    ok = sorted_pv <= crit
-    return sorted_pv.size if bool(ok.all()) else int(np.argmin(ok))
+    return crit
+
+
+def _step_up(ok: np.ndarray) -> int:
+    """The largest stage k with ``ok[k - 1]``, or 0: how many BH rejects."""
+    hits = np.flatnonzero(ok)
+    return int(hits[-1]) + 1 if hits.size else 0
+
+
+def _step_down(ok: np.ndarray) -> int:
+    """The length of the leading run of ``ok``: how many step-down rejects."""
+    return ok.size if bool(ok.all()) else int(np.argmin(ok))
 
 
 def _bh_report(rows: np.ndarray, q: float, m: int, nonnull) -> DecisionReport:
@@ -326,8 +356,9 @@ def bh_fdr(p_values, q: float, nonnull=None) -> DecisionReport:
     """
     pv = _check_p_values(p_values)
     _check_level(q, "FDR level q")
+    m = pv.size
     order = np.argsort(pv, kind="stable")
-    return _bh_report(order[:_bh_count(pv[order], q, pv.size)], q, pv.size, nonnull)
+    return _bh_report(order[:_step_up(pv[order] <= _bh_levels(q, m, 0, m))], q, m, nonnull)
 
 
 def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
@@ -345,9 +376,10 @@ def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
     """
     _check_level(a, "FWER level a")
     pv = _check_p_values(p_values)
+    m = pv.size
     order = np.argsort(pv, kind="stable")
     return _stepdown_report(
-        order[:_stepdown_count(pv[order], a, pv.size)], a, pv.size, nonnull)
+        order[:_step_down(pv[order] <= _stepdown_levels(a, m, 0, m))], a, m, nonnull)
 
 
 # Relative widening of the candidate level max(q, a): far above the
@@ -355,16 +387,38 @@ def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
 # below the cut has a computed p-value above max(q, a).
 _CUT_MARGIN = 1e-6
 
+# Half-width of the band around each critical value c_k in T, relative to
+# max(1, |c_k|): far above the error of the solve and the rounding of the
+# p-values, so that a statistic outside the band lies on the same side of
+# c_k as its p-value does of u_k.  The table checks this at the band's ends.
+_BAND = 1e-6
+
 
 class TailDecider:
     """BH at FDR level q and step-down FWER at level a from the upper tail of T.
 
     Gives the reports of :func:`bh_fdr` and :func:`stepdown_fwer` on the
-    p-values of every test, but computes p-values for, and sorts, only
-    the candidates: the rows with T at or above the cut, the upper
-    ``marginal`` quantile of max(q, a) widened by ``_CUT_MARGIN``.  Every
-    other row has a p-value above max(q, a), which neither procedure can
-    reject.  The cut is solved once, here, for every panel decided.
+    p-values of every test, but sorts only the candidates, the rows with
+    T at or above the cut: the upper ``marginal`` quantile of max(q, a)
+    widened by ``_CUT_MARGIN``.  Every other row has a p-value above
+    max(q, a), which neither procedure can reject.  The cut is solved
+    once, here, for every panel decided.
+
+    The candidates are decided in T space.  With N(u) = #{p_i <= u} and
+    u_k the critical value of stage k, BH rejects k* = max{k : N(u_k) >= k}
+    tests, and step-down as many as the leading run of stages with
+    N(u_k) >= k.  Since u_k never decreases in k, the rejected tests are
+    then exactly those with p <= u_k at that stage.  N(u_k) is counted by
+    searching the sorted candidate T for c_k, the upper ``marginal``
+    quantile of u_k.  The table of c_k is solved by one vectorised call of
+    ``marginal.upper_quantiles`` for the stages of both procedures; it is
+    kept for every panel of the same m, and grows on demand to an eighth
+    more stages than the most candidates seen.  A T within
+    ``_BAND * max(1, |c_k|)`` of c_k gets its p-value, but only where it
+    could decide whether N(u_k) >= k.  The table checks that the sf at
+    each band's ends falls strictly on either side of u_k; a stage whose
+    check fails gets an infinite band, and is then decided on the
+    p-values of the candidates.
     """
 
     def __init__(self, marginal, q: float, a: float):
@@ -373,6 +427,33 @@ class TailDecider:
         self.marginal, self.q, self.a = marginal, q, a
         level = max(q, a) * (1.0 + _CUT_MARGIN)
         self.cut = marginal.upper_quantile(level) if level < 1.0 else -math.inf
+        # levels u_k and band ends around c_k; rows BH and step-down, columns k = 1, 2, ..
+        self._m = None
+        self._u = self._lo = self._hi = np.empty((2, 0))
+
+    def _reach(self, stages: int, m: int) -> None:
+        """Extend the tables of m tests to at least ``stages`` stages."""
+        if m != self._m:
+            self._m = m
+            self._u = self._lo = self._hi = np.empty((2, 0))
+        have = self._u.shape[1]
+        if stages <= have:
+            return
+        stop = min(m, stages + stages // 8)
+        u = np.stack([_bh_levels(self.q, m, have, stop),
+                      _stepdown_levels(self.a, m, have, stop)])
+        levels = np.concatenate([self._u, u], axis=1)
+        if np.any(np.diff(levels, axis=1) < 0.0):
+            raise ArithmeticError("a critical value decreases from one stage to the next")
+        c = np.asarray(self.marginal.upper_quantiles(u), dtype=float)
+        width = _BAND * np.maximum(1.0, np.abs(c))
+        lo, hi = c - width, c + width
+        sf_lo, sf_hi = np.asarray(self.marginal.sf(np.stack([lo, hi])), dtype=float)
+        failed = ~((sf_lo > u) & (sf_hi <= u))
+        lo[failed], hi[failed] = -math.inf, math.inf
+        self._u = levels
+        self._lo = np.concatenate([self._lo, lo], axis=1)
+        self._hi = np.concatenate([self._hi, hi], axis=1)
 
     def decide(self, t, nonnull=None) -> tuple[DecisionReport, DecisionReport]:
         """(BH report, step-down report) for the statistics ``t`` of m tests.
@@ -384,24 +465,54 @@ class TailDecider:
         the same side of the cut.  Should either procedure reject every
         candidate, the rows below the cut are next in line, and the
         decision is taken on the p-values of all m tests instead, so that
-        it never rests on the margin alone.
+        it never rests on the margin alone.  NaN statistics are refused.
         """
         values = np.asarray(getattr(t, "t", t), dtype=float)
         if values.ndim != 1:
             raise ValueError("statistics must form a vector")
+        _refuse_nan(values, "statistics")
         m = values.shape[0]
         rows = np.flatnonzero(values >= self.cut)
-        pv = one_sided_p_values(values[rows], self.marginal)
-        order = np.argsort(pv, kind="stable")
-        sorted_pv = pv[order]
-        k_bh = _bh_count(sorted_pv, self.q, m)
-        k_sd = _stepdown_count(sorted_pv, self.a, m)
-        if rows.size in (k_bh, k_sd):
+        rows = rows[np.argsort(values[rows])]
+        ts, size = values[rows], rows.size
+        self._reach(size, m)
+        u, lo, hi = (table[:, :size] for table in (self._u, self._lo, self._hi))
+        # sorted positions [start, stop) hold the T inside a band, [stop, size)
+        # those above it: N(u_k) is at least size - stop and at most size - start
+        # (c_k falls with k: the keys go in reversed, rising, which searches faster)
+        start = np.searchsorted(ts, lo[:, ::-1], "right")[:, ::-1]
+        stop = np.searchsorted(ts, hi[:, ::-1], "left")[:, ::-1]
+        stages = np.arange(1, size + 1)
+        ok = size - stop >= stages
+        unsure = np.argwhere(~ok & (size - start >= stages))
+        pv = np.full(size, np.nan)
+        if unsure.size:
+            near = np.unique(np.concatenate([np.arange(start[j, k], stop[j, k])
+                                             for j, k in unsure]))
+            pv[near] = one_sided_p_values(ts[near], self.marginal)
+            for j, k in unsure:
+                band = pv[start[j, k]:stop[j, k]]
+                ok[j, k] = size - stop[j, k] + np.count_nonzero(band <= u[j, k]) > k
+        k_bh, k_sd = _step_up(ok[0]), _step_down(ok[1])
+        if size in (k_bh, k_sd):
             pv_all = one_sided_p_values(values, self.marginal)
             return (bh_fdr(pv_all, self.q, nonnull),
                     stepdown_fwer(pv_all, self.a, nonnull))
-        return (_bh_report(rows[order[:k_bh]], self.q, m, nonnull),
-                _stepdown_report(rows[order[:k_sd]], self.a, m, nonnull))
+
+        def rejected(j: int, k: int) -> np.ndarray:
+            """The candidates with p <= u_k of procedure j (0 BH, 1 step-down).
+
+            Where stage k was sure, N(u_k) = k = size - stop: no T of its
+            band counts, and none has a p-value.
+            """
+            if k == 0:
+                return rows[:0]
+            band = np.arange(start[j, k - 1], stop[j, k - 1])
+            above = np.arange(stop[j, k - 1], size)
+            return rows[np.concatenate([band[pv[band] <= u[j, k - 1]], above])]
+
+        return (_bh_report(rejected(0, k_bh), self.q, m, nonnull),
+                _stepdown_report(rejected(1, k_sd), self.a, m, nonnull))
 
 
 def single_threshold(rows, t: float, nonnull=None) -> DecisionReport:

@@ -43,6 +43,7 @@ __all__ = [
     "phi_bound",
     "student_t_cdf",
     "student_t_dual_gap",
+    "student_t_isf",
     "student_t_pdf",
     "student_t_quantile",
     "student_t_sf",
@@ -364,6 +365,79 @@ def _quantile_newton(
             return x_new
         x = x_new
     return x
+
+
+def _normal_isf_guess(u: np.ndarray) -> np.ndarray:
+    """Acklam's rational approximation of z with 1 - Phi(z) = u, elementwise.
+
+    Apart from :func:`_normal_quantile_guess`, whose scalar arithmetic fixes
+    the bits of :func:`normal_quantile` and the levels derived from it.
+    """
+    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    small = np.minimum(u, 1.0 - u)
+    r = np.sqrt(-2.0 * np.log(small))
+    tail = np.polyval(c, r) / np.polyval((*d, 1.0), r)  # Phi^{-1}(small) < 0
+    s = u - 0.5
+    central = np.polyval(a, s * s) * s / np.polyval((*b, 1.0), s * s)
+    return np.where(small < 0.02425, np.where(u <= 0.5, -tail, tail), -central)
+
+
+def student_t_isf(u, df: float) -> np.ndarray:
+    """Upper quantiles: x with ``student_t_sf(x, df) = u``, elementwise on (0, 1).
+
+    The vectorised counterpart of ``-student_t_quantile(u, df)``, for many
+    levels at once.  Newton steps on log sf start from the closed form at
+    df = 1 and 2, and otherwise from the Cornish-Fisher expansion about
+    the normal quantile.  A step that leaves the bracket the evaluated sf
+    values give bisects it, or steps max(1, |end|) past the end of a
+    one-sided one.  Each step evaluates the sf of every level not yet
+    converged in one call.  A level has converged when its Newton step is
+    within 1e-8 * max(1, |x|), so its error is about the square of that;
+    the looser bound is what the sf's own rounding allows near u = 1/2 at
+    df in the millions.  After 100 steps the last iterate is returned, as
+    :func:`student_t_quantile` does after 200.  The results need not equal
+    that function's bit for bit.
+    """
+    df = _check_df(df)
+    levels = np.asarray(u, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise ValueError("quantile levels must lie in (0, 1)")
+    flat = levels.ravel()
+    if df == 1.0:  # Cauchy and df = 2 have closed forms
+        x = 1.0 / np.tan(math.pi * flat)
+    elif df == 2.0:
+        x = (1.0 - 2.0 * flat) / np.sqrt(2.0 * flat * (1.0 - flat))
+    else:
+        z = _normal_isf_guess(flat)
+        x = (z + (z ** 3 + z) / (4.0 * df)
+             + (5.0 * z ** 5 + 16.0 * z ** 3 + 3.0 * z) / (96.0 * df * df))
+    lo = np.full_like(x, -math.inf)
+    hi = np.full_like(x, math.inf)
+    log_norm = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+                - 0.5 * math.log(df * math.pi))
+    active = np.arange(x.size)
+    for _ in range(100):
+        if active.size == 0:
+            break
+        xa, ua = x[active], flat[active]
+        sf = student_t_sf(xa, df)
+        la = np.where(sf > ua, xa, lo[active])
+        ha = np.where(sf < ua, xa, hi[active])
+        lo[active], hi[active] = la, ha
+        density = np.exp(log_norm - 0.5 * (df + 1.0) * np.log1p(xa * xa / df))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = (np.log(sf) - np.log(ua)) * sf / density
+            step[sf == ua] = 0.0
+            new = xa + step
+            done = np.abs(step) <= 1e-8 * np.maximum(1.0, np.abs(xa))
+            out = ~done & ~((new > la) & (new < ha))
+            la, ha = la[out], ha[out]
+            new[out] = np.where(np.isinf(la), ha - np.maximum(1.0, np.abs(ha)),
+                                np.where(np.isinf(ha), la + np.maximum(1.0, np.abs(la)),
+                                         0.5 * (la + ha)))
+        x[active] = new
+        active = active[~done]
+    return x.reshape(levels.shape)
 
 
 def student_t_quantile(u: float, df: float) -> float:

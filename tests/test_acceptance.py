@@ -151,6 +151,19 @@ def test_acceptance_3_numerics_oracles():
     )
 
 
+def _criterion4_cluster_fraction(summary: dict) -> tuple[bool, float, float]:
+    """Criterion 4 (b): (pass, fraction, bound) for a cluster summary.
+
+    The fraction of replicates with two exceedances within kappa rows of
+    each other passes iff it is at most phi + 3 SE.
+    """
+    reps = summary["replicates"]
+    frac = summary["within_kappa_cluster_fraction"]
+    se_frac = math.sqrt(max(frac * (1.0 - frac), 1.0 / reps) / reps)
+    bound = summary["phi_nominal"] + 3.0 * se_frac
+    return frac <= bound, frac, bound
+
+
 def test_acceptance_4_upper_tail_independence_desk_scale(criterion4_runs):
     summary = json.loads((criterion4_runs[2] / "cluster_summary.json").read_text())
     reps = summary["replicates"]
@@ -161,9 +174,7 @@ def test_acceptance_4_upper_tail_independence_desk_scale(criterion4_runs):
     se_any = math.sqrt(emp * (1.0 - emp) / reps)
     ok_a = abs(emp - ref) <= phi + 3.0 * se_any
 
-    frac = summary["within_kappa_cluster_fraction"]
-    se_frac = math.sqrt(max(frac * (1.0 - frac), 1.0 / reps) / reps)
-    ok_b = frac <= phi + 3.0 * se_frac
+    ok_b, frac, bound_b = _criterion4_cluster_fraction(summary)
 
     q = summary["q_single_exact_normal"]
     p = 10_000
@@ -183,10 +194,30 @@ def test_acceptance_4_upper_tail_independence_desk_scale(criterion4_runs):
     _report(
         4, "upper-tail independence at desk scale", ok_a and ok_b and ok_c,
         f"(a) |{emp:.4f}-{ref:.4f}|={abs(emp-ref):.4f} <= phi+3SE={phi + 3 * se_any:.4f}; "
-        f"(b) cluster fraction {frac:.5f} <= {phi + 3 * se_frac:.4f}; "
+        f"(b) cluster fraction {frac:.5f} <= {bound_b:.4f}; "
         f"(c) TV(counts, Binomial)={tv:.4f} <= 0.02 "
         f"[t={summary['t_level']:.4f}, q_single={q:.3e}]",
     )
+
+
+@pytest.mark.parametrize("n, in_regime", [(8, False), (200, True)])
+def test_criterion_4_cluster_fraction_fails_out_of_regime(n, in_regime, tmp_path):
+    # Criterion 4's negative control.  The claim needs n to grow faster than
+    # log p: at n = 8 (log p / n = 1.15) a rho = 0.5 panel clusters its
+    # exceedances, and (b) must fail; the same panel at n = 200 passes.
+    # Measured before the seed was fixed: at 500 replicates (b) failed on
+    # 10 of 10 seeds at n = 8 (fraction 0.608-0.662 against bounds of at
+    # most 0.466) and passed on 10 of 10 at n = 200 (at most 0.008 against
+    # at least 0.406); criterion 4's own runs are untouched.
+    spec = pg.PanelSpec(
+        p=10_000, n=n, model=pg.DependenceModel.gaussian_kdep((0.5,)),
+        law=pg.InnovationLaw.normal(), seed=SEED + 4,
+    )
+    ex.run(ex.ExperimentConfig(kind="cluster", panel=spec, eta=0.05, reps=500, jobs=2),
+           out_dir=tmp_path)
+    summary = json.loads((tmp_path / "cluster_summary.json").read_text())
+    ok, frac, bound = _criterion4_cluster_fraction(summary)
+    assert ok is in_regime, f"n = {n}: cluster fraction {frac:.4f} against {bound:.4f}"
 
 
 def test_acceptance_5_pair_tail_shape():

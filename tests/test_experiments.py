@@ -664,15 +664,20 @@ def _mtc_records_explicit(cfg):
     return records
 
 
-@pytest.mark.parametrize("model, law, n, bh_q, fwer_a", [
-    (pg.DependenceModel.gaussian_kdep((0.3, 0.1)), pg.InnovationLaw.normal(), 12, 0.1, 0.05),
+@pytest.mark.parametrize("model, law, n, bh_q, fwer_a, p, reps", [
+    (pg.DependenceModel.gaussian_kdep((0.3, 0.1)), pg.InnovationLaw.normal(), 12, 0.1, 0.05,
+     400, 60),
     # few distinct T on n = 6 cells of +-1: T ties heavily at every level
-    (pg.DependenceModel.moving_average(2), pg.InnovationLaw.rademacher(), 6, 0.2, 0.3),
-], ids=["gaussian", "rademacher"])
-def test_mtc_records_equal_the_explicit_decisions(model, law, n, bh_q, fwer_a):
-    offsets = tuple((i, 1.5) for i in range(1, 400, 37))
-    panel = pg.PanelSpec(p=400, n=n, model=model, law=law, seed=23, offsets=offsets)
-    cfg = ex.ExperimentConfig(kind="mtc", panel=panel, reps=60, eta=0.05, jobs=1,
+    (pg.DependenceModel.moving_average(2), pg.InnovationLaw.rademacher(), 6, 0.2, 0.3,
+     400, 60),
+    # the genomics shape: ~2,200 candidates per replicate, decided in T space
+    (pg.DependenceModel.gaussian_kdep((0.1, 0.08, 0.06, 0.04, 0.02)), pg.InnovationLaw.normal(),
+     40, 0.1, 0.05, 20_000, 8),
+], ids=["gaussian", "rademacher", "genomics"])
+def test_mtc_records_equal_the_explicit_decisions(model, law, n, bh_q, fwer_a, p, reps):
+    offsets = tuple((i, 1.5) for i in range(1, p, max(37, p // 200)))
+    panel = pg.PanelSpec(p=p, n=n, model=model, law=law, seed=23, offsets=offsets)
+    cfg = ex.ExperimentConfig(kind="mtc", panel=panel, reps=reps, eta=0.05, jobs=1,
                               bh_q=bh_q, fwer_a=fwer_a)
     fast = ex._mtc_worker(cfg, 0, cfg.reps)
     assert fast == _mtc_records_explicit(cfg)

@@ -314,14 +314,24 @@ class _PValueMarginal:
     def upper_quantile(self, q):
         return -q
 
+    def upper_quantiles(self, levels):
+        return -np.asarray(levels, dtype=float)
+
+
+class _RoundedPValueMarginal(_PValueMarginal):
+    """T = -p with p rounded to a multiple of 2^-40: distinct T share a p-value."""
+
+    def sf(self, x):
+        return np.round(super().sf(x) * 2.0 ** 40) / 2.0 ** 40
+
 
 def _as_tuple(report):
     return (report.procedure, report.kind, report.nominal, report.n_tests,
             report.rejected.tolist(), report.false_rejections, report.fdp)
 
 
-def _decide_both_ways(values, marginal, q, a, nonnull):
-    decider = mtc.TailDecider(marginal, q, a)
+def _decide_both_ways(values, marginal, q, a, nonnull, decider=None):
+    decider = decider or mtc.TailDecider(marginal, q, a)
     mask = np.zeros(values.size, dtype=bool)
     mask[np.asarray(nonnull, dtype=np.int64) - 1] = True
     fast = decider.decide(values, mask)
@@ -333,49 +343,136 @@ def _decide_both_ways(values, marginal, q, a, nonnull):
 
 # A statistic is drawn as a code: a value tied exactly at the cut, the
 # floats either side of it, the upper q and a quantiles, +-inf, the
-# degenerate T = 1.0, or any float.
+# degenerate T = 1.0, any float, or the T-space critical value c_k of
+# BH or step-down at stage k (taken mod m) moved by whole ulps, or by
+# 2^-42 either way, less than the rounded marginal's step in p.
+_SHIFTS = [0, 1, -1, 2, -2, 2.0 ** -42, -2.0 ** -42]
 _T_CODES = hst.lists(
     hst.one_of(hst.sampled_from(["cut", "below", "above", "q", "a", "inf", "-inf", "one"]),
+               hst.tuples(hst.sampled_from(["bh", "sd"]), hst.integers(1, 60),
+                          hst.sampled_from(_SHIFTS)),
                hst.floats(-4.0, 12.0)),
     min_size=1, max_size=60,
 )
+# levels on both sides of 1/2, where c_k < 0
+_DECIDER_LEVELS = hst.floats(1e-4, 0.95)
+
+
+def _critical_value(code, marginal, q, a, m):
+    kind, k, shift = code
+    k = (k - 1) % m
+    level = (mtc._bh_levels(q, m, k, k + 1) if kind == "bh"
+             else mtc._stepdown_levels(a, m, k, k + 1))
+    c = float(marginal.upper_quantiles(level)[0])
+    if isinstance(shift, float):
+        return c + shift
+    for _ in range(abs(shift)):
+        c = np.nextafter(c, math.copysign(math.inf, shift))
+    return c
 
 
 @settings(max_examples=400, deadline=None)
-@given(codes=_T_CODES, n=hst.sampled_from([None, 2, 3, 5, 40]), q=_LEVELS, a=_LEVELS,
-       data=hst.data())
+@given(codes=_T_CODES, n=hst.sampled_from([None, "rounded", 2, 3, 5, 40]),
+       q=_DECIDER_LEVELS, a=_DECIDER_LEVELS, data=hst.data())
 # every row is a candidate and every one is rejected: the full-vector fallback
 @example(codes=["inf", "inf"], n=40, q=0.1, a=0.05, data=None)
 # m = 1 at p exactly a: the last step-down critical value is a itself
 @example(codes=[-0.25], n=None, q=0.1, a=0.25, data=None)
 @example(codes=[-0.25], n=None, q=0.25, a=0.1, data=None)
+# T at, and one ulp either side of, critical values whose p-values tie with them
+@example(codes=[("bh", 1, 0), ("bh", 2, 0), ("sd", 1, 0), 8.0, 9.0], n=None,
+         q=0.3, a=0.2, data=None)
+@example(codes=[("bh", 1, 1), ("bh", 2, -1), ("sd", 2, 1), ("sd", 1, -1), 0.5, 0.5],
+         n=None, q=0.3, a=0.2, data=None)
+# ties in p that straddle c_2 of BH
+@example(codes=[("bh", 2, 2.0 ** -42), ("bh", 2, -2.0 ** -42), -0.9, -0.8], n="rounded",
+         q=0.6, a=0.7, data=None)
+@example(codes=[("bh", 2, 0), ("bh", 3, 0), ("sd", 1, 0), ("sd", 2, 0), 11.0], n=40,
+         q=0.1, a=0.05, data=None)
 def test_tail_decider_equals_bh_and_stepdown_on_every_p_value(codes, n, q, a, data):
-    marginal = _PValueMarginal() if n is None else mtc.StudentizedNormalMarginal(n)
-    cut = mtc.TailDecider(marginal, q, a).cut
+    marginal = {None: _PValueMarginal(), "rounded": _RoundedPValueMarginal()}.get(n)
+    marginal = marginal or mtc.StudentizedNormalMarginal(n)
+    decider = mtc.TailDecider(marginal, q, a)
+    cut, m = decider.cut, len(codes)
     named = {"cut": cut, "below": np.nextafter(cut, -np.inf),
              "above": np.nextafter(cut, np.inf), "q": marginal.upper_quantile(q),
              "a": marginal.upper_quantile(a), "inf": np.inf, "-inf": -np.inf, "one": 1.0}
-    if n is None:  # this marginal's statistic lives on [-1, 0]
+    if not isinstance(marginal, mtc.StudentizedNormalMarginal):
+        # this marginal's statistic lives on [-1, 0]
         codes = [c / -12.0 if isinstance(c, float) and c >= 0.0 else c for c in codes]
-    values = np.array([named.get(c, c) for c in codes], dtype=float)
-    nonnull = [] if data is None else data.draw(
-        hst.sets(hst.integers(1, values.size)), label="nonnull")
-    pv = _decide_both_ways(values, marginal, q, a, sorted(nonnull))
+    values = np.array([_critical_value(c, marginal, q, a, m) if isinstance(c, tuple)
+                       else named.get(c, c) for c in codes], dtype=float)
+    nonnull, kept = ([], values.size // 2) if data is None else (
+        data.draw(hst.sets(hst.integers(1, values.size)), label="nonnull"),
+        data.draw(hst.integers(0, values.size), label="kept"))
+    # first the leading rows alone, then all: the second decision may need
+    # more stages than the first built, and the table grows
+    fewer = np.where(np.arange(values.size) < kept, values, -np.inf)
+    _decide_both_ways(fewer, marginal, q, a, sorted(nonnull), decider)
+    pv = _decide_both_ways(values, marginal, q, a, sorted(nonnull), decider)
     below = pv[values < cut]
     assert np.all(below > max(q, a))  # the margin: no row below the cut is rejectable
 
 
-def test_tail_decider_decides_on_every_p_value_when_all_candidates_are_rejected(monkeypatch):
+def test_tail_decider_table_grows_and_resizes_with_the_test_count():
     marginal = mtc.StudentizedNormalMarginal(40)
+    decider = mtc.TailDecider(marginal, 0.1, 0.05)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(3000)
+    values[:40] = 6.0 + rng.random(40)
+    few = np.where(values > 1.8, values, 0.0)  # 160 candidates
+    _decide_both_ways(few, marginal, 0.1, 0.05, [1], decider)
+    built = decider._u.shape[1]
+    _decide_both_ways(values, marginal, 0.1, 0.05, [1], decider)  # 317 candidates
+    assert decider._u.shape[1] > built
+    _decide_both_ways(values[:1000], marginal, 0.1, 0.05, [1], decider)  # m changes
+    assert decider._m == 1000
+
+
+def _count_p_values(monkeypatch):
     sizes = []
     original = mtc.one_sided_p_values
     monkeypatch.setattr(mtc, "one_sided_p_values",
                         lambda rows, m: sizes.append(np.size(rows)) or original(rows, m))
+    return sizes
+
+
+def test_tail_decider_decides_on_every_p_value_when_all_candidates_are_rejected(monkeypatch):
+    marginal = mtc.StudentizedNormalMarginal(40)
+    sizes = _count_p_values(monkeypatch)
     values = np.full(500, -1.0)
     values[[3, 70]] = [np.inf, 12.0]  # the only candidates; both are rejected
     _decide_both_ways(values, marginal, 0.1, 0.05, [4])
-    assert sizes == [2, 500, 500]  # the candidates, every row, then the oracle's every row
+    assert sizes == [500, 500]  # every row, then the oracle's every row
     sizes.clear()
     values[70] = 2.5  # a candidate neither procedure rejects
     _decide_both_ways(values, marginal, 0.1, 0.05, [4])
-    assert sizes == [2, 500]
+    assert sizes == [500]  # the oracle's alone
+
+
+def test_tail_decider_computes_p_values_only_near_a_critical_value(monkeypatch):
+    marginal = mtc.StudentizedNormalMarginal(40)
+    sizes = _count_p_values(monkeypatch)
+    values = np.full(500, -1.0)
+    c1 = float(marginal.upper_quantiles(mtc._bh_levels(0.1, 500, 0, 1))[0])
+    values[[70, 71]] = [2.5, c1 * (1.0 + 2e-6)]  # both outside every band
+    _decide_both_ways(values, marginal, 0.1, 0.05, [4])
+    assert sizes == [500]  # the oracle's alone
+    sizes.clear()
+    values[71] = np.nextafter(c1, np.inf)  # inside c_1's band, where N(u_1) is 0 or 1
+    _decide_both_ways(values, marginal, 0.1, 0.05, [4])
+    assert sizes == [1, 500]
+    sizes.clear()
+    values[3] = np.inf  # N(u_1) >= 1 without it: the band no longer matters
+    _decide_both_ways(values, marginal, 0.1, 0.05, [4])
+    assert sizes == [500]
+
+
+def test_nan_p_values_and_statistics_are_refused():
+    pv = np.array([0.001, np.nan, 0.002])
+    for procedure in (mtc.bh_fdr, mtc.stepdown_fwer):
+        with pytest.raises(ValueError, match="p-values must not be NaN: 1 of 3 are, the first at test 2"):
+            procedure(pv, 0.1)
+    decider = mtc.TailDecider(mtc.StudentizedNormalMarginal(40), 0.1, 0.05)
+    with pytest.raises(ValueError, match="statistics must not be NaN: 2 of 4 are, the first at test 2"):
+        decider.decide(np.array([10.0, np.nan, 9.0, np.nan]))
