@@ -364,12 +364,16 @@ _RETIRED_KEYS = {
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
     """The summaries' tag for how :mod:`panelgen` draws the row sums:
-    "sufficiency-v2" (cluster and mtc, :func:`panelgen.row_sums` in blocks
-    of L - 1 new drivers) or "packed-sums" (coupling) where no cell is
-    drawn, otherwise "explicit", the panel's own stream."""
+    "sufficiency-v2" (mtc, :func:`panelgen.row_sums` in blocks of L - 1
+    new drivers), "sufficiency-v2-cut" (cluster, the same blocks drawn only
+    for the rows that can reach the level, :func:`panelgen.level_cut`) or
+    "packed-sums" (coupling) where no cell is drawn, otherwise "explicit",
+    the panel's own stream."""
     if cfg.kind == "coupling":
         return "packed-sums" if pg.rademacher_sums_supported(cfg.panel) else "explicit"
-    return "sufficiency-v2" if pg.row_sums_preferred(cfg.panel) else "explicit"
+    if not pg.row_sums_preferred(cfg.panel):
+        return "explicit"
+    return "sufficiency-v2-cut" if cfg.kind == "cluster" else "sufficiency-v2"
 
 
 def _effective_rho_max(cfg: ExperimentConfig) -> float:
@@ -504,19 +508,30 @@ def _block_scheme_for(cfg: ExperimentConfig, r_level: float) -> xc.BlockScheme:
     return xc.block_scheme(cfg.panel.p, cfg.panel.model.kappa, s=r_level)
 
 
-def _studentized_replicates(cfg: ExperimentConfig, start: int, stop: int):
+def _studentized_replicates(cfg: ExperimentConfig, start: int, stop: int,
+                            u_min: float = -math.inf):
     """Yield (rep, StudentizedRows) for replicates start..stop-1 in order.
 
     A few replicates are drawn at a time, so that the working arrays of
     :func:`panelgen.row_sums` stay within the size of one p x n panel.
+    With a ``u_min`` from :func:`panelgen.level_cut`, the rows that the
+    cut skips (sum2 NaN) take T = R = -inf: each stays below the level but
+    with a chance of at most delta.
     """
     spec = cfg.panel
     batch = max(1, min(64, spec.n // 4))
     for lo in range(start, stop, batch):
         reps = range(lo, min(lo + batch, stop))
-        sum1, sum2 = pg.panel_sums(spec, reps)
+        sum1, sum2 = pg.panel_sums(spec, reps, u_min)
         for k, rep in enumerate(reps):
-            yield rep, stu.studentize_sums(sum1[k], sum2[k], spec.n)
+            if u_min == -math.inf:
+                yield rep, stu.studentize_sums(sum1[k], sum2[k], spec.n)
+                continue
+            drawn = ~np.isnan(sum2[k])
+            rows = stu.studentize_sums(sum1[k][drawn], sum2[k][drawn], spec.n)
+            t, r = np.full((2, spec.p), -np.inf)
+            t[drawn], r[drawn] = rows.t, rows.r
+            yield rep, stu.StudentizedRows(t=t, r=r)
 
 
 # One row of cluster.csv; its fields are the table header.
@@ -529,8 +544,9 @@ def _cluster_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[Cluste
     t_level, r_level, _ = resolve_level(cfg)
     kappa = cfg.panel.model.kappa
     scheme = _block_scheme_for(cfg, r_level)
+    u_min, _ = pg.level_cut(cfg.panel, t_level)
     records = []
-    for rep, rows in _studentized_replicates(cfg, start, stop):
+    for rep, rows in _studentized_replicates(cfg, start, stop, u_min):
         exc = xc.extract(rows.t, t_level)
         cs = xc.cluster_stats(exc, scheme)
         within = cs.total >= 2 and 0 < cs.min_gap <= kappa
@@ -699,7 +715,7 @@ def _experiment_coupling(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[l
 def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
     t_level, r_level, gamma = resolve_level(cfg)
     records = _map_records(cfg, _cluster_worker, jobs)
-    table = _emit(cfg, out, "cluster", "exceedlab.cluster.v1",
+    table = _emit(cfg, out, "cluster", "exceedlab.cluster.v2",
                   list(ClusterRecord._fields), records)
 
     reps = cfg.reps
@@ -715,23 +731,32 @@ def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[li
         q_exact = float(mtc.StudentizedNormalMarginal(n).sf(t_level))
     q_t = float(student_t_sf(t_level, n - 1))
     phi = phi_bound(t_level, cfg.panel.p, gamma).phi_nominal
+    sampler = resolve_sampler(cfg)
+    p_any = any_hits / reps
+    p_ref = any_exceedence_prob(cfg.panel.p, q_exact if q_exact is not None else q_t)
+    se_any = math.sqrt(max(p_any * (1.0 - p_any), 1.0 / reps) / reps)
+    cut = None
+    if sampler == "sufficiency-v2-cut":
+        _, delta = pg.level_cut(cfg.panel, t_level)
+        cut = {"delta": delta, "tv_per_replicate": cfg.panel.p * delta,
+               "tv_bound": reps * cfg.panel.p * delta}
     summary = {
-        "schema_version": "exceedlab.cluster.v1",
-        "sampler": resolve_sampler(cfg),
+        "schema_version": "exceedlab.cluster.v2",
+        "sampler": sampler,
         "replicates": reps,
         "t_level": t_level,
         "r_level": r_level,
         "gamma": gamma,
         "phi_nominal": phi,
+        "p_any_gap_se": (p_any - p_ref) / se_any,
         "q_single_exact_normal": q_exact,
         "q_single_t_approx": q_t,
-        "p_any_empirical": any_hits / reps,
+        "p_any_empirical": p_any,
         "p_any_wilson": list(xc.wilson_interval(any_hits, reps)),
-        "p_any_independent_ref": any_exceedence_prob(
-            cfg.panel.p, q_exact if q_exact is not None else q_t
-        ),
+        "p_any_independent_ref": p_ref,
         "within_kappa_cluster_fraction": within_hits / reps,
         "event_f_fraction": f_holds / reps,
+        "level_cut": cut,
         "count_histogram": counts,
     }
     return [table], summary
@@ -799,8 +824,10 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "bit_generator": type(pg.stream(0).bit_generator).__name__,
         "rademacher": "packed-bytes",  # how +-1 cells are drawn; unrecorded before
-        # how row_sums blocks its Bartlett draw; unrecorded before blocks of L - 1
-        "row_sums": "blocks-of-L-1",
+        # how row_sums draws: Bartlett blocks of L - 1 new drivers and, for
+        # cluster, only the rows that can reach the level; unrecorded before
+        # the blocks of L - 1
+        "row_sums": "blocks-of-L-1; cluster cut at p*delta = 2^-64",
     }
 
 

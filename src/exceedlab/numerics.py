@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "LOGLOG_COEFF",
@@ -292,9 +291,19 @@ def student_t_cdf(x, df: float, method: str = "cf"):
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    xb = df / (df + xs * xs)
+    with np.errstate(over="ignore"):
+        sq = xs * xs
+    xb = df / (df + sq)
     tail = 0.5 * np.asarray(betainc_reg(0.5 * df, 0.5, xb, method=method))
     tail = np.atleast_1d(tail)
+    huge = np.isinf(sq) & np.isfinite(xs)
+    if huge.any():
+        # x * x overflows (|x| > ~1.3e154): xb = df / x^2 to the last bit,
+        # and I_xb(a, 1/2) is its leading term xb^a / (a B(a, 1/2)), the
+        # rest of the series being relatively below 1e-300
+        a = 0.5 * df
+        log_xb = math.log(df) - 2.0 * np.log(np.abs(xs[huge]))
+        tail[huge] = 0.5 * np.exp(a * log_xb - math.log(a) - _lbeta(a, 0.5))
     out = np.where(xs >= 0.0, 1.0 - tail, tail)
     out[np.isposinf(xs)] = 1.0
     out[np.isneginf(xs)] = 0.0
@@ -486,6 +495,8 @@ def bivariate_normal_tail(s: float, rho: float) -> float:
     base = normal_sf(s) ** 2
     if rho == 0.0:
         return base
+    from scipy.integrate import quad  # imported here: no run's hot path needs it
+
     ss = s * s
     val, err = quad(
         lambda theta: math.exp(-ss / (1.0 + math.sin(theta))),

@@ -61,6 +61,7 @@ __all__ = [
     "SpecError",
     "copies_sums",
     "generate",
+    "level_cut",
     "ma_filter_weights",
     "map_replicates",
     "matched_sums",
@@ -631,16 +632,18 @@ def _cells_sums(data: np.ndarray, spec: PanelSpec):
     return s1, s2
 
 
-def panel_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
+def panel_sums(spec: PanelSpec, replicates,
+               u_min: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Row sums (S1, S2) of the panels of ``spec``, each (len(replicates), p).
 
     Entry [k, i] belongs to row i + 1 of ``spec.with_replicate(replicates[k])``.
-    :func:`row_sums` draws them where :func:`row_sums_preferred` holds;
-    otherwise each replicate r is one :func:`copies_sums` copy from
-    ``stream(seed, r)``, the draw of :func:`generate`.
+    :func:`row_sums` draws them where :func:`row_sums_preferred` holds,
+    cut at ``u_min``; otherwise each replicate r is one :func:`copies_sums`
+    copy from ``stream(seed, r)``, the draw of :func:`generate`, with
+    every row drawn.
     """
     if row_sums_preferred(spec):
-        return row_sums(spec, replicates)
+        return row_sums(spec, replicates, u_min)
     s1, s2 = np.empty((2, len(replicates), spec.p))
     for k, r in enumerate(replicates):
         c1, c2 = copies_sums(spec, 1, stream(spec.seed, r))
@@ -773,7 +776,50 @@ def row_sums_preferred(spec: PanelSpec) -> bool:
     return taps == 1 or spec.n - taps >= _SUMS_MIN_NEW
 
 
-def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
+# The total variation that the level cut of row_sums may cost one
+# replicate: p delta, delta bounding the chance that a skipped row exceeds.
+_CUT_TV = 2.0 ** -64
+# Relative shrinkage of the Chernoff floor x: far above the rounding of its
+# solve, so that P(chi2(n - 1) <= x) <= delta holds for the computed x.
+_CUT_MARGIN = 1e-6
+
+
+def _chi2_floor(k: int, delta: float) -> float:
+    """An x with P(chi2(k) <= x) <= delta, from the Chernoff bound.
+
+    P(X <= x) <= (x/k)^(k/2) e^((k - x)/2) for x < k.  With y = x/k the
+    bound equals delta where log y + 1 - y = 2 log(delta) / k; Newton on
+    s = log y from s = c - 1 climbs to the root from below (the function
+    is concave and increasing there), so every iterate is a safe floor.
+    """
+    c = 2.0 * math.log(delta) / k
+    s = c - 1.0
+    for _ in range(100):
+        step = (s + 1.0 - math.exp(s) - c) / (1.0 - math.exp(s))
+        s -= step
+        if abs(step) <= 1e-15 * abs(s):
+            break
+    return k * math.exp(s) * (1.0 - _CUT_MARGIN)
+
+
+def level_cut(spec: PanelSpec, level: float) -> tuple[float, float]:
+    """(u_min, delta): the cut of :func:`row_sums` for T-level ``level``.
+
+    In the notation of :func:`row_sums`, row i has u_i = along_i + sqrt(n) d_i
+    and T_i = sqrt(n) u_i / sqrt(V_i), with V_i ~ chi2(n - 1) independent
+    of u_i; so T_i > t needs V_i < n u_i^2 / t^2.  A row with u_i <= u_min
+    = t sqrt(x / n) then exceeds only if V_i < x, which has chance at most
+    delta = 2^-64 / p (:func:`_chi2_floor`).  Skipping those rows changes
+    the law of a replicate's exceedances by at most p delta = 2^-64 in
+    total variation.  A level at or below 0 cuts nothing.
+    """
+    delta = _CUT_TV / spec.p
+    if level <= 0.0:
+        return -math.inf, delta
+    return level * math.sqrt(_chi2_floor(spec.n - 1, delta) / spec.n), delta
+
+
+def row_sums(spec: PanelSpec, replicates, u_min: float = -math.inf):
     """Row sums and row sums of squares of whole panels, without their cells.
 
     Returns (sum1, sum2), each of shape (len(replicates), p); entry [r, i]
@@ -785,25 +831,33 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
     Each driver row eps_j splits into a_j = <eps_j, 1/sqrt(n)> ~ N(0, 1)
     and its coordinates e_j ~ N(0, I_{n-1}) in the complement, all
     independent.  Data row i = sum_k w_k eps_{i+k} then has
-    S1_i = sqrt(n) sum_k w_k a_{i+k} and
-    S2_i = (sum_k w_k a_{i+k})^2 + |sum_k w_k e_{i+k}|^2.  The e-part is
-    built in blocks of K = L - 1 new drivers in an orthonormal frame of
+    S1_i = sqrt(n) along_i and S2_i = along_i^2 + V_i, with
+    along_i = sum_k w_k a_{i+k} and V_i = |sum_k w_k e_{i+k}|^2.  The e-part
+    is built in blocks of K = L - 1 new drivers in an orthonormal frame of
     dimension 2(L - 1): the L - 1 drivers carried over from the previous
     block, which are exactly its new drivers, take the Cholesky factor of
     their Gram matrix as coordinates, and new driver j takes N(0, 1)
     coordinates on the first L - 1 + j directions plus a residual of squared
     norm chi2(n - L - j) (Bartlett's decomposition; n >= 2L - 1 keeps every
-    degree of freedom positive).  No carry is chained, so the carries of
-    many blocks come from one factorisation step: elementwise across blocks
-    and replicates for filters of up to 8 taps, one LAPACK call per block
-    for wider ones.  Offsets enter in closed form.
+    degree of freedom positive).  The first block of a run of blocks starts
+    from the run's first frame, its first L - 1 drivers in Bartlett form.
+    No carry is chained, so the carries of many blocks come from one
+    factorisation step: elementwise across blocks, runs and replicates for
+    filters of up to 8 taps, one LAPACK call per block for wider ones.
+    Offsets enter in closed form.
+
+    ``u_min`` cuts the draw to the rows that can exceed a level (see
+    :func:`level_cut`): the e-part is drawn only for the blocks holding a
+    row with u_i = along_i + sqrt(n) d_i above ``u_min``, as runs of
+    consecutive blocks that share no driver.  Every other row gets
+    sum2 = NaN.  The default keeps every row, one run of all blocks.
 
     Replicate r draws only from ``stream(seed, r)``, in a fixed order: the
-    a_j; the first frame's normals, then its L - 1 chi-squares; then, for
-    each chunk of 512 // K blocks (about 512 drivers), the normals of its
-    blocks block by block, then their chi-squares.  The arithmetic is
-    separate per replicate and block, so its sums are bit-identical in any
-    batch of replicates.
+    a_j; the normals of its runs' first frames, then their chi-squares;
+    then, for each chunk of 512 // K blocks (about 512 drivers) of its runs
+    taken in order, the normals of its blocks block by block, then their
+    chi-squares.  The arithmetic is separate per replicate and block, so
+    its sums are bit-identical in any batch of replicates.
     """
     spec.validate()
     why = row_sums_unsupported(spec)
@@ -815,15 +869,25 @@ def row_sums(spec: PanelSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((0, p)), np.zeros((0, p))
     w = _driver_filter(spec.model)
     taps = w.shape[0]
-    a = np.stack([rng.standard_normal(p + taps - 1) for rng in rngs])
-    along = w[0] * a[:, :p]
-    for k in range(1, taps):
-        along += w[k] * a[:, k:k + p]
-    del a  # in place from here on: keep the batch within one explicit panel
-    if taps == 1:
-        across = np.stack([rng.chisquare(n - 1, p) for rng in rngs])
+    # one replicate at a time, so that a stays in cache while it is filtered
+    along, a = np.empty((len(rngs), p)), np.empty(p + taps - 1)
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=a)
+        np.multiply(w[0], a[:p], out=along[b])
+        for k in range(1, taps):
+            along[b] += w[k] * a[k:k + p]
+    K = 1 if taps == 1 else _sums_block(taps)
+    blocks = -(-p // K)
+    if u_min == -math.inf:
+        keep = [np.arange(blocks)] * len(rngs)
     else:
-        across = _window_norms(rngs, w, p, n)
+        u = along + math.sqrt(n) * spec.offset_vector() if spec.offsets else along
+        keep = [np.unique(np.flatnonzero(ui > u_min) // K) for ui in u]
+    out = _window_norms(rngs, w, n, keep)
+    across = np.full((len(rngs), blocks, K), np.nan)
+    for b, kept in enumerate(keep):
+        across[b, kept] = out[b, :kept.size]
+    across = across.reshape(len(rngs), blocks * K)[:, :p]
     sum2 = along * along
     sum2 += across
     del across
@@ -857,13 +921,24 @@ def _gram_cholesky(rows: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
-    """|sum_k w_k e_{i+k}|^2 for rows i < p of iid N(0, I_{n-1}) drivers e_j.
+def _window_norms(rngs, w: np.ndarray, n: int, keep) -> np.ndarray:
+    """|sum_k w_k e_{i+k}|^2 for the rows of the kept blocks of iid N(0, I_{n-1}) drivers.
 
-    Works on frames of c = L - 1 carried rows followed by K new rows, one
-    frame per block; see :func:`row_sums`.
+    ``keep[b]`` lists, increasing, the blocks that replicate b draws; block
+    q holds rows qK..qK + K - 1.  Returns (batch, M, K), entry [b, m] the
+    rows of block keep[b][m] (M the most blocks any replicate keeps).  A
+    filter of one tap draws each kept row's chi2(n - 1) directly; longer
+    ones work on frames of c = L - 1 carried rows followed by K new rows,
+    one frame per block; see :func:`row_sums`.
     """
     batch, taps = len(rngs), w.shape[0]
+    counts = [kept.size for kept in keep]
+    M = max(counts)
+    if taps == 1:
+        out = np.empty((batch, M, 1))
+        for b, rng in enumerate(rngs):
+            out[b, :counts[b], 0] = rng.chisquare(n - 1, counts[b])
+        return out
     c = taps - 1
     K = _sums_block(taps)
     D = c + K
@@ -874,54 +949,72 @@ def _window_norms(rngs, w: np.ndarray, p: int, n: int) -> np.ndarray:
     resid_at = (c + j) * D + c + j
     df = n - taps - j
 
-    # The first frame: the first c drivers in Bartlett form.
+    # Runs of consecutive blocks share no driver (K >= c); each starts from
+    # a first frame, its first c drivers in Bartlett form.
     r = np.arange(c)
-    carry = np.zeros((batch, c * c))
     first_at = np.flatnonzero(r[None, :] < r[:, None])
-    for b, rng in enumerate(rngs):
-        carry[b, first_at] = rng.standard_normal(first_at.size)
-        carry[b, r * c + r] = np.sqrt(rng.chisquare(n - 1 - r))
-    carry = carry.reshape(batch, c, c)
+    runs, firsts = [], []
+    for b, (rng, kept) in enumerate(zip(rngs, keep)):
+        at = np.flatnonzero(np.diff(kept, prepend=-2) != 1)
+        first = np.zeros((at.size, c * c))
+        first[:, first_at] = rng.standard_normal((at.size, first_at.size))
+        first[:, r * c + r] = np.sqrt(rng.chisquare(np.tile(n - 1 - r, at.size))).reshape(
+            at.size, c)
+        runs.append(np.stack((np.full(at.size, b), at)))
+        firsts.append(first.reshape(at.size, c, c))
+    run_b, run_at = np.concatenate(runs, axis=1)
+    firsts = np.concatenate(firsts)
 
-    blocks = -(-p // K)
     chunk = max(1, _SUMS_CHUNK_ROWS // K)  # blocks a replicate draws at a time
     elementwise = taps <= _SUMS_ELEMENTWISE_TAPS
     per_pass = chunk
     if elementwise:  # long passes amortise the numpy calls
         per_pass *= max(1, _SUMS_PASS_ENTRIES // (D * D * batch * chunk))
-    per_pass = min(blocks, per_pass)
+    per_pass = max(1, min(M, per_pass))
     # One frame buffer for every pass: the entries above the diagonal stay
-    # zero, and every other entry of a pass's blocks is rewritten.
+    # zero, and every other entry of a pass's blocks is rewritten.  A
+    # replicate that keeps fewer blocks than M leaves frames at the end of
+    # its last pass as they were, or as unit frames at first; their norms are
+    # never read.
     if elementwise:
         buf = np.zeros((D * D, batch, per_pass))
-        carry = np.moveaxis(carry, 0, -1)
+        buf[resid_at] = 1.0
+        carry = np.zeros((c, c, batch))
+        firsts = np.moveaxis(firsts, 0, -1)
     else:
         buf = np.zeros((batch, per_pass, D * D))
-    out = np.empty((batch, blocks, K))
-    for b0 in range(0, blocks, per_pass):
-        nb = min(per_pass, blocks - b0)
+        buf[..., resid_at] = 1.0
+        carry = np.zeros((batch, c, c))
+    out = np.empty((batch, M, K))
+    for b0 in range(0, M, per_pass):
+        nb = min(per_pass, M - b0)
         for b, rng in enumerate(rngs):
-            for q in range(0, nb, chunk):
-                size = min(chunk, nb - q)
+            for q in range(0, min(nb, counts[b] - b0), chunk):
+                size = min(chunk, counts[b] - b0 - q, nb - q)
                 flat = buf[:, b, q:q + size].T if elementwise else buf[b, q:q + size]
                 flat[:, normal_at] = rng.standard_normal((size, normal_at.size))
                 flat[:, resid_at] = np.sqrt(rng.chisquare(df, (size, K)))
+        here = (run_at >= b0) & (run_at < b0 + nb)
+        fresh = run_b[here], run_at[here] - b0
         if elementwise:
             norms, carry = _band_norms_elementwise(
-                buf[..., :nb].reshape(D, D, batch, nb), w, carry)
+                buf[..., :nb].reshape(D, D, batch, nb), w, carry, fresh, firsts[..., here])
             out[:, b0:b0 + nb] = norms.transpose(1, 2, 0)
         else:
             out[:, b0:b0 + nb], carry = _band_norms_stacked(
-                buf[:, :nb].reshape(batch, nb, D, D), w, carry)
-    return out.reshape(batch, blocks * K)[:, :p]
+                buf[:, :nb].reshape(batch, nb, D, D), w, carry, fresh, firsts[here])
+    return out
 
 
-def _band_norms_elementwise(frame: np.ndarray, w: np.ndarray, carry: np.ndarray):
+def _band_norms_elementwise(frame: np.ndarray, w: np.ndarray, carry: np.ndarray,
+                            fresh, given: np.ndarray):
     """Output norms and the next carry of frames stacked on the last axes.
 
     ``frame`` is (D, D, batch, blocks) with its carried rows still unset,
-    ``carry`` (c, c, batch) the carry of the first block.  Returns the
-    norms, (K, batch, blocks), and the carry of the block after the last.
+    ``carry`` (c, c, batch) the carry of the first block.  The blocks at
+    (batch, block) indices ``fresh`` start runs and take the carries
+    ``given``, (c, c, len(fresh[0])), instead.  Returns the norms,
+    (K, batch, blocks), and the carry of the block after the last.
     """
     taps = w.shape[0]
     c = taps - 1
@@ -930,6 +1023,7 @@ def _band_norms_elementwise(frame: np.ndarray, w: np.ndarray, carry: np.ndarray)
     nxt = _gram_cholesky(frame[K:])
     frame[:c, :c, :, 0] = carry
     frame[:c, :c, :, 1:] = nxt[..., :-1]
+    frame[:c, :c, fresh[0], fresh[1]] = given
     norms = np.empty((K,) + frame.shape[2:])
     for t in range(K):
         # frame row r vanishes beyond column r
@@ -943,13 +1037,14 @@ def _band_norms_elementwise(frame: np.ndarray, w: np.ndarray, carry: np.ndarray)
     return norms, nxt[..., -1]
 
 
-def _band_norms_stacked(frame: np.ndarray, w: np.ndarray, carry: np.ndarray):
+def _band_norms_stacked(frame: np.ndarray, w: np.ndarray, carry: np.ndarray,
+                        fresh, given: np.ndarray):
     """:func:`_band_norms_elementwise` one (D, D) frame at a time.
 
-    ``frame`` is (batch, blocks, D, D) and ``carry`` (batch, c, c); returns
-    norms (batch, blocks, K) and the next carry.  matmul, cholesky and the
-    einsum work one matrix or row at a time, so a replicate's values do not
-    depend on its batch.
+    ``frame`` is (batch, blocks, D, D), ``carry`` (batch, c, c) and
+    ``given`` (len(fresh[0]), c, c); returns norms (batch, blocks, K) and
+    the next carry.  matmul, cholesky and the einsum work one matrix or row
+    at a time, so a replicate's values do not depend on its batch.
     """
     taps = w.shape[0]
     c = taps - 1
@@ -958,6 +1053,7 @@ def _band_norms_stacked(frame: np.ndarray, w: np.ndarray, carry: np.ndarray):
     nxt = np.linalg.cholesky(rows @ rows.swapaxes(-1, -2))
     frame[:, 0, :c, :c] = carry
     frame[:, 1:, :c, :c] = nxt[:, :-1]
+    frame[fresh[0], fresh[1], :c, :c] = given
     band = np.zeros((K, K + c))  # output t sums frame rows t..t+c with weights w
     for t in range(K):
         band[t, t:t + taps] = w

@@ -122,7 +122,7 @@ def test_cluster_run_outputs_and_determinism(tmp_path):
     assert sa == sb
     assert {e["path"] for e in m1.outputs} == {"cluster.csv", "cluster_summary.json"}
     lines = a.decode().splitlines()
-    assert lines[0] == "# schema: exceedlab.cluster.v1"
+    assert lines[0] == "# schema: exceedlab.cluster.v2"
     assert lines[1].split(",")[0] == "replicate"
     assert len(lines) == 2 + 60
 
@@ -136,6 +136,20 @@ def test_cluster_summary_fields(tmp_path):
     assert summary["q_single_exact_normal"] is not None
     assert summary["count_histogram"]
     assert summary["phi_nominal"] > 0
+    assert summary["schema_version"] == "exceedlab.cluster.v2"
+    emp, ref = summary["p_any_empirical"], summary["p_any_independent_ref"]
+    se = math.sqrt(max(emp * (1.0 - emp), 1.0 / 80) / 80)
+    assert summary["p_any_gap_se"] == pytest.approx((emp - ref) / se, rel=1e-12)
+    # the cut's total-variation budget: 2^-64 per replicate
+    delta = 2.0 ** -64 / cfg.panel.p
+    assert summary["level_cut"] == pytest.approx(
+        {"delta": delta, "tv_per_replicate": 2.0 ** -64, "tv_bound": 80 * 2.0 ** -64},
+        rel=1e-12)
+    # drawn from the cells, no row is skipped
+    ex.run(_cfg(reps=5, eta=0.1, n=8, model=pg.DependenceModel.gaussian_kdep((0.2, 0.1))),
+           out_dir=tmp_path / "cells")
+    summary = json.loads((tmp_path / "cells" / "cluster_summary.json").read_text())
+    assert summary["sampler"] == "explicit" and summary["level_cut"] is None
 
 
 def test_mtc_run_csv_schema(tmp_path):
@@ -593,9 +607,10 @@ def test_config_row_range_checked():
 
 
 def test_sampler_resolution_and_fallback():
-    assert ex.resolve_sampler(_cfg()) == "sufficiency-v2"
+    assert ex.resolve_sampler(_cfg()) == "sufficiency-v2-cut"
+    assert ex.resolve_sampler(_cfg(kind="mtc")) == "sufficiency-v2"
     kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
-    assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency-v2"  # n = L + 6
+    assert ex.resolve_sampler(_cfg(model=kdep, n=9)) == "sufficiency-v2-cut"  # n = L + 6
     explicit = [
         replace(_cfg(), panel=replace(_cfg().panel, law=pg.InnovationLaw.rademacher())),
         _cfg(model=kdep, n=8),  # exact, but slower than the cells
@@ -610,16 +625,21 @@ def test_samplers_tag_their_outputs(tmp_path):
     # the summaries record how the rule drew the panels: n = 8 < L + 6 for
     # the 3 taps of a kappa = 2 gaussian-kdep filter takes the cells
     kdep = pg.DependenceModel.gaussian_kdep((0.2, 0.1))
-    for spec, drawn in (({"model": kdep, "n": 8}, "explicit"), ({}, "sufficiency-v2")):
-        for kind in ("cluster", "mtc"):
-            out = tmp_path / f"{kind}-{drawn}"
+    cases = (({"model": kdep, "n": 8}, "explicit", "explicit"),
+             ({}, "sufficiency-v2-cut", "sufficiency-v2"))
+    for spec, *drawn in cases:
+        for kind, sampler in zip(("cluster", "mtc"), drawn):
+            out = tmp_path / f"{kind}-{sampler}"
             ex.run(_cfg(kind=kind, reps=20, eta=0.1, jobs=1, **spec), out_dir=out)
             summary = json.loads((out / f"{kind}_summary.json").read_text())
-            assert summary["sampler"] == drawn
+            assert summary["sampler"] == sampler
 
 
-def _studentized_cells(cfg, start, stop):
-    """The cells path that panel_sums replaced: generate, then studentize_panel."""
+def _studentized_cells(cfg, start, stop, u_min=-math.inf):
+    """The cells path that panel_sums replaced: generate, then studentize_panel.
+
+    Every row is drawn, so a cluster worker's level cut ``u_min`` is moot.
+    """
     from exceedlab import studentize as stu
 
     for rep in range(start, stop):
@@ -743,7 +763,7 @@ def test_manifest_of_the_blocks_of_16_replays_as_a_mismatch(tmp_path, monkeypatc
     (out / "manifest.json").write_text(json.dumps(raw))
     ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r")
     assert not ok
-    assert report[0] == "ENV changed: row_sums None -> blocks-of-L-1"
+    assert report[0] == f"ENV changed: row_sums None -> {ex.environment()['row_sums']}"
     assert any(line.startswith("MISMATCH mtc.csv") for line in report)
 
 
@@ -822,7 +842,7 @@ def test_manifest_records_environment_and_replay_reports_it(tmp_path, monkeypatc
                                   "row_sums"}
     assert m.environment["bit_generator"] == "PCG64"
     assert m.environment["rademacher"] == "packed-bytes"
-    assert m.environment["row_sums"] == "blocks-of-L-1"
+    assert m.environment["row_sums"] == "blocks-of-L-1; cluster cut at p*delta = 2^-64"
     ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r1")
     assert ok and report[0].startswith("ENV same")
 

@@ -131,6 +131,38 @@ def test_student_t_sf_deep_tail():
     assert nm.student_t_sf(40.0, 99) == pytest.approx(float(st.t.sf(40.0, 99)), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_student_t_sf_where_x_squared_overflows():
+    # |x| above ~1.3e154: df / (df + x * x) would be 0 and the tail with it.
+    # At df = 1 the sf is atan(1/x) / pi = 1/(pi x) to far below 1e-300.
+    xs = np.array([1.0e154, 1.4e154, 1.0e155, 3.0e200, 1.0e300, 1.7e308])
+    want = 1.0 / math.pi / xs  # pi x overflows at the last
+    for x, sf in zip(xs, want):
+        assert nm.student_t_sf(x, 1) == pytest.approx(sf, rel=1e-12)
+        assert nm.student_t_cdf(-x, 1) == pytest.approx(sf, rel=1e-12)
+        assert nm.student_t_cdf(x, 1) == 1.0
+    got = nm.student_t_sf(np.concatenate((xs, -xs, [2.0, np.inf, -np.inf])), 1)
+    assert np.allclose(got[:6], want, rtol=1e-12, atol=0)
+    assert np.array_equal(got[6:12], np.ones(6))
+    assert got[12] == nm.student_t_sf(2.0, 1) and got[13] == 0.0 and got[14] == 1.0
+    # heavier df underflows to 0, as the true tail ~ x^-df does
+    assert nm.student_t_sf(1e155, 3) == 0.0
+
+
+def test_import_leaves_quadrature_and_optimisation_unloaded():
+    # scipy.integrate (and the scipy.optimize it pulls in) loads only when
+    # bivariate_normal_tail is called: no run's hot path needs them.
+    import subprocess
+    import sys
+
+    code = ("import sys, exceedlab; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 def test_bivariate_tail_quadrant():
     assert nm.bivariate_normal_tail(0.0, 0.0) == pytest.approx(0.25, abs=1e-14)
 

@@ -407,22 +407,113 @@ _SPLIT_SPECS = (
 
 
 @settings(max_examples=30, deadline=None)
-@example(which=2, seed=0, reps=list(range(9)), cuts=[1])
+@example(which=2, seed=0, reps=list(range(9)), cuts=[1], u_min=-math.inf)
+@example(which=2, seed=0, reps=list(range(9)), cuts=[1], u_min=1.5)
+@example(which=2, seed=0, reps=list(range(9)), cuts=[1], u_min=0.0)  # runs across passes
 @given(
     which=st.integers(0, len(_SPLIT_SPECS) - 1),
     seed=st.integers(0, 2**64 - 1),
     reps=st.lists(st.integers(0, 10**6), min_size=1, max_size=9, unique=True),
     cuts=st.lists(st.integers(1, 8), max_size=4),
+    u_min=st.sampled_from([-math.inf, 0.0, 1.5, 3.0]),
 )
-def test_row_sums_bit_identical_across_batch_splits(which, seed, reps, cuts):
+def test_row_sums_bit_identical_across_batch_splits(which, seed, reps, cuts, u_min):
+    # the level cut too: which rows a replicate draws is its own affair
     spec = replace(_SPLIT_SPECS[which], seed=seed)
-    whole = pg.row_sums(spec, reps)
+    whole = pg.row_sums(spec, reps, u_min)
     bounds = sorted({0, len(reps), *(c for c in cuts if c < len(reps))})
-    parts = [pg.row_sums(spec, reps[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    parts = [pg.row_sums(spec, reps[a:b], u_min) for a, b in zip(bounds[:-1], bounds[1:])]
     for k in (0, 1):
         joined = np.concatenate([part[k] for part in parts])
         assert joined.shape == (len(reps), spec.p)
         assert joined.tobytes() == whole[k].tobytes()
+
+
+# Specs for the level cut: the criterion-4 filter at a small p, the
+# narrowest filter worked one frame at a time, a moving average with
+# offsets, and iid rows.
+_CUT_SPECS = (
+    pg.PanelSpec(p=1500, n=30, model=STRONG6, law=pg.InnovationLaw.normal(), seed=5),
+    pg.PanelSpec(p=600, n=20, model=STRONG9, law=pg.InnovationLaw.normal(), seed=6),
+    pg.PanelSpec(p=257, n=9, model=pg.DependenceModel.moving_average(4),
+                 law=pg.InnovationLaw.normal(), seed=7, offsets=((3, 1.0), (257, 0.5))),
+    pg.PanelSpec(p=300, n=5, model=pg.DependenceModel.iid(),
+                 law=pg.InnovationLaw.normal(), seed=8),
+)
+
+
+@pytest.mark.parametrize("spec", _CUT_SPECS, ids=["L6", "L9", "ma-offsets", "iid"])
+def test_row_sums_cut_below_every_row_is_row_sums(spec):
+    # u_min below every u keeps every block, one run: the full draw, bit for bit
+    reps = list(range(7))
+    full, kept = pg.row_sums(spec, reps), pg.row_sums(spec, reps, u_min=-1e300)
+    for a, b in zip(full, kept):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", _CUT_SPECS, ids=["L6", "L9", "ma-offsets", "iid"])
+def test_row_sums_cut_draws_every_row_above_it(spec):
+    # S1 comes from the a_j alone, drawn first: the same with or without a
+    # cut.  Every row with u above the cut has its S2, and the rows without
+    # one lie in blocks that hold no such row.
+    reps = list(range(20))
+    u_min = 1.0
+    s1, _ = pg.row_sums(spec, reps)
+    c1, c2 = pg.row_sums(spec, reps, u_min)
+    assert c1.tobytes() == s1.tobytes()
+    u = c1 / math.sqrt(spec.n)
+    taps = spec.model.kappa + 1 if spec.model.kind == "gaussian-kdep" else max(
+        spec.model.kappa, 1)
+    K = 1 if taps == 1 else pg._sums_block(taps)
+    above = u > u_min
+    drawn = ~np.isnan(c2)
+    assert not np.any(above & ~drawn)
+    blocks = np.zeros((len(reps), -(-spec.p // K) * K), dtype=bool)
+    blocks[:, :spec.p] = above
+    in_block = np.repeat(blocks.reshape(len(reps), -1, K).any(axis=2), K, axis=1)
+    assert np.array_equal(drawn, in_block[:, :spec.p])
+    assert 0 < drawn.mean() < 1
+
+
+@pytest.mark.parametrize("spec", _CUT_SPECS, ids=["L6", "L9", "ma-offsets", "iid"])
+def test_row_sums_cut_at_zero_counts_exceedances_in_law(spec):
+    # A row with u <= 0 has T <= 0, so the cut at 0 is exact: at a low level
+    # (many hits) its exceedance counts have the law of the full draw's.
+    # Distinct replicates keep the two samples independent.
+    from scipy import stats
+
+    reps, level = 400, 0.5
+
+    def counts(first, u_min):
+        s1, s2 = pg.row_sums(spec, range(first, first + reps), u_min)
+        drawn = ~np.isnan(s2)
+        t = np.full(s1.shape, -np.inf)
+        t[drawn] = stu.studentize_sums(s1[drawn], s2[drawn], spec.n).t
+        return (t > level).sum(axis=1)
+
+    cut, full = counts(0, 0.0), counts(10**6, -math.inf)
+    assert cut.mean() > 20
+    ks = stats.ks_2samp(cut, full)
+    assert ks.pvalue > 1e-3, (cut.mean(), full.mean(), ks)
+
+
+def test_level_cut_skips_rows_with_chance_at_most_delta():
+    from scipy import stats
+
+    for n in (2, 5, 40, 200, 2000):
+        for p in (10, 10_000, 10**7):
+            spec = pg.PanelSpec(p=p, n=n, model=pg.DependenceModel.iid(),
+                                law=pg.InnovationLaw.normal())
+            u_min, delta = pg.level_cut(spec, 4.0)
+            assert delta == 2.0 ** -64 / p
+            # a row at u = u_min exceeds 4 iff V < n u_min^2 / 16 = x
+            x = n * u_min * u_min / 16.0
+            chance = stats.chi2.cdf(x, n - 1)
+            # at most delta, and the Chernoff floor within a few decades of it
+            assert delta * 1e-4 <= chance <= delta, (n, p, chance / delta)
+    spec = _CUT_SPECS[0]
+    assert pg.level_cut(spec, 0.0)[0] == -math.inf
+    assert pg.level_cut(spec, -1.0)[0] == -math.inf
 
 
 @pytest.mark.parametrize("c", [1, 2, 5, 10, 20])
