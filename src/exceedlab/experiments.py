@@ -524,9 +524,6 @@ def _studentized_replicates(cfg: ExperimentConfig, start: int, stop: int,
         reps = range(lo, min(lo + batch, stop))
         sum1, sum2 = pg.panel_sums(spec, reps, u_min)
         for k, rep in enumerate(reps):
-            if u_min == -math.inf:
-                yield rep, stu.studentize_sums(sum1[k], sum2[k], spec.n)
-                continue
             drawn = ~np.isnan(sum2[k])
             rows = stu.studentize_sums(sum1[k][drawn], sum2[k][drawn], spec.n)
             t, r = np.full((2, spec.p), -np.inf)

@@ -878,11 +878,12 @@ def row_sums(spec: PanelSpec, replicates, u_min: float = -math.inf):
             along[b] += w[k] * a[k:k + p]
     K = 1 if taps == 1 else _sums_block(taps)
     blocks = -(-p // K)
-    if u_min == -math.inf:
-        keep = [np.arange(blocks)] * len(rngs)
-    else:
-        u = along + math.sqrt(n) * spec.offset_vector() if spec.offsets else along
-        keep = [np.unique(np.flatnonzero(ui > u_min) // K) for ui in u]
+    u = along + math.sqrt(n) * spec.offset_vector() if spec.offsets else along
+    keep = []
+    for ui in u:
+        # the blocks holding a row above the cut, increasing, each once
+        q = np.flatnonzero(ui > u_min) // K
+        keep.append(q[np.diff(q, prepend=-1) != 0])
     out = _window_norms(rngs, w, n, keep)
     across = np.full((len(rngs), blocks, K), np.nan)
     for b, kept in enumerate(keep):
