@@ -10,11 +10,12 @@ admissible levels, each large block rarely holds more than one.
 
 Monte Carlo tail estimators ship with hit-count guards and Wilson
 intervals.  The single and pair estimators share one body: their rows'
-sums come from ``panelgen.rows_sums`` (for Gaussian laws the exact law of
-the sums, sample mean plus Bartlett-decomposed scatter, instead of whole
-rows; otherwise the rows drawn as a panel of their own) and R from
-``studentize_sums``, the lab's one R definition.  The test suite
-cross-checks the two methods against each other.
+sums come from ``panelgen.rows_sums``, which alone picks the draw from the
+law and n (for Gaussian laws the exact law of the sums, sample mean plus
+Bartlett-decomposed scatter, instead of whole rows; otherwise the rows
+drawn as a panel of their own), and R from ``studentize_sums``, the lab's
+one R definition.  The test suite cross-checks the two draws against each
+other.
 
 The coupling machinery estimates per-block hit probabilities for a
 dependent panel and a matched independent panel (same marginal law,
@@ -69,11 +70,11 @@ class InsufficientReplicates(ValueError):
         self.required = required
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("interval needs a positive sample size")
-    phat = hits / n
+    phat, z = hits / n, _Z95
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n)) / denom
@@ -329,7 +330,7 @@ def _check_row(spec: _pg.PanelSpec, name: str, i: int) -> None:
 
 
 def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: int,
-                   seed: int | None, method: str) -> TailEstimate:
+                   seed: int | None) -> TailEstimate:
     """P(R > s in every one of ``rows``), the body of both tail estimators.
 
     The expected hit count under a reference law must reach 50: the
@@ -353,20 +354,12 @@ def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: i
             f"({_MIN_EXPECTED_HITS}); need at least {required} replicates at this level",
             required=required,
         )
-    exact = spec.law.is_gaussian and n > len(rows)
-    if method == "auto":
-        method = "sufficiency" if exact else "explicit"
-    if method not in ("sufficiency", "explicit"):
-        raise ValueError(f"unknown tail method {method!r}")
-    if method == "sufficiency" and not exact:
-        raise ValueError(f"{what} sufficiency sampling needs a Gaussian innovation law "
-                         f"and n >= {len(rows) + 1}")
 
     rng = _pg.stream(spec.seed if seed is None else seed, 0, lane=len(rows))
     hits = 0
     done = 0
     while done < reps:
-        drawn, s1, s2 = _pg.rows_sums(spec, rows, min(_CHUNK, reps - done), rng, method)
+        method, drawn, s1, s2 = _pg.rows_sums(spec, rows, min(_CHUNK, reps - done), rng)
         for a in range(0, drawn, _SLICE):
             part = np.s_[:, a:a + _SLICE]
             r = _stu.studentize_sums(s1[part].ravel(), s2[part].ravel(), n).r
@@ -387,20 +380,19 @@ def tail_probability_single(
     reps: int,
     i: int = 1,
     seed: int | None = None,
-    method: str = "auto",
 ) -> TailEstimate:
     """Estimate P(R_i > s) for row ``i`` of panels drawn from ``spec``.
 
     Guards against starved estimates: the expected hit count under the
     Student t reference must reach 50 or the call is rejected naming the
-    required replicate count.  ``method`` is ``"auto"`` (sufficiency
-    sampling for Gaussian laws, explicit rows otherwise),
-    ``"sufficiency"`` or ``"explicit"`` (:func:`panelgen.rows_sums`); R
-    comes from :func:`studentize.studentize_sums` either way.
+    required replicate count.  :func:`panelgen.rows_sums` picks the draw,
+    and ``method`` of the result names it: ``"sufficiency"`` for Gaussian
+    laws with n >= 2, ``"explicit"`` rows otherwise; R comes from
+    :func:`studentize.studentize_sums` either way.
     """
     spec.validate()
     _check_row(spec, "i", i)
-    return _tail_estimate(spec, (i,), s, reps, seed, method)
+    return _tail_estimate(spec, (i,), s, reps, seed)
 
 
 def tail_probability_pair(
@@ -410,21 +402,20 @@ def tail_probability_pair(
     s: float,
     reps: int,
     seed: int | None = None,
-    method: str = "auto",
 ) -> PairTailEstimate:
     """Estimate P(R_i1 > s, R_i2 > s) for two distinct rows of ``spec`` panels.
 
     The joint law enters only through the lag |i1 - i2|.  The hit-count
     guard uses the bivariate normal tail at the model's lag correlation
-    as its reference.  Methods as in :func:`tail_probability_single`;
-    sufficiency sampling of a pair needs n >= 3.
+    as its reference.  Draws as in :func:`tail_probability_single`, except
+    that sufficiency sampling of a pair needs n >= 3.
     """
     spec.validate()
     _check_row(spec, "i1", i1)
     _check_row(spec, "i2", i2)
     if i1 == i2:
         raise _pg.SpecError(f"i2 = {i2} equals i1: a pair needs two distinct rows")
-    est = _tail_estimate(spec, (i1, i2), s, reps, seed, method)
+    est = _tail_estimate(spec, (i1, i2), s, reps, seed)
     lag = abs(i2 - i1)
     return PairTailEstimate(**vars(est), lag=lag, rho_lag=spec.model.lag_correlation(lag))
 
@@ -446,12 +437,14 @@ def count_match_lower_bound(pi, pi_prime) -> float:
     return 1.0 - float(np.abs(pi - pp).sum())
 
 
+_MATCH_CHUNK = 500_000  # uniforms simulate_count_match draws at a time: bounds its memory
+
+
 def simulate_count_match(
     pi,
     pi_prime,
     draws: int,
     rng: np.random.Generator,
-    chunk: int = 500_000,
 ) -> tuple[float, float]:
     """Realize the shared-uniform coupling and measure P(N = N').
 
@@ -468,7 +461,7 @@ def simulate_count_match(
     m = pi.shape[0]
     matches = 0
     done = 0
-    per = max(1, min(chunk // max(m, 1), draws))
+    per = max(1, min(_MATCH_CHUNK // max(m, 1), draws))
     while done < draws:
         c = min(per, draws - done)
         u = rng.random((c, m))

@@ -574,7 +574,7 @@ def _mtc_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _experiment_calibrate(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict]:
+def _experiment_calibrate(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
     t_level, r_level, gamma = resolve_level(cfg)
     summary_dep = dependence_summary(_effective_rho_max(cfg))
     p, n = cfg.panel.p, cfg.panel.n
@@ -610,7 +610,8 @@ def _experiment_calibrate(cfg: ExperimentConfig, out: Path) -> tuple[list[Path],
     return [table], summary
 
 
-def _experiment_paper_table(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict]:
+def _experiment_paper_table(cfg: ExperimentConfig, out: Path,
+                            jobs: int) -> tuple[list[Path], dict]:
     n = cfg.panel.n
     # Default calibration for this table is the empirically motivated
     # rho_max = 0.1 (gamma = 1.225) unless explicitly overridden.
@@ -643,7 +644,7 @@ def _experiment_paper_table(cfg: ExperimentConfig, out: Path) -> tuple[list[Path
     return [table], summary
 
 
-def _experiment_tails(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict]:
+def _experiment_tails(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
     _, s, gamma = resolve_level(cfg)
     header = ["kind", "i1", "i2", "lag", "rho_lag", "s", "estimate", "se",
               "wilson_low", "wilson_high", "hits", "reps", "exponent", "method",
@@ -805,6 +806,17 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
     return [table], summary
 
 
+# Each kind's experiment: (cfg, out, jobs) -> (tables written, summary).
+_EXPERIMENTS = {
+    "calibrate": _experiment_calibrate,
+    "tails": _experiment_tails,
+    "coupling": _experiment_coupling,
+    "cluster": _experiment_cluster,
+    "mtc": _experiment_mtc,
+    "paper-table": _experiment_paper_table,
+}
+
+
 # ---------------------------------------------------------------------------
 # Manifest and runner
 # ---------------------------------------------------------------------------
@@ -874,18 +886,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    if cfg.kind == "calibrate":
-        tables, summary = _experiment_calibrate(cfg, out)
-    elif cfg.kind == "paper-table":
-        tables, summary = _experiment_paper_table(cfg, out)
-    elif cfg.kind == "tails":
-        tables, summary = _experiment_tails(cfg, out)
-    elif cfg.kind == "coupling":
-        tables, summary = _experiment_coupling(cfg, out, jobs)
-    elif cfg.kind == "cluster":
-        tables, summary = _experiment_cluster(cfg, out, jobs)
-    else:
-        tables, summary = _experiment_mtc(cfg, out, jobs)
+    tables, summary = _EXPERIMENTS[cfg.kind](cfg, out, jobs)
     timings["experiment_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

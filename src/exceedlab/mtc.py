@@ -329,19 +329,14 @@ def _step_down(ok: np.ndarray) -> int:
     return ok.size if bool(ok.all()) else int(np.argmin(ok))
 
 
-def _bh_report(rows: np.ndarray, q: float, m: int, nonnull) -> DecisionReport:
-    """The BH report rejecting the 0-based test indices ``rows``."""
-    report = DecisionReport(
-        procedure=f"BH(q={q:g})", kind="bh", nominal=q, n_tests=m,
-        rejected=(np.sort(rows) + 1).astype(np.int64),
-    )
-    return _attach_truth(report, nonnull)
+# The procedure label of each kind of report, formatted with its nominal level.
+_PROCEDURES = {"bh": "BH(q={:g})", "stepdown-fwer": "stepdown-FWER(a={:g})"}
 
 
-def _stepdown_report(rows: np.ndarray, a: float, m: int, nonnull) -> DecisionReport:
-    """The step-down report rejecting the 0-based test indices ``rows``."""
+def _report(kind: str, nominal: float, rows: np.ndarray, m: int, nonnull) -> DecisionReport:
+    """The ``kind`` report at level ``nominal`` rejecting the 0-based test indices ``rows``."""
     report = DecisionReport(
-        procedure=f"stepdown-FWER(a={a:g})", kind="stepdown-fwer", nominal=a,
+        procedure=_PROCEDURES[kind].format(nominal), kind=kind, nominal=nominal,
         n_tests=m, rejected=(np.sort(rows) + 1).astype(np.int64),
     )
     return _attach_truth(report, nonnull)
@@ -358,7 +353,7 @@ def bh_fdr(p_values, q: float, nonnull=None) -> DecisionReport:
     _check_level(q, "FDR level q")
     m = pv.size
     order = np.argsort(pv, kind="stable")
-    return _bh_report(order[:_step_up(pv[order] <= _bh_levels(q, m, 0, m))], q, m, nonnull)
+    return _report("bh", q, order[:_step_up(pv[order] <= _bh_levels(q, m, 0, m))], m, nonnull)
 
 
 def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
@@ -378,8 +373,8 @@ def stepdown_fwer(p_values, a: float, nonnull=None) -> DecisionReport:
     pv = _check_p_values(p_values)
     m = pv.size
     order = np.argsort(pv, kind="stable")
-    return _stepdown_report(
-        order[:_step_down(pv[order] <= _stepdown_levels(a, m, 0, m))], a, m, nonnull)
+    return _report("stepdown-fwer", a,
+                   order[:_step_down(pv[order] <= _stepdown_levels(a, m, 0, m))], m, nonnull)
 
 
 # Relative widening of the candidate level max(q, a): far above the
@@ -511,8 +506,8 @@ class TailDecider:
             above = np.arange(stop[j, k - 1], size)
             return rows[np.concatenate([band[pv[band] <= u[j, k - 1]], above])]
 
-        return (_bh_report(rejected(0, k_bh), self.q, m, nonnull),
-                _stepdown_report(rejected(1, k_sd), self.a, m, nonnull))
+        return (_report("bh", self.q, rejected(0, k_bh), m, nonnull),
+                _report("stepdown-fwer", self.a, rejected(1, k_sd), m, nonnull))
 
 
 def single_threshold(rows, t: float, nonnull=None) -> DecisionReport:

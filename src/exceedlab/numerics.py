@@ -220,23 +220,22 @@ def _betainc_series_core(a: float, b: float, x: np.ndarray) -> np.ndarray:
         return s * np.exp(a * np.log(x) - lb)
 
 
-def betainc_reg(a: float, b: float, x, method: str = "cf"):
+def betainc_reg(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0, x in [0, 1].
 
-    ``method`` selects the evaluation route: ``"cf"`` (continued fraction)
-    or ``"series"``.  Both apply the symmetry switch
-    ``I_x(a,b) = 1 - I_{1-x}(b,a)`` at ``x > (a+1)/(a+b+2)``.  Scalar input
-    gives scalar output.
+    Evaluated by the continued fraction.  Scalar input gives scalar output.
+    """
+    return _betainc(a, b, x, _betainc_cf_core)
+
+
+def _betainc(a: float, b: float, x, core):
+    """:func:`betainc_reg` through ``core``, the continued fraction or the series.
+
+    Both routes apply the symmetry switch ``I_x(a,b) = 1 - I_{1-x}(b,a)``
+    at ``x > (a+1)/(a+b+2)``.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("incomplete beta requires a > 0 and b > 0")
-    if method == "cf":
-        core = _betainc_cf_core
-    elif method == "series":
-        core = _betainc_series_core
-    else:
-        raise ValueError(f"unknown incomplete beta method {method!r}")
-
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
@@ -280,13 +279,17 @@ def student_t_pdf(x: float, df: float) -> float:
     return math.exp(lognorm - 0.5 * (df + 1.0) * math.log1p(x * x / df))
 
 
-def student_t_cdf(x, df: float, method: str = "cf"):
+def student_t_cdf(x, df: float):
     """Student t distribution function via the regularized incomplete beta.
 
-    ``method`` picks the incomplete beta route ("cf" or "series"); the two
-    routes agree to better than 1e-10 and the gap is exposed through
-    :func:`student_t_dual_gap`.  Accepts scalars or arrays.
+    Its continued fraction and power series agree to better than 1e-10;
+    :func:`student_t_dual_gap` exposes the gap.  Accepts scalars or arrays.
     """
+    return _student_t_cdf(x, df, _betainc_cf_core)
+
+
+def _student_t_cdf(x, df: float, core):
+    """:func:`student_t_cdf` with the incomplete beta evaluated by ``core``."""
     df = _check_df(df)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
@@ -294,7 +297,7 @@ def student_t_cdf(x, df: float, method: str = "cf"):
     with np.errstate(over="ignore"):
         sq = xs * xs
     xb = df / (df + sq)
-    tail = 0.5 * np.asarray(betainc_reg(0.5 * df, 0.5, xb, method=method))
+    tail = 0.5 * np.asarray(_betainc(0.5 * df, 0.5, xb, core))
     tail = np.atleast_1d(tail)
     huge = np.isinf(sq) & np.isfinite(xs)
     if huge.any():
@@ -310,70 +313,17 @@ def student_t_cdf(x, df: float, method: str = "cf"):
     return float(out[0]) if scalar else out
 
 
-def student_t_sf(x, df: float, method: str = "cf"):
+def student_t_sf(x, df: float):
     """Upper tail P(T > x); exact in the far tail (no 1 - cdf cancellation)."""
-    xs = np.asarray(x, dtype=float)
-    out = student_t_cdf(-xs, df, method=method)
-    return out
+    return student_t_cdf(-np.asarray(x, dtype=float), df)
 
 
 def student_t_dual_gap(x, df: float):
     """Absolute disagreement of the two Student t CDF evaluation routes."""
-    cf = np.asarray(student_t_cdf(x, df, method="cf"))
-    series = np.asarray(student_t_cdf(x, df, method="series"))
+    cf = np.asarray(_student_t_cdf(x, df, _betainc_cf_core))
+    series = np.asarray(_student_t_cdf(x, df, _betainc_series_core))
     gap = np.abs(cf - series)
     return float(gap) if gap.ndim == 0 else gap
-
-
-def _quantile_newton(
-    u: float,
-    cdf,
-    sf,
-    pdf,
-    x0: float,
-    lo: float = -math.inf,
-    hi: float = math.inf,
-) -> float:
-    """Safeguarded bracketing Newton solve of cdf(x) = u.
-
-    Maintains a bracket [lo, hi]; Newton steps falling outside bisect
-    instead.  The residual is evaluated through whichever of cdf/sf is
-    smaller so deep-tail quantiles remain well conditioned.
-    """
-    # Expand an initial bracket around the guess.
-    step = max(1.0, abs(x0))
-    lo_b, hi_b = x0, x0
-    while cdf(lo_b) > u and lo_b > lo:
-        lo_b = max(lo, lo_b - step)
-        step *= 2.0
-    step = max(1.0, abs(x0))
-    while cdf(hi_b) < u and hi_b < hi:
-        hi_b = min(hi, hi_b + step)
-        step *= 2.0
-
-    x = min(max(x0, lo_b), hi_b)
-    for _ in range(200):
-        if u <= 0.5:
-            err = cdf(x) - u
-        else:
-            err = (1.0 - u) - sf(x)
-        if err > 0.0:
-            hi_b = min(hi_b, x)
-        elif err < 0.0:
-            lo_b = max(lo_b, x)
-        else:
-            return x
-        dens = pdf(x)
-        if dens > 0.0:
-            x_new = x - err / dens
-        else:
-            x_new = 0.5 * (lo_b + hi_b)
-        if not lo_b <= x_new <= hi_b:
-            x_new = 0.5 * (lo_b + hi_b)
-        if abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
 
 
 def _normal_isf_guess(u: np.ndarray) -> np.ndarray:
@@ -450,7 +400,13 @@ def student_t_isf(u, df: float) -> np.ndarray:
 
 
 def student_t_quantile(u: float, df: float) -> float:
-    """Inverse Student t CDF on (0, 1); round-trips to better than 1e-9."""
+    """Inverse Student t CDF on (0, 1); round-trips to better than 1e-9.
+
+    A safeguarded bracketing Newton solve of cdf(x) = u: Newton steps that
+    leave the bracket bisect it instead.  The residual is evaluated through
+    whichever of cdf and sf is smaller, so deep-tail quantiles remain well
+    conditioned.
+    """
     df = _check_df(df)
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {u!r}")
@@ -461,13 +417,37 @@ def student_t_quantile(u: float, df: float) -> float:
         x0 = math.tan(math.pi * (u - 0.5))
     else:
         x0 = z + (z ** 3 + z) / (4.0 * df)
-    return _quantile_newton(
-        u,
-        lambda t: student_t_cdf(t, df),
-        lambda t: student_t_sf(t, df),
-        lambda t: student_t_pdf(t, df),
-        x0,
-    )
+    # Expand an initial bracket around the guess.
+    step = max(1.0, abs(x0))
+    lo_b = hi_b = x0
+    while student_t_cdf(lo_b, df) > u:
+        lo_b -= step
+        step *= 2.0
+    step = max(1.0, abs(x0))
+    while student_t_cdf(hi_b, df) < u:
+        hi_b += step
+        step *= 2.0
+
+    x = x0
+    for _ in range(200):
+        if u <= 0.5:
+            err = student_t_cdf(x, df) - u
+        else:
+            err = (1.0 - u) - student_t_sf(x, df)
+        if err > 0.0:
+            hi_b = min(hi_b, x)
+        elif err < 0.0:
+            lo_b = max(lo_b, x)
+        else:
+            return x
+        dens = student_t_pdf(x, df)
+        x_new = x - err / dens if dens > 0.0 else 0.5 * (lo_b + hi_b)
+        if not lo_b <= x_new <= hi_b:
+            x_new = 0.5 * (lo_b + hi_b)
+        if abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new)):
+            return x_new
+        x = x_new
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ replicate is one ``copies_sums`` copy from its stream, which is exactly
 ``generate``'s draw, summed from packed bits for Rademacher iid and
 moving-average panels and from the filtered cells for every other.
 ``rows_sums`` (tails) draws one or two rows of many independent panels:
-from the exact law of their sums for Gaussian panels, otherwise as
-``copies_sums`` of the panel those rows span.
+from the exact law of their sums for Gaussian panels with n above the
+number of rows, otherwise as ``copies_sums`` of the panel those rows
+span, and says which it did.
 """
 
 from __future__ import annotations
@@ -681,41 +682,50 @@ def matched_sums(spec: PanelSpec):
 _CELL_BUDGET = 1 << 22  # cells one explicit draw may take, filter window included
 
 
-def rows_sums(spec: PanelSpec, rows, copies: int, rng: np.random.Generator,
-              method: str) -> tuple[int, np.ndarray, np.ndarray]:
+def rows_sums(spec: PanelSpec, rows, copies: int,
+              rng: np.random.Generator) -> tuple[str, int, np.ndarray, np.ndarray]:
     """Row sums of the 1-based ``rows`` (one or two) of independent panels of ``spec``.
 
-    Returns (drawn, S1, S2), S1 and S2 of shape (len(rows), drawn) with
-    drawn <= ``copies``; entry [k, c] belongs to row rows[k] of copy c.
+    Returns (method, drawn, S1, S2), S1 and S2 of shape (len(rows), drawn)
+    with drawn <= ``copies``; entry [k, c] belongs to row rows[k] of copy c.
 
-    ``"sufficiency"`` draws all ``copies`` from the exact law of the sums
-    of a Gaussian panel, which needs n > len(rows): the mean vector is
-    d + L g / sqrt(n) and the scatter L B B' L', with L the Cholesky
-    factor of the model's correlations among ``rows``, g standard normal
-    and B lower triangular (Bartlett): row j of B takes j normals, then
-    the square root of chi2(n - 1 - j).  ``"explicit"`` draws rows
-    min..max as a panel of their own (:func:`copies_sums`; the model is
-    stationary down the rows), as many copies as fit 2^22 cells; rows at
-    zero lag correlation are independent, and each is drawn in turn as a
-    one-row panel.
+    A Gaussian panel with n > len(rows) takes ``"sufficiency"``: all
+    ``copies`` from the exact law of the sums.  The mean vector is
+    d + L g / sqrt(n) and the scatter L B B' L', with L the Cholesky factor
+    of the model's correlations among ``rows``, g standard normal and B
+    lower triangular (Bartlett): row j of B takes j normals, then the
+    square root of chi2(n - 1 - j).  Every other panel takes
+    ``"explicit"``, the cells (:func:`_rows_cells_sums`).
     """
     n = spec.n
-    if method == "sufficiency":
-        chol = np.linalg.cholesky([[spec.model.lag_correlation(a - b) for b in rows]
-                                   for a in rows])
-        s1 = (math.sqrt(n) * chol) @ rng.standard_normal((len(rows), copies))
-        s1 += n * spec.offset_vector()[[i - 1 for i in rows], None]
-        s2 = s1 * s1 / n
-        chi = rng.chisquare(n - 1, copies)  # B_00^2
-        s2[0] += chi
-        if len(rows) == 2:
-            b1 = chol[1, 0] * np.sqrt(chi) + chol[1, 1] * rng.standard_normal(copies)
-            s2[1] += chol[1, 1] ** 2 * rng.chisquare(n - 2, copies) + b1 * b1
-        return copies, s1, s2
+    if not (spec.law.is_gaussian and n > len(rows)):
+        return ("explicit", *_rows_cells_sums(spec, rows, copies, rng))
+    chol = np.linalg.cholesky([[spec.model.lag_correlation(a - b) for b in rows]
+                               for a in rows])
+    s1 = (math.sqrt(n) * chol) @ rng.standard_normal((len(rows), copies))
+    s1 += n * spec.offset_vector()[[i - 1 for i in rows], None]
+    s2 = s1 * s1 / n
+    chi = rng.chisquare(n - 1, copies)  # B_00^2
+    s2[0] += chi
+    if len(rows) == 2:
+        b1 = chol[1, 0] * np.sqrt(chi) + chol[1, 1] * rng.standard_normal(copies)
+        s2[1] += chol[1, 1] ** 2 * rng.chisquare(n - 2, copies) + b1 * b1
+    return "sufficiency", copies, s1, s2
+
+
+def _rows_cells_sums(spec: PanelSpec, rows, copies: int, rng: np.random.Generator):
+    """(drawn, S1, S2) of :func:`rows_sums` from the cells, for any law and n.
+
+    Rows min..max are drawn as a panel of their own (:func:`copies_sums`;
+    the model is stationary down the rows), as many copies as fit 2^22
+    cells; rows at zero lag correlation are independent, and each is drawn
+    in turn as a one-row panel.
+    """
+    n = spec.n
     lo, hi = min(rows), max(rows)
     if spec.model.lag_correlation(hi - lo) == 0.0:
-        drawn, a1, a2 = rows_sums(spec, rows[:1], copies, rng, method)
-        _, b1, b2 = rows_sums(spec, rows[1:], drawn, rng, method)
+        drawn, a1, a2 = _rows_cells_sums(spec, rows[:1], copies, rng)
+        _, b1, b2 = _rows_cells_sums(spec, rows[1:], drawn, rng)
         return drawn, np.vstack((a1, b1)), np.vstack((a2, b2))
     drawn = min(copies, max(1, _CELL_BUDGET // ((hi - lo + 1 + spec.model.kappa) * n)))
     sub = replace(spec, p=hi - lo + 1, offsets=tuple(
@@ -741,15 +751,6 @@ _SUMS_ELEMENTWISE_TAPS = 8
 # With n - L below this, drawing the n cells of a row costs less than
 # row_sums (measured over filters of 2 to 21 taps; BENCH_4.json, "crossover").
 _SUMS_MIN_NEW = 6
-
-
-def _sums_block(taps: int) -> int:
-    """New drivers per Bartlett block of :func:`row_sums` for ``taps`` >= 2.
-
-    L - 1, the fewest that leave no carry chained: each block's carry is
-    the previous block's new drivers.
-    """
-    return taps - 1
 
 
 def row_sums_unsupported(spec: PanelSpec) -> str | None:
@@ -876,7 +877,7 @@ def row_sums(spec: PanelSpec, replicates, u_min: float = -math.inf):
         np.multiply(w[0], a[:p], out=along[b])
         for k in range(1, taps):
             along[b] += w[k] * a[k:k + p]
-    K = 1 if taps == 1 else _sums_block(taps)
+    K = max(1, taps - 1)
     blocks = -(-p // K)
     u = along + math.sqrt(n) * spec.offset_vector() if spec.offsets else along
     keep = []
@@ -940,8 +941,7 @@ def _window_norms(rngs, w: np.ndarray, n: int, keep) -> np.ndarray:
         for b, rng in enumerate(rngs):
             out[b, :counts[b], 0] = rng.chisquare(n - 1, counts[b])
         return out
-    c = taps - 1
-    K = _sums_block(taps)
+    c = K = taps - 1
     D = c + K
     # Flat positions, within one frame, of the new rows' normal coordinates
     # and residuals; new row j sits on frame row c + j.

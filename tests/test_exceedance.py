@@ -288,7 +288,7 @@ def test_tail_row_indices_range_checked():
     for i1, i2, name in ((0, 2, "i1"), (6, 2, "i1"), (1, 0, "i2"), (1, 6, "i2"),
                          (3, 3, "i2")):
         with pytest.raises(pg.SpecError, match=name):
-            xc.tail_probability_pair(kdep, i1, i2, 1.0, 10_000, method="sufficiency")
+            xc.tail_probability_pair(kdep, i1, i2, 1.0, 10_000)
 
 
 def test_single_tail_symmetric_level():
@@ -310,13 +310,20 @@ def test_single_tail_matches_exact_reference():
     assert est.exponent > 1.0  # -log(p)/(s^2/2) approaches 1 from above
 
 
-def test_single_tail_explicit_matches_sufficiency():
+def _cells_only(spec, rows, copies, rng):
+    """``panelgen.rows_sums`` held to its cell draw, the oracle of the exact-law draw."""
+    return ("explicit", *pg._rows_cells_sums(spec, rows, copies, rng))
+
+
+def test_single_tail_explicit_matches_sufficiency(monkeypatch):
     spec = pg.PanelSpec(
         p=10, n=30, model=pg.DependenceModel.gaussian_kdep((0.5,)),
         law=pg.InnovationLaw.normal(), seed=3,
     )
-    fast = xc.tail_probability_single(spec, 1.2, 300_000, method="sufficiency")
-    slow = xc.tail_probability_single(spec, 1.2, 300_000, method="explicit")
+    fast = xc.tail_probability_single(spec, 1.2, 300_000)
+    monkeypatch.setattr(pg, "rows_sums", _cells_only)
+    slow = xc.tail_probability_single(spec, 1.2, 300_000)
+    assert (fast.method, slow.method) == ("sufficiency", "explicit")
     gap = abs(fast.estimate - slow.estimate)
     assert gap < 4.0 * math.hypot(fast.se, slow.se)
 
@@ -336,10 +343,6 @@ def test_single_tail_non_gaussian_falls_back_to_explicit():
     )
     est = xc.tail_probability_single(spec, 1.5, 100_000)
     assert est.method == "explicit"
-    with pytest.raises(ValueError):
-        xc.tail_probability_single(spec, 1.5, 100_000, method="sufficiency")
-    with pytest.raises(ValueError, match="unknown tail method"):
-        xc.tail_probability_single(spec, 1.5, 100_000, method="sufficiencyy")
 
 
 @pytest.mark.parametrize("model, law", [
@@ -408,14 +411,32 @@ def test_pair_tail_beyond_range_factorizes():
     assert pair.rho_lag == 0.0
 
 
-def test_pair_tail_explicit_matches_sufficiency():
+def test_pair_tail_explicit_matches_sufficiency(monkeypatch):
     spec = pg.PanelSpec(
         p=10, n=24, model=pg.DependenceModel.moving_average(3),
         law=pg.InnovationLaw.normal(), seed=37,
     )
-    fast = xc.tail_probability_pair(spec, 1, 2, 1.1, 250_000, method="sufficiency")
-    slow = xc.tail_probability_pair(spec, 1, 2, 1.1, 250_000, method="explicit")
+    fast = xc.tail_probability_pair(spec, 1, 2, 1.1, 250_000)
+    monkeypatch.setattr(pg, "rows_sums", _cells_only)
+    slow = xc.tail_probability_pair(spec, 1, 2, 1.1, 250_000)
+    assert (fast.method, slow.method) == ("sufficiency", "explicit")
     assert abs(fast.estimate - slow.estimate) < 4.0 * math.hypot(fast.se, slow.se)
+
+
+def test_gaussian_pair_at_n_2_is_drawn_from_the_cells():
+    # the exact law of a pair's sums needs n >= 3; a single row's n >= 2.
+    # Rows beyond the lag range are drawn one at a time, still from cells,
+    # and their joint tail is the square of the single one.
+    spec = pg.PanelSpec(p=10, n=2, model=pg.DependenceModel.moving_average(2),
+                        law=pg.InnovationLaw.normal(), seed=47)
+    near = xc.tail_probability_pair(spec, 2, 3, 0.8, 100_000)
+    far = xc.tail_probability_pair(spec, 2, 6, 0.8, 100_000)
+    single = xc.tail_probability_single(spec, 0.8, 100_000)
+    assert (near.method, far.method, single.method) == ("explicit", "explicit",
+                                                        "sufficiency")
+    assert far.rho_lag == 0.0 and near.estimate > far.estimate
+    se_prod = 2.0 * single.estimate * single.se
+    assert abs(far.estimate - single.estimate ** 2) < 4.0 * math.hypot(far.se, se_prod)
 
 
 def test_pair_exponent_exceeds_single_exponent():

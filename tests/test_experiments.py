@@ -753,8 +753,10 @@ def test_manifest_of_the_unpacked_rademacher_draw_replays_as_a_mismatch(tmp_path
 
 
 def test_manifest_of_the_blocks_of_16_replays_as_a_mismatch(tmp_path, monkeypatch):
-    # Gaussian row sums in blocks of 16 new drivers, as before blocks of L - 1
-    monkeypatch.setattr(pg, "_sums_block", lambda taps: 16)
+    # Gaussian row sums drawn in another order, as the blocks of 16 new
+    # drivers before the blocks of L - 1 were: normals and chi-squares of 8
+    # blocks at a time, not of all 150
+    monkeypatch.setattr(pg, "_SUMS_CHUNK_ROWS", 16)
     out = tmp_path / "run"
     ex.run(_cfg(kind="mtc", reps=10, eta=0.1, jobs=1), out_dir=out)
     monkeypatch.undo()

@@ -339,7 +339,7 @@ def test_row_sums_exact_second_moments():
         spec = pg.PanelSpec(p=640, n=30, model=model, law=pg.InnovationLaw.normal(),
                             seed=41)
         s1, s2 = _sums(spec, 2000)
-        K = pg._sums_block(model.kappa + 1)
+        K = model.kappa  # L - 1 new drivers per block
         everywhere = _moment_z(s1, s2, spec, slice(None),
                                lambda m: np.arange(spec.p - m))
 
@@ -464,7 +464,7 @@ def test_row_sums_cut_draws_every_row_above_it(spec):
     u = c1 / math.sqrt(spec.n)
     taps = spec.model.kappa + 1 if spec.model.kind == "gaussian-kdep" else max(
         spec.model.kappa, 1)
-    K = 1 if taps == 1 else pg._sums_block(taps)
+    K = max(1, taps - 1)
     above = u > u_min
     drawn = ~np.isnan(c2)
     assert not np.any(above & ~drawn)
@@ -602,8 +602,9 @@ def test_rows_sums_sufficiency_exact_law(model):
     assert [model.lag_correlation(abs(b - a)) for a, b in cases[1:]] == [0.9, 0.5, 0.0]
     z = {}
     for k, rows in enumerate(cases):
-        drawn, s1, s2 = pg.rows_sums(spec, rows, copies, pg.stream(71, k), "sufficiency")
-        assert drawn == copies and s1.shape == s2.shape == (len(rows), copies)
+        method, drawn, s1, s2 = pg.rows_sums(spec, rows, copies, pg.stream(71, k))
+        assert method == "sufficiency" and drawn == copies
+        assert s1.shape == s2.shape == (len(rows), copies)
         c1 = s1 - n * d[[i - 1 for i in rows], None]
         w = s2 - s1 * s1 / n - (n - 1)
         for a, i in enumerate(rows):
