@@ -10,7 +10,8 @@ re-runs a manifest and verifies the recorded output digests.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import configparser
+import io
 import json
 import sys
 from pathlib import Path
@@ -27,29 +28,43 @@ subcommands:
   coupling     per-block hit probabilities and the count-match bound
   cluster      replicated exceedance/cluster statistics on full panels
   mtc          replicated BH / step-down / single-threshold decisions
-  validate     print regime diagnostics for a configuration (always exit 0)
+  validate     print regime diagnostics for a configuration (exit 0 once
+               its text and panel are read)
   replay       re-run a manifest and verify output digests
 
-common flags (after the subcommand):
-  --config PATH   flat text config; flags below override its keys
+common flags (after the subcommand).  Each flag but --config sets one
+config key, which <subcommand> --help shows as its metavar (--p PANEL.P
+sets [panel] p; --model, --law and --format set [panel] model, [panel]
+law and [experiment] format).  An invalid value is reported under that
+[section] key.
+  --config PATH   flat text config; the flags override its keys
   --p INT         number of tests (panel rows)
   --n INT         group size (panel columns)
   --model NAME    iid | gaussian-kdep | moving-average
   --kappa INT     dependence range (gaussian-kdep, moving-average)
-  --rho-max X     maximal lag correlation; for gaussian-kdep without an
-                  explicit rho vector, lag m gets rho_max*(kappa-m+1)/kappa
+  --rho-max X     maximal lag correlation
   --law NAME      standard-normal | standardized-pareto |
                   standardized-rademacher | two-point-with-atom
   --eta X         slack in the admissible level floor (default 0.05)
-  --level T       explicit t-level (switches the level policy to explicit)
+  --level T       explicit t-level
   --reps INT      Monte Carlo replicates
   --seed INT      64-bit seed; (seed, replicate) keys every random stream
   --jobs INT      worker processes (0 = auto; env EXCEEDLAB_JOBS overrides)
   --out DIR       output directory (default runs/<kind>)
   --format F      csv | json for the main table (summaries are JSON)
 
-A flag that the resulting configuration cannot use is an error: --kappa
-on the iid model, --pareto-exponent or --atom on a law that takes none.
+Four flags also edit other keys:
+  --level     sets [level] policy = explicit
+  --rho-max   on a gaussian-kdep panel, sets [panel] rho: lag m gets
+              rho_max*(kappa-m+1)/kappa
+  --law       naming another law, drops the config's pareto_exponent and
+              atom; the new law gets pareto_exponent 4.0 or atom 0.5
+              unless --pareto-exponent or --atom gives one
+  --model     drops the config's keys the new model cannot take: kappa
+              for iid, rho for all but gaussian-kdep
+A flag that the resulting configuration cannot use is still an error:
+--kappa on the iid model, --pareto-exponent or --atom on a law that
+takes none.
 
 environment:
   EXCEEDLAB_JOBS  default parallelism when --jobs is 0 or absent
@@ -72,27 +87,26 @@ def _counts(text: str) -> tuple[int, ...]:
     return tuple(_count(tok) for tok in text.split(","))
 
 
-# Every flag's dest is the ExperimentConfig field it sets, except --config
-# and the panel flags (--p, --n, --kappa, --model, --law, --pareto-exponent,
-# --atom, --seed), which _build_config applies to the panel spec.
+# Every flag but --config sets the config key its dest names, as
+# "section.key"; _build_config writes the given flags into the config text.
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat text config file")
-    sub.add_argument("--p", type=_count, help="number of tests")
-    sub.add_argument("--n", type=_count, help="group size")
-    sub.add_argument("--kappa", type=int, help="dependence range")
-    sub.add_argument("--rho-max", type=float, dest="rho_max_override",
+    sub.add_argument("--p", type=_count, dest="panel.p", help="number of tests")
+    sub.add_argument("--n", type=_count, dest="panel.n", help="group size")
+    sub.add_argument("--kappa", type=int, dest="panel.kappa", help="dependence range")
+    sub.add_argument("--rho-max", type=float, dest="level.rho_max",
                      help="maximal lag correlation")
-    sub.add_argument("--model", choices=pg.MODEL_KINDS)
-    sub.add_argument("--law", choices=pg.LAW_KINDS)
-    sub.add_argument("--pareto-exponent", type=float, dest="pareto_exponent")
-    sub.add_argument("--atom", type=float)
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--level", type=float, dest="level_t", help="explicit t-level")
-    sub.add_argument("--reps", type=_count)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--jobs", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    sub.add_argument("--model", choices=pg.MODEL_KINDS, dest="panel.model")
+    sub.add_argument("--law", choices=pg.LAW_KINDS, dest="panel.law")
+    sub.add_argument("--pareto-exponent", type=float, dest="panel.pareto_exponent")
+    sub.add_argument("--atom", type=float, dest="panel.atom")
+    sub.add_argument("--eta", type=float, dest="level.eta")
+    sub.add_argument("--level", type=float, dest="level.t", help="explicit t-level")
+    sub.add_argument("--reps", type=_count, dest="experiment.reps")
+    sub.add_argument("--seed", type=int, dest="panel.seed")
+    sub.add_argument("--jobs", type=int, dest="experiment.jobs")
+    sub.add_argument("--out", dest="experiment.out")
+    sub.add_argument("--format", choices=("csv", "json"), dest="experiment.format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,24 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(kind, help=f"run the {kind} experiment")
         _add_common(sub)
         if kind in ("tails", "coupling"):
-            sub.add_argument("--s", type=float, dest="s_level", help="R-scale level")
+            sub.add_argument("--s", type=float, dest="level.s", help="R-scale level")
         if kind == "tails":
-            sub.add_argument("--row", type=int)
-            sub.add_argument("--pair", type=_counts, help="i1,i2 row pair")
+            sub.add_argument("--row", type=int, dest="tails.row")
+            sub.add_argument("--pair", type=_counts, dest="tails.pair", help="i1,i2 row pair")
         if kind == "coupling":
-            sub.add_argument("--se-cap", type=float, dest="se_cap")
-            sub.add_argument("--match-draws", type=_count, dest="match_draws")
+            sub.add_argument("--se-cap", type=float, dest="coupling.se_cap")
+            sub.add_argument("--match-draws", type=_count, dest="coupling.match_draws")
         if kind in ("cluster", "coupling"):
-            sub.add_argument("--ell", type=int, dest="block_ell",
+            sub.add_argument("--ell", type=int, dest="level.ell",
                              help="override the large-block length")
         if kind == "mtc":
-            sub.add_argument("--q", type=float, dest="bh_q", help="BH FDR level")
-            sub.add_argument("--a", type=float, dest="fwer_a",
+            sub.add_argument("--q", type=float, dest="mtc.bh_q", help="BH FDR level")
+            sub.add_argument("--a", type=float, dest="mtc.fwer_a",
                              help="step-down FWER level")
         if kind == "paper-table":
-            sub.add_argument("--p-list", type=_counts, dest="p_list",
+            sub.add_argument("--p-list", type=_counts, dest="paper-table.p_list",
                              help="comma-separated test counts")
-            sub.add_argument("--p0", type=_count,
+            sub.add_argument("--p0", type=_count, dest="paper-table.p0",
                              help="test count pinning the quantile level")
 
     sub = subs.add_parser("validate", help="print regime diagnostics")
@@ -142,83 +156,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_rho_vector(rho_max: float, kappa: int) -> tuple[float, ...]:
-    return tuple(rho_max * (kappa - m + 1) / kappa for m in range(1, kappa + 1))
-
-
-def _law(args: argparse.Namespace, law: pg.InnovationLaw) -> pg.InnovationLaw:
-    """``law`` after --law, --pareto-exponent and --atom."""
-    if args.law is not None and args.law != law.kind:
-        law = pg.InnovationLaw(
-            args.law,
-            tail_exponent=4.0 if args.law == "standardized-pareto" else None,
-            atom=0.5 if args.law == "two-point-with-atom" else None,
-        )
-    for flag, field, value in (("--pareto-exponent", "tail_exponent", args.pareto_exponent),
-                               ("--atom", "atom", args.atom)):
-        if value is not None:
-            if getattr(law, field) is None:
-                raise pg.SpecError(f"{flag} does not apply to the {law.kind} law")
-            law = dataclasses.replace(law, **{field: value})
-    return law
+_DEFAULT_CONFIG = "[panel]\np = 1000\nn = 100\n"
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        cfg.kind = args.command if args.command != "validate" else cfg.kind
-    else:
-        spec = pg.PanelSpec(
-            p=1000, n=100, model=pg.DependenceModel.iid(),
-            law=pg.InnovationLaw.normal(),
-        )
-        kind = args.command if args.command != "validate" else "calibrate"
-        cfg = ExperimentConfig(kind=kind, panel=spec)
+    """The --config text, or the default panel, with each given flag written
+    into its key, read back by :meth:`ExperimentConfig.from_text`.
 
-    spec = cfg.panel
-    if args.p is not None:
-        spec.p = args.p
-    if args.n is not None:
-        spec.n = args.n
-    if args.seed is not None:
-        spec.seed = args.seed
-    spec.law = _law(args, spec.law)
+    A key written as "" reads as left out, so it takes its default.
+    """
+    text = Path(args.config).read_text() if args.config else _DEFAULT_CONFIG
+    base = ExperimentConfig.from_text(text)
+    keys = {dest: value for dest, value in vars(args).items()
+            if "." in dest and value is not None}
+    if args.command != "validate":
+        keys["experiment.kind"] = args.command
+    if "level.t" in keys:
+        keys["level.policy"] = "explicit"
+    model = keys.get("panel.model", base.panel.model.kind)
+    if "panel.model" in keys:
+        if model == "iid":
+            keys.setdefault("panel.kappa", "")
+        if model != "gaussian-kdep":
+            keys["panel.rho"] = ""
+    law = keys.get("panel.law", base.panel.law.kind)
+    if law != base.panel.law.kind:
+        keys.setdefault("panel.pareto_exponent", 4.0 if law == "standardized-pareto" else "")
+        keys.setdefault("panel.atom", 0.5 if law == "two-point-with-atom" else "")
+    if model == "gaussian-kdep" and "level.rho_max" in keys:
+        rho_max = keys["level.rho_max"]
+        kappa = keys.get("panel.kappa", base.panel.model.kappa)
+        keys["panel.rho"] = tuple(rho_max * (kappa - m + 1) / kappa
+                                  for m in range(1, kappa + 1))
 
-    model_kind = args.model or spec.model.kind
-    kappa = args.kappa if args.kappa is not None else spec.model.kappa
-    rho_max = args.rho_max_override
-    if model_kind == "iid" and args.kappa is not None:
-        raise pg.SpecError("--kappa does not apply to the iid model")
-    if args.model is not None or args.kappa is not None or rho_max is not None:
-        if model_kind == "iid":
-            spec.model = pg.DependenceModel.iid()
-        elif model_kind == "moving-average":
-            if kappa < 1:
-                raise pg.SpecError("moving-average model needs --kappa >= 1")
-            spec.model = pg.DependenceModel.moving_average(kappa)
-        else:
-            if rho_max is not None:
-                if kappa < 1:
-                    raise pg.SpecError("gaussian-kdep needs --kappa >= 1")
-                spec.model = pg.DependenceModel.gaussian_kdep(
-                    _default_rho_vector(rho_max, kappa)
-                )
-            elif spec.model.kind != "gaussian-kdep":
-                raise pg.SpecError(
-                    "gaussian-kdep needs --rho-max (or a rho vector in --config)"
-                )
-            elif args.kappa is not None and args.kappa != spec.model.kappa:
-                raise pg.SpecError(
-                    "changing kappa for gaussian-kdep needs --rho-max or a "
-                    "rho vector in --config"
-                )
-
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(cfg, field.name, value)
-    if args.level_t is not None:
-        cfg.level_policy = "explicit"
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(base.to_text())
+    for dest, value in keys.items():
+        section, key = dest.split(".")
+        value = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        cp.read_dict({section: {key: value}})
+    buf = io.StringIO()
+    cp.write(buf)
+    cfg = ExperimentConfig.from_text(buf.getvalue())
     if cfg.out is None:
         cfg.out = f"runs/{cfg.kind}"
     return cfg
@@ -294,7 +273,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _build_config(args)
-    except (pg.SpecError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
@@ -305,12 +284,6 @@ def main(argv=None) -> int:
         for note in notes:
             print(note)
         return 0
-
-    try:
-        cfg.validate()
-    except (pg.SpecError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
 
     try:
         manifest = experiments.run(cfg)

@@ -228,8 +228,6 @@ class ExperimentConfig:
         for (section, key), fixed in _RETIRED_KEYS.items():
             if cp.get(section, key, fallback=fixed) != fixed:
                 raise pg.SpecError(f"[{section}] {key}: retired; only {fixed} is accepted")
-        if "panel" not in cp:
-            raise pg.SpecError("config has no [panel] section")
         values, panel = {"kind": "calibrate"}, {}
         for section, key, field, parse in _CONFIG_TABLE:
             raw = cp.get(section, key, fallback="")
@@ -243,11 +241,6 @@ class ExperimentConfig:
                 else:
                     values[field] = value
         return cls(panel=_panel_spec(panel), **values)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -410,7 +403,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     notes: list[str] = []
     try:
         cfg.validate()
-    except (ValueError, pg.SpecError) as exc:
+    except ValueError as exc:
         notes.append(f"error: {exc}")
         return notes
     p, n = cfg.panel.p, cfg.panel.n
@@ -780,8 +773,6 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
     }
     for kind in ("bh", "stepdown-fwer", "single-threshold"):
         rows_k = [rec for rec in records if rec[1] == kind]
-        if not rows_k:
-            continue
         # operative level: the first-rejection p-value threshold of the
         # procedure, mapped back to a t-level for the phi shape
         if kind == "bh":

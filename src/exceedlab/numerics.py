@@ -32,7 +32,6 @@ __all__ = [
     "ErrorBound",
     "ThresholdRegime",
     "any_exceedence_prob",
-    "betainc_reg",
     "bivariate_normal_tail",
     "dependence_summary",
     "normal_cdf",
@@ -202,7 +201,24 @@ def _betainc_series_core(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
     Uses I_x(a,b) = x^a / B(a,b) * sum_n (1-b)_n x^n / (n! (a+n)), a route
     that shares no intermediate with :func:`_betainc_cf_core`.
+
+    For 0 < b < 1 it raises ArithmeticError up front where the terms
+    provably cannot meet the stopping rule within ``_SERIES_MAX_ITER``.
     """
+    if 0.0 < b < 1.0:
+        # Every term is positive and falls with n, and term n is at least
+        # x^n (n + 1)^-b / (Gamma(1 - b) (a + n)) (Gautschi), while the sum
+        # stays below B(a, b) x^-a as I_x(a, b) <= 1.  If the last allowed
+        # term at the largest x is above twice the stop fraction of that sum
+        # (the factor 2 covers rounding), no term there can stop the loop.
+        n, x_max = _SERIES_MAX_ITER, float(np.max(x))
+        log_term = (n * math.log(x_max) - b * math.log(n + 1.0)
+                    - math.lgamma(1.0 - b) - math.log(a + n))
+        if log_term > math.log(2e-17) + _lbeta(a, b) - a * math.log(x_max):
+            raise ArithmeticError(
+                f"incomplete beta series cannot converge in {n} terms at "
+                f"a = {a!r}, b = {b!r}, x = {x_max!r}"
+            )
     s = np.full_like(x, 1.0 / a)
     t = np.ones_like(x)
     done = np.zeros(x.shape, dtype=bool)
@@ -220,19 +236,12 @@ def _betainc_series_core(a: float, b: float, x: np.ndarray) -> np.ndarray:
         return s * np.exp(a * np.log(x) - lb)
 
 
-def betainc_reg(a: float, b: float, x):
-    """Regularized incomplete beta I_x(a, b) for a, b > 0, x in [0, 1].
-
-    Evaluated by the continued fraction.  Scalar input gives scalar output.
-    """
-    return _betainc(a, b, x, _betainc_cf_core)
-
-
 def _betainc(a: float, b: float, x, core):
-    """:func:`betainc_reg` through ``core``, the continued fraction or the series.
+    """Regularized incomplete beta I_x(a, b) for a, b > 0, x in [0, 1],
+    through ``core``, the continued fraction or the series.
 
     Both routes apply the symmetry switch ``I_x(a,b) = 1 - I_{1-x}(b,a)``
-    at ``x > (a+1)/(a+b+2)``.
+    at ``x > (a+1)/(a+b+2)``.  Scalar input gives scalar output.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("incomplete beta requires a > 0 and b > 0")
@@ -319,7 +328,13 @@ def student_t_sf(x, df: float):
 
 
 def student_t_dual_gap(x, df: float):
-    """Absolute disagreement of the two Student t CDF evaluation routes."""
+    """Absolute disagreement of the two Student t CDF evaluation routes.
+
+    The series route stops at ``_SERIES_MAX_ITER`` terms.  It needs the
+    most, about 9 df, just above |x| = sqrt(3), and reaches every x there
+    for df up to 23,704.  Beyond, such x raise ArithmeticError: up front
+    from df = 27,039 on, after the last term in between.
+    """
     cf = np.asarray(_student_t_cdf(x, df, _betainc_cf_core))
     series = np.asarray(_student_t_cdf(x, df, _betainc_series_core))
     gap = np.abs(cf - series)

@@ -326,8 +326,10 @@ def test_cli_kappa_change_needs_rho(tmp_path, capsys):
     (["tails", "--model", "iid", "--kappa", "2"], "--kappa"),
 ])
 def test_cli_flag_the_configuration_cannot_use_exits_2(argv, flag, tmp_path, capsys):
+    # the flag sets its [panel] key, which the model or law refuses
+    key = flag.removeprefix("--").replace("-", "_")
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
-    assert flag in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"invalid configuration: [panel] {key}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -343,6 +345,105 @@ def test_cli_law_flags_apply_to_the_config_law(tmp_path):
         path.write_text(cfg.to_text())
         args = cli.build_parser().parse_args(["tails", "--config", str(path), *flags])
         assert getattr(cli._build_config(args).panel.law, field) == want
+
+
+_KDEP_INI = ("[experiment]\nkind = mtc\n[panel]\np = 2000\nn = 400\n"
+             "model = gaussian-kdep\nrho = 0.1, 0.08, 0.06\n")
+_PARETO_INI = ("[experiment]\nkind = tails\n[panel]\np = 500\nn = 50\nmodel = moving-average\n"
+               "kappa = 3\nlaw = standardized-pareto\npareto_exponent = 5\n")
+_RHO5 = "0.1, 0.08, 0.06000000000000001, 0.04, 0.02"
+
+
+# Each case's config text, as the keys that differ from the CLI's default
+# config, recorded when the CLI still built the panel itself.
+@pytest.mark.parametrize("argv, want", [
+    (["calibrate", "--level", "4.5"],
+     {"experiment.out": "runs/calibrate", "level.policy": "explicit", "level.t": "4.5"}),
+    (["mtc", "--config", "{kdep}", "--rho-max", "0.15"],
+     {"experiment.kind": "mtc", "experiment.out": "runs/mtc", "level.rho_max": "0.15",
+      "panel.p": "2000", "panel.n": "400", "panel.model": "gaussian-kdep", "panel.kappa": "3",
+      "panel.rho": "0.15, 0.09999999999999999, 0.049999999999999996"}),
+    (["mtc", "--config", "{kdep}", "--kappa", "5", "--rho-max", "0.1"],
+     {"experiment.kind": "mtc", "experiment.out": "runs/mtc", "level.rho_max": "0.1",
+      "panel.p": "2000", "panel.n": "400", "panel.model": "gaussian-kdep", "panel.kappa": "5",
+      "panel.rho": _RHO5}),
+    (["tails", "--config", "{pareto}", "--law", "two-point-with-atom"],
+     {"experiment.kind": "tails", "experiment.out": "runs/tails", "panel.p": "500",
+      "panel.n": "50", "panel.model": "moving-average", "panel.law": "two-point-with-atom",
+      "panel.kappa": "3", "panel.atom": "0.5"}),
+    (["tails", "--config", "{pareto}", "--law", "standardized-pareto"],
+     {"experiment.kind": "tails", "experiment.out": "runs/tails", "panel.p": "500",
+      "panel.n": "50", "panel.model": "moving-average", "panel.law": "standardized-pareto",
+      "panel.kappa": "3", "panel.pareto_exponent": "5.0"}),
+    (["tails", "--law", "standardized-pareto"],
+     {"experiment.kind": "tails", "experiment.out": "runs/tails",
+      "panel.law": "standardized-pareto", "panel.pareto_exponent": "4.0"}),
+    (["tails", "--law", "standardized-pareto", "--pareto-exponent", "6"],
+     {"experiment.kind": "tails", "experiment.out": "runs/tails",
+      "panel.law": "standardized-pareto", "panel.pareto_exponent": "6.0"}),
+    (["tails", "--config", "{pareto}", "--model", "iid"],
+     {"experiment.kind": "tails", "experiment.out": "runs/tails", "panel.p": "500",
+      "panel.n": "50", "panel.law": "standardized-pareto", "panel.pareto_exponent": "5.0"}),
+    (["mtc", "--config", "{kdep}", "--model", "moving-average"],
+     {"experiment.kind": "mtc", "experiment.out": "runs/mtc", "panel.p": "2000",
+      "panel.n": "400", "panel.model": "moving-average", "panel.kappa": "3"}),
+    (["validate", "--config", "{kdep}", "--p", "1e4"],
+     {"experiment.kind": "mtc", "experiment.out": "runs/mtc", "panel.p": "10000",
+      "panel.n": "400", "panel.model": "gaussian-kdep", "panel.kappa": "3",
+      "panel.rho": "0.1, 0.08, 0.06"}),
+    # the README's examples
+    (["calibrate", "--rho-max", "0.1", "--p", "1e6", "--n", "100", "--eta", "0.064",
+      "--out", "runs/cal"],
+     {"experiment.out": "runs/cal", "level.eta": "0.064", "level.rho_max": "0.1",
+      "panel.p": "1000000"}),
+    (["cluster", "--p", "10000", "--n", "200", "--model", "gaussian-kdep", "--kappa", "5",
+      "--rho-max", "0.1", "--eta", "0.05", "--reps", "10000", "--seed", "1", "--jobs", "4",
+      "--out", "runs/c"],
+     {"experiment.kind": "cluster", "experiment.reps": "10000", "experiment.jobs": "4",
+      "experiment.out": "runs/c", "level.rho_max": "0.1", "panel.p": "10000", "panel.n": "200",
+      "panel.model": "gaussian-kdep", "panel.seed": "1", "panel.kappa": "5",
+      "panel.rho": _RHO5}),
+    (["mtc", "--p", "2000", "--n", "400", "--model", "gaussian-kdep", "--kappa", "5",
+      "--rho-max", "0.1", "--q", "0.1", "--a", "0.05", "--reps", "10000", "--out", "runs/m"],
+     {"experiment.kind": "mtc", "experiment.reps": "10000", "experiment.out": "runs/m",
+      "level.rho_max": "0.1", "panel.p": "2000", "panel.n": "400",
+      "panel.model": "gaussian-kdep", "panel.kappa": "5", "panel.rho": _RHO5}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_cli_flag_sugar_builds_the_recorded_config(argv, want, tmp_path):
+    def keys(text):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(text)
+        return {f"{name}.{key}": value for name in cp.sections() for key, value in cp[name].items()}
+
+    (tmp_path / "kdep.ini").write_text(_KDEP_INI)
+    (tmp_path / "pareto.ini").write_text(_PARETO_INI)
+    argv = [arg.format(kdep=tmp_path / "kdep.ini", pareto=tmp_path / "pareto.ini")
+            for arg in argv]
+    cfg = cli._build_config(cli.build_parser().parse_args(argv))
+    default = keys(ex.ExperimentConfig.from_text("[panel]\np = 1000\nn = 100\n").to_text())
+    assert keys(cfg.to_text()) == {**default, **want}
+    assert cfg.out == want["experiment.out"]
+
+
+def test_cli_entry_point_exits_with_main_status(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(ex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "exceedlab.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+
+    ok = cli_run("validate", "--p", "1000", "--n", "200")
+    assert ok.returncode == 0, ok.stderr
+    bad = cli_run("calibrate", "--kappa", "5")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("invalid configuration: [panel] kappa: ")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("argv, fields, key", [

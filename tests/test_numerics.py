@@ -7,6 +7,7 @@ and scipy as a cross-library check.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -78,13 +79,22 @@ def test_student_t_dual_paths_agree():
         assert float(np.max(gap)) < 1e-10
 
 
+def test_series_oracle_refuses_a_df_it_cannot_reach_at_once():
+    # near |x| = sqrt(3) the series needs ~9 df terms, above its cap at 1e5
+    xs = np.linspace(-9.0, 9.0, 2001)
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"cannot converge .* a = 50000\.0, b = 0\.5, x = "):
+        nm.student_t_dual_gap(xs, 1e5)
+    assert time.perf_counter() - t0 < 0.25
+
+
 def test_betainc_series_matches_the_continued_fraction():
     # the power series is the continued fraction's oracle, away from b = 1/2 too
     xs = np.linspace(0.0, 1.0, 201)
     for a in (0.5, 2.0, 10.0):
         for b in (0.5, 3.0, 20.0):
             series = nm._betainc(a, b, xs, nm._betainc_series_core)
-            assert np.max(np.abs(nm.betainc_reg(a, b, xs) - series)) < 1e-10
+            assert np.max(np.abs(nm._betainc(a, b, xs, nm._betainc_cf_core) - series)) < 1e-10
 
 
 def test_student_t_cdf_against_scipy():
@@ -320,11 +330,11 @@ def test_phi_over_any_exceedence_vanishes_along_matched_levels():
 
 def test_betainc_methods_reject_bad_input():
     with pytest.raises(ValueError):
-        nm.betainc_reg(0.0, 1.0, 0.5)
+        nm._betainc(0.0, 1.0, 0.5, nm._betainc_cf_core)
     with pytest.raises(ValueError):
-        nm.betainc_reg(1.0, 1.0, 1.5)
+        nm._betainc(1.0, 1.0, 1.5, nm._betainc_cf_core)
 
 
 def test_nan_propagates():
-    assert math.isnan(nm.betainc_reg(2.0, 3.0, math.nan))
+    assert math.isnan(nm._betainc(2.0, 3.0, math.nan, nm._betainc_cf_core))
     assert math.isnan(nm.student_t_cdf(math.nan, 10))
