@@ -213,9 +213,8 @@ _ECHO_KEYS = {
 }
 
 
-def _echo_summary(kind: str, out: str) -> None:
-    """Print the headline numbers of a finished run to stdout."""
-    path = Path(out) / f"{kind.replace('-', '_')}_summary.json"
+def _echo_summary(kind: str, path: Path) -> None:
+    """Print the headline numbers of the run summary at ``path`` to stdout."""
     try:
         summary = json.loads(path.read_text())
     except (OSError, ValueError):
@@ -248,7 +247,7 @@ def _echo_summary(kind: str, out: str) -> None:
 
 def _print_summary(kind: str, manifest: experiments.RunManifest, out: str) -> None:
     print(f"{kind}: wrote {len(manifest.outputs)} files to {out}")
-    _echo_summary(kind, out)
+    _echo_summary(kind, Path(out) / manifest.outputs[-1]["path"])
     for entry in manifest.outputs:
         print(f"  {entry['path']}  sha256:{entry['sha256'][:12]}")
     print(f"  manifest.json  (wall clock {manifest.wall_clock_s:.2f}s)")

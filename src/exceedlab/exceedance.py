@@ -498,7 +498,6 @@ class CouplingEstimate:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "exceedlab.coupling.v2",
             "s": self.s,
             "m": int(self.pi.shape[0]),
             "reps": self.reps,

@@ -2,11 +2,14 @@
 
 An experiment is described by a flat text config (INI-style sections, one
 key per line) or built programmatically as an :class:`ExperimentConfig`.
-Running one executes the named experiment kind, writes its table
-(CSV by default) plus a JSON summary into the output directory, and
-finishes with a ``manifest.json`` listing every emitted file with its
-SHA-256 digest, the resolved config snapshot, the code version, the
-environment that fixes the random streams, and per-stage timings.
+Each experiment kind is a function of the config alone that returns its
+table and summary; :func:`run` alone names, writes and digests the files.
+It writes ``<stem>.<format>`` (CSV by default) and ``<stem>_summary.json``,
+the stem being the kind with ``_`` for ``-``, into the output directory,
+and finishes with a ``manifest.json`` listing both with their SHA-256
+digests, the resolved config snapshot, the code version, the environment
+that fixes the random streams, and per-stage timings: ``experiment_s``
+computes the table and summary, ``write_s`` writes and digests both files.
 
 Determinism contract: the data outputs (tables and summaries) are a pure
 function of (config, seed), independent of the parallelism degree.
@@ -29,7 +32,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -221,10 +224,10 @@ class ExperimentConfig:
         known = {row[:2] for row in _CONFIG_TABLE} | set(_RETIRED_KEYS)
         for name in cp.sections():
             if name not in {section for section, _ in known}:
-                raise pg.SpecError(f"unknown config section [{name}]")
+                raise pg.SpecError(f"[{name}]: unknown config section")
             unknown = sorted(key for key in cp[name] if (name, key) not in known)
             if unknown:
-                raise pg.SpecError(f"unknown [{name}] keys: {unknown}")
+                raise pg.SpecError(f"[{name}] {unknown[0]}: not a key of this section")
         for (section, key), fixed in _RETIRED_KEYS.items():
             if cp.get(section, key, fallback=fixed) != fixed:
                 raise pg.SpecError(f"[{section}] {key}: retired; only {fixed} is accepted")
@@ -427,14 +430,19 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
+def _json_cell(v):
     if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
+        return bool(v)
     if isinstance(v, (int, np.integer)):
-        return str(int(v))
+        return int(v)
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        return float(v)
+    return v
+
+
+def _fmt_cell(v) -> str:
+    v = _json_cell(v)
+    return str(int(v)) if isinstance(v, bool) else str(v)
 
 
 def _write_table(path: Path, schema: str, header: list[str], rows: list[list]) -> None:
@@ -459,23 +467,6 @@ def _write_json_table(path: Path, schema: str, header: list[str], rows: list[lis
     })
 
 
-def _json_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
-def _emit(cfg: ExperimentConfig, out: Path, name: str, schema: str,
-          header: list[str], rows: list[list]) -> Path:
-    path = out / f"{name}.{cfg.fmt}"
-    (_write_json_table if cfg.fmt == "json" else _write_table)(path, schema, header, rows)
-    return path
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -489,9 +480,9 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _map_records(cfg: ExperimentConfig, worker, jobs: int) -> list:
+def _map_records(cfg: ExperimentConfig, worker) -> list:
     """The records of ``worker`` over all replicates, in replicate order."""
-    parts = pg.map_replicates(worker, cfg.reps, jobs, cfg)
+    parts = pg.map_replicates(worker, cfg.reps, cfg.jobs, cfg)
     return [rec for part in parts for rec in part]
 
 
@@ -567,7 +558,7 @@ def _mtc_worker(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _experiment_calibrate(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
+def _experiment_calibrate(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     t_level, r_level, gamma = resolve_level(cfg)
     summary_dep = dependence_summary(_effective_rho_max(cfg))
     p, n = cfg.panel.p, cfg.panel.n
@@ -585,7 +576,6 @@ def _experiment_calibrate(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[
         regime.t_min, regime.t_refined if regime.t_refined is not None else "",
         r_level, q_single, p_any, phi,
     ]]
-    table = _emit(cfg, out, "calibrate", "exceedlab.calibrate.v1", header, rows)
     summary = {
         "schema_version": "exceedlab.calibrate.v1",
         "alpha": summary_dep.alpha,
@@ -600,11 +590,10 @@ def _experiment_calibrate(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[
         "p_any_independent": p_any,
         "phi_nominal": phi,
     }
-    return [table], summary
+    return header, rows, summary
 
 
-def _experiment_paper_table(cfg: ExperimentConfig, out: Path,
-                            jobs: int) -> tuple[list[Path], dict]:
+def _experiment_paper_table(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     n = cfg.panel.n
     # Default calibration for this table is the empirically motivated
     # rho_max = 0.1 (gamma = 1.225) unless explicitly overridden.
@@ -618,7 +607,6 @@ def _experiment_paper_table(cfg: ExperimentConfig, out: Path,
         p_any = any_exceedence_prob(p, q0)
         phi = phi_bound(t, p, gamma).phi_nominal
         rows.append([p, t, q0, p_any, phi, phi / p_any])
-    table = _emit(cfg, out, "paper_table", "exceedlab.paper-table.v1", header, rows)
     summary = {
         "schema_version": "exceedlab.paper-table.v1",
         "n": n,
@@ -634,10 +622,10 @@ def _experiment_paper_table(cfg: ExperimentConfig, out: Path,
             "the nominal shape)"
         ),
     }
-    return [table], summary
+    return header, rows, summary
 
 
-def _experiment_tails(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
+def _experiment_tails(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     _, s, gamma = resolve_level(cfg)
     header = ["kind", "i1", "i2", "lag", "rho_lag", "s", "estimate", "se",
               "wilson_low", "wilson_high", "hits", "reps", "exponent", "method",
@@ -662,7 +650,6 @@ def _experiment_tails(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list
                      pair_est.estimate, pair_est.se, pair_est.wilson_low,
                      pair_est.wilson_high, pair_est.hits, pair_est.reps,
                      pair_est.exponent, pair_est.method, ref_pair])
-    table = _emit(cfg, out, "tails", "exceedlab.tails.v2", header, rows)
     summary = {
         "schema_version": "exceedlab.tails.v2",
         "s": s,
@@ -678,15 +665,15 @@ def _experiment_tails(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list
             "exponent": pair_est.exponent, "lag": pair_est.lag,
             "rho_lag": pair_est.rho_lag, "hits": pair_est.hits,
         }
-    return [table], summary
+    return header, rows, summary
 
 
-def _experiment_coupling(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
+def _experiment_coupling(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     _, s, _ = resolve_level(cfg)
     scheme = _block_scheme_for(cfg, s)
     est = xc.coupling_estimate(
         cfg.panel, scheme, s, cfg.reps,
-        se_cap=cfg.se_cap, match_draws=cfg.match_draws, jobs=jobs,
+        se_cap=cfg.se_cap, match_draws=cfg.match_draws, jobs=cfg.jobs,
     )
     header = ["block", "pi_dependent", "se_dependent", "pi_independent",
               "se_independent", "abs_gap"]
@@ -695,19 +682,18 @@ def _experiment_coupling(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[l
          abs(est.pi[j] - est.pi_prime[j])]
         for j in range(est.pi.shape[0])
     ]
-    table = _emit(cfg, out, "coupling", "exceedlab.coupling.v2", header, rows)
-    summary = est.to_json_dict()
-    summary["sampler"] = resolve_sampler(cfg)
-    summary["ell"] = scheme.ell
-    summary["m"] = scheme.m
-    return [table], summary
+    summary = {
+        "schema_version": "exceedlab.coupling.v2",
+        **est.to_json_dict(),
+        "sampler": resolve_sampler(cfg),
+        "ell": scheme.ell,
+    }
+    return header, rows, summary
 
 
-def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
+def _experiment_cluster(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     t_level, r_level, gamma = resolve_level(cfg)
-    records = _map_records(cfg, _cluster_worker, jobs)
-    table = _emit(cfg, out, "cluster", "exceedlab.cluster.v2",
-                  list(ClusterRecord._fields), records)
+    records = _map_records(cfg, _cluster_worker)
 
     reps = cfg.reps
     any_hits = sum(rec.any_exceedance for rec in records)
@@ -750,16 +736,15 @@ def _experiment_cluster(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[li
         "level_cut": cut,
         "count_histogram": counts,
     }
-    return [table], summary
+    return list(ClusterRecord._fields), records, summary
 
 
-def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[Path], dict]:
+def _experiment_mtc(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     t_level, _, gamma = resolve_level(cfg)
-    records = _map_records(cfg, _mtc_worker, jobs)
+    records = _map_records(cfg, _mtc_worker)
     records.sort(key=lambda rec: (rec[0], rec[1]))
     header = ["replicate", "procedure", "nominal", "rejections",
               "false_rejections", "fdp"]
-    table = _emit(cfg, out, "mtc", "exceedlab.mtc.v1", header, records)
 
     marginal = mtc.StudentizedNormalMarginal(cfg.panel.n)
     summary: dict = {
@@ -794,10 +779,11 @@ def _experiment_mtc(cfg: ExperimentConfig, out: Path, jobs: int) -> tuple[list[P
                 t_op, cfg.panel.p, gamma
             ).phi_nominal if t_op > 0 else None,
         }
-    return [table], summary
+    return header, records, summary
 
 
-# Each kind's experiment: (cfg, out, jobs) -> (tables written, summary).
+# Each kind's experiment: cfg -> (table header, table rows, summary).  The
+# summary's schema_version is the table's schema too.
 _EXPERIMENTS = {
     "calibrate": _experiment_calibrate,
     "tails": _experiment_tails,
@@ -814,6 +800,8 @@ _EXPERIMENTS = {
 
 
 _MANIFEST_SCHEMAS = ("exceedlab.manifest.v1", "exceedlab.manifest.v2")
+# The manifest.json key of each RunManifest field whose name differs.
+_MANIFEST_KEYS = {"config_text": "config"}
 
 
 def environment() -> dict:
@@ -846,20 +834,10 @@ class RunManifest:
     timings: dict
     outputs: list[dict]
     environment: dict | None = None
-    schema_version: str = "exceedlab.manifest.v2"
+    schema_version: str = _MANIFEST_SCHEMAS[-1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "seed": self.seed,
-            "code_version": self.code_version,
-            "environment": self.environment,
-            "config": self.config_text,
-            "wall_clock_s": self.wall_clock_s,
-            "timings": self.timings,
-            "outputs": self.outputs,
-        }
+        return {_MANIFEST_KEYS.get(key, key): value for key, value in asdict(self).items()}
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
@@ -870,22 +848,21 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     directory).
     """
     cfg.validate()
-    jobs = cfg.jobs if cfg.jobs > 0 else default_jobs()
+    cfg = replace(cfg, jobs=cfg.jobs if cfg.jobs > 0 else default_jobs())
     out = Path(out_dir if out_dir is not None else (cfg.out or "."))
     out.mkdir(parents=True, exist_ok=True)
 
     t_start = time.perf_counter()
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    tables, summary = _EXPERIMENTS[cfg.kind](cfg, out, jobs)
-    timings["experiment_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    summary_path = _write_json(out / f"{cfg.kind.replace('-', '_')}_summary.json", summary)
-    outputs = []
-    for path in [*tables, summary_path]:
-        outputs.append({"path": path.name, "sha256": _sha256(path)})
-    timings["write_s"] = time.perf_counter() - t0
+    header, rows, summary = _EXPERIMENTS[cfg.kind](cfg)
+    t_written = time.perf_counter()
+    stem = cfg.kind.replace("-", "_")
+    table = out / f"{stem}.{cfg.fmt}"
+    write_table = _write_json_table if cfg.fmt == "json" else _write_table
+    write_table(table, summary["schema_version"], header, rows)
+    paths = (table, _write_json(out / f"{stem}_summary.json", summary))
+    outputs = [{"path": path.name, "sha256": _sha256(path)} for path in paths]
+    timings = {"experiment_s": t_written - t_start,
+               "write_s": time.perf_counter() - t_written}
 
     manifest = RunManifest(
         kind=cfg.kind,
@@ -902,21 +879,21 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
 
 
 def load_manifest(path) -> RunManifest:
+    """The manifest at ``path``; a v1 manifest, without ``environment``, too.
+
+    Raises ValueError for another schema, or for keys missing or unexpected.
+    """
     with open(path) as fh:
         raw = json.load(fh)
-    if raw.get("schema_version") not in _MANIFEST_SCHEMAS:
+    if not isinstance(raw, dict) or raw.get("schema_version") not in _MANIFEST_SCHEMAS:
         raise ValueError(f"{path}: unsupported manifest schema")
-    return RunManifest(
-        kind=raw["kind"],
-        seed=raw["seed"],
-        code_version=raw["code_version"],
-        config_text=raw["config"],
-        wall_clock_s=raw["wall_clock_s"],
-        timings=raw["timings"],
-        outputs=raw["outputs"],
-        environment=raw.get("environment"),
-        schema_version=raw["schema_version"],
-    )
+    fields_by_key = {_MANIFEST_KEYS.get(f.name, f.name): f for f in fields(RunManifest)}
+    missing = sorted(key for key, f in fields_by_key.items()
+                     if f.default is MISSING and key not in raw)
+    unexpected = sorted(raw.keys() - fields_by_key.keys())
+    if missing or unexpected:
+        raise ValueError(f"{path}: manifest keys missing {missing}, unexpected {unexpected}")
+    return RunManifest(**{fields_by_key[key].name: value for key, value in raw.items()})
 
 
 def _environment_line(recorded: dict | None, current: dict) -> str:

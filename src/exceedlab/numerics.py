@@ -207,14 +207,17 @@ def _betainc_series_core(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """
     if 0.0 < b < 1.0:
         # Every term is positive and falls with n, and term n is at least
-        # x^n (n + 1)^-b / (Gamma(1 - b) (a + n)) (Gautschi), while the sum
-        # stays below B(a, b) x^-a as I_x(a, b) <= 1.  If the last allowed
-        # term at the largest x is above twice the stop fraction of that sum
+        # x^n (n + 1)^-b / (Gamma(1 - b) (a + n)) (Gautschi).  The sum stays
+        # below B(a, b) x^-a, as I_x(a, b) <= 1, and below (1 - x)^(b - 1) / a,
+        # as the (1 - b)_n x^n / n! sum to that.  If the last allowed term at
+        # the largest x is above twice the stop fraction of the smaller bound
         # (the factor 2 covers rounding), no term there can stop the loop.
         n, x_max = _SERIES_MAX_ITER, float(np.max(x))
         log_term = (n * math.log(x_max) - b * math.log(n + 1.0)
                     - math.lgamma(1.0 - b) - math.log(a + n))
-        if log_term > math.log(2e-17) + _lbeta(a, b) - a * math.log(x_max):
+        log_sum = min(_lbeta(a, b) - a * math.log(x_max),
+                      (b - 1.0) * math.log1p(-x_max) - math.log(a))
+        if log_term > math.log(2e-17) + log_sum:
             raise ArithmeticError(
                 f"incomplete beta series cannot converge in {n} terms at "
                 f"a = {a!r}, b = {b!r}, x = {x_max!r}"
@@ -333,7 +336,7 @@ def student_t_dual_gap(x, df: float):
     The series route stops at ``_SERIES_MAX_ITER`` terms.  It needs the
     most, about 9 df, just above |x| = sqrt(3), and reaches every x there
     for df up to 23,704.  Beyond, such x raise ArithmeticError: up front
-    from df = 27,039 on, after the last term in between.
+    from df = 24,567 on, after the last term in between.
     """
     cf = np.asarray(_student_t_cdf(x, df, _betainc_cf_core))
     series = np.asarray(_student_t_cdf(x, df, _betainc_series_core))

@@ -242,6 +242,85 @@ def test_json_table_format(tmp_path):
     assert payload["rows"][0]["replicate"] == 0
 
 
+# One small config of each kind, for the tests of the single writer.
+_SMALL = {
+    "calibrate": _cfg(kind="calibrate", jobs=1),
+    "paper-table": _cfg(kind="paper-table", jobs=1),
+    "tails": _cfg(kind="tails", p=50, n=36, reps=6_000, s_level=1.5, pair=(1, 2), jobs=1),
+    "coupling": _cfg(kind="coupling", p=120, n=36, reps=100, se_cap=0.05, s_level=1.8,
+                     match_draws=2_000, jobs=1),
+    "cluster": _cfg(reps=10, eta=0.1, jobs=1),
+    "mtc": _cfg(kind="mtc", reps=5, eta=0.1, jobs=1),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ex.EXPERIMENT_KINDS)
+def test_run_writes_one_table_then_its_summary(kind, fmt, tmp_path):
+    manifest = ex.run(replace(_SMALL[kind], fmt=fmt), out_dir=tmp_path)
+    stem = kind.replace("-", "_")
+    table, summary = f"{stem}.{fmt}", f"{stem}_summary.json"
+    assert [entry["path"] for entry in manifest.outputs] == [table, summary]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [table, summary, "manifest.json"])
+    schema = json.loads((tmp_path / summary).read_text())["schema_version"]
+    text = (tmp_path / table).read_text()
+    if fmt == "json":
+        assert json.loads(text)["schema_version"] == schema
+    else:
+        assert text.splitlines()[0] == f"# schema: {schema}"
+
+
+@pytest.mark.parametrize("kind", ex.EXPERIMENT_KINDS)
+def test_experiments_return_their_table_and_write_nothing(kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    header, rows, summary = ex._EXPERIMENTS[kind](_SMALL[kind])
+    assert list(tmp_path.iterdir()) == []
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert summary["schema_version"].startswith("exceedlab.")
+
+
+def test_manifest_json_round_trips_and_names_the_keys_it_refuses(tmp_path):
+    out = tmp_path / "run"
+    ex.run(_SMALL["calibrate"], out_dir=out)
+    path = out / "manifest.json"
+    raw = json.loads(path.read_text())
+    assert ex.load_manifest(path).to_json_dict() == raw
+    del raw["seed"]
+    raw["seeds"] = 7
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=r"missing \['seed'\], unexpected \['seeds'\]"):
+        ex.load_manifest(path)
+
+
+def test_cli_replay_of_a_manifest_without_seed_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "run"
+    ex.run(_SMALL["calibrate"], out_dir=out)
+    raw = json.loads((out / "manifest.json").read_text())
+    del raw["seed"]
+    (out / "manifest.json").write_text(json.dumps(raw))
+    rc = cli.main(["replay", "--manifest", str(out / "manifest.json"),
+                   "--work-dir", str(tmp_path / "w")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay failed:") and "seed" in err
+
+
+def test_experiment_runner_demo_exits_0_under_runtime_warnings_as_errors(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    root = Path(ex.__file__).resolve().parents[2]
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    demo = root / "demos" / "07_experiment_runner.py"
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "replay verdict: outputs reproduced" in done.stdout
+
+
 def test_default_jobs_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("EXCEEDLAB_JOBS", "7")
     assert ex.default_jobs() == 7

@@ -88,6 +88,21 @@ def test_series_oracle_refuses_a_df_it_cannot_reach_at_once():
     assert time.perf_counter() - t0 < 0.25
 
 
+def test_series_oracle_refuses_df_25000_at_its_slowest_x_at_once():
+    # the slowest x puts xb = df / (df + x^2) at the top of the direct branch,
+    # where the sum bound (1 - xb)^(-1/2) / a refuses from df = 24,567 on
+    df = 25_000.0
+    a = 0.5 * df
+    xb = (a + 1.0) / (a + 2.5)
+    x = math.sqrt(df / xb - df)
+    while df / (df + x * x) > xb:
+        x = math.nextafter(x, math.inf)
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"cannot converge .* a = 12500\.0, b = 0\.5, x = "):
+        nm.student_t_dual_gap(x, df)
+    assert time.perf_counter() - t0 < 0.25
+
+
 def test_betainc_series_matches_the_continued_fraction():
     # the power series is the continued fraction's oracle, away from b = 1/2 too
     xs = np.linspace(0.0, 1.0, 201)
