@@ -28,37 +28,39 @@ print(f"\n  resolved levels: t = {t_level:.4f}, r = {r_level:.4f}, "
       f"gamma = {gamma:.4f}")
 print("  regime diagnostics:", ex.validate_config(cfg) or "none")
 
-base = Path(tempfile.mkdtemp(prefix="exceedlab_demo_"))
+# every output goes into a temporary directory, removed when the demo exits
+with tempfile.TemporaryDirectory(prefix="exceedlab_demo_") as tmp:
+    base = Path(tmp)
 
-print("\n" + "=" * 70)
-print("2. Byte-identical outputs across worker counts")
-print("=" * 70)
-digests = {}
-for jobs in (1, 2):
-    cfg.jobs = jobs
-    manifest = ex.run(cfg, out_dir=base / f"jobs{jobs}")
-    digests[jobs] = {e["path"]: e["sha256"] for e in manifest.outputs}
-    print(f"  jobs={jobs}: " + ", ".join(
-        f"{name} {sha[:10]}" for name, sha in sorted(digests[jobs].items())
-    ))
-print("  identical:", digests[1] == digests[2])
+    print("\n" + "=" * 70)
+    print("2. Byte-identical outputs across worker counts")
+    print("=" * 70)
+    digests = {}
+    for jobs in (1, 2):
+        cfg.jobs = jobs
+        manifest = ex.run(cfg, out_dir=base / f"jobs{jobs}")
+        digests[jobs] = {e["path"]: e["sha256"] for e in manifest.outputs}
+        print(f"  jobs={jobs}: " + ", ".join(
+            f"{name} {sha[:10]}" for name, sha in sorted(digests[jobs].items())
+        ))
+    print("  identical:", digests[1] == digests[2])
 
-print("\n" + "=" * 70)
-print("3. The summary and the manifest")
-print("=" * 70)
-summary = json.loads((base / "jobs2" / "cluster_summary.json").read_text())
-for key in ("replicates", "t_level", "p_any_empirical", "p_any_independent_ref",
-            "phi_nominal", "event_f_fraction"):
-    print(f"  {key}: {summary[key]}")
-manifest = ex.load_manifest(base / "jobs2" / "manifest.json")
-print(f"  manifest: kind={manifest.kind}, seed={manifest.seed}, "
-      f"code={manifest.code_version}, wall={manifest.wall_clock_s:.2f}s")
+    print("\n" + "=" * 70)
+    print("3. The summary and the manifest")
+    print("=" * 70)
+    summary = json.loads((base / "jobs2" / "cluster_summary.json").read_text())
+    for key in ("replicates", "t_level", "p_any_empirical", "p_any_independent_ref",
+                "phi_nominal", "event_f_fraction"):
+        print(f"  {key}: {summary[key]}")
+    manifest = ex.load_manifest(base / "jobs2" / "manifest.json")
+    print(f"  manifest: kind={manifest.kind}, seed={manifest.seed}, "
+          f"code={manifest.code_version}, wall={manifest.wall_clock_s:.2f}s")
 
-print("\n" + "=" * 70)
-print("4. Replay re-runs the snapshot and verifies every digest")
-print("=" * 70)
-ok, report = ex.replay(base / "jobs2" / "manifest.json",
-                       work_dir=base / "replay", jobs=2)
-for line in report:
-    print("  " + line)
-print("  replay verdict:", "outputs reproduced" if ok else "MISMATCH")
+    print("\n" + "=" * 70)
+    print("4. Replay re-runs the snapshot and verifies every digest")
+    print("=" * 70)
+    ok, report = ex.replay(base / "jobs2" / "manifest.json",
+                           work_dir=base / "replay", jobs=2)
+    for line in report:
+        print("  " + line)
+    print("  replay verdict:", "outputs reproduced" if ok else "MISMATCH")

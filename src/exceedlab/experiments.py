@@ -50,7 +50,7 @@ from exceedlab.numerics import (
     bivariate_normal_tail,
     dependence_summary,
     phi_bound,
-    student_t_quantile,
+    student_t_isf,
     student_t_sf,
     threshold_regime,
 )
@@ -600,7 +600,7 @@ def _experiment_paper_table(cfg: ExperimentConfig) -> tuple[list[str], list, dic
     rho_max = cfg.rho_max_override if cfg.rho_max_override is not None else 0.1
     gamma = dependence_summary(rho_max).gamma
     q0 = 1.0 / cfg.p0
-    t = student_t_quantile(1.0 - q0, n - 1)
+    t = float(student_t_isf(q0, n - 1))
     header = ["p", "t", "q_single", "p_any_exceedence", "phi_nominal", "ratio"]
     rows = []
     for p in cfg.p_list:
@@ -761,10 +761,10 @@ def _experiment_mtc(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
         # operative level: the first-rejection p-value threshold of the
         # procedure, mapped back to a t-level for the phi shape
         if kind == "bh":
-            t_op = marginal.upper_quantile(cfg.bh_q / cfg.panel.p)
+            t_op = float(marginal.upper_quantile(cfg.bh_q / cfg.panel.p))
         elif kind == "stepdown-fwer":
             u1 = -math.expm1(math.log1p(-cfg.fwer_a) / cfg.panel.p)
-            t_op = marginal.upper_quantile(u1)
+            t_op = float(marginal.upper_quantile(u1))
         else:
             t_op = t_level
         rates = mtc.realized_error_rates(rec[3:] for rec in rows_k)
@@ -802,6 +802,15 @@ _EXPERIMENTS = {
 _MANIFEST_SCHEMAS = ("exceedlab.manifest.v1", "exceedlab.manifest.v2")
 # The manifest.json key of each RunManifest field whose name differs.
 _MANIFEST_KEYS = {"config_text": "config"}
+# What replay needs each of these manifest.json values to be, and a test of it.
+_MANIFEST_VALUES = {
+    "outputs": ("a list of objects with a string path and sha256",
+                lambda value: isinstance(value, list) and all(
+                    isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                    and isinstance(entry.get("sha256"), str) for entry in value)),
+    "config": ("a string", lambda value: isinstance(value, str)),
+    "environment": ("an object or null", lambda value: value is None or isinstance(value, dict)),
+}
 
 
 def environment() -> dict:
@@ -881,7 +890,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
 def load_manifest(path) -> RunManifest:
     """The manifest at ``path``; a v1 manifest, without ``environment``, too.
 
-    Raises ValueError for another schema, or for keys missing or unexpected.
+    Raises ValueError for another schema, for keys missing or unexpected,
+    or for a value of ``_MANIFEST_VALUES`` of the wrong shape.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -893,6 +903,9 @@ def load_manifest(path) -> RunManifest:
     unexpected = sorted(raw.keys() - fields_by_key.keys())
     if missing or unexpected:
         raise ValueError(f"{path}: manifest keys missing {missing}, unexpected {unexpected}")
+    for key, (shape, fits) in _MANIFEST_VALUES.items():
+        if not fits(raw.get(key)):
+            raise ValueError(f"{path}: manifest {key} must be {shape}")
     return RunManifest(**{fields_by_key[key].name: value for key, value in raw.items()})
 
 

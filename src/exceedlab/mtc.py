@@ -39,9 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from exceedlab.exceedance import wilson_interval
-from exceedlab.numerics import (
-    student_t_isf, student_t_quantile, student_t_sf, threshold_regime,
-)
+from exceedlab.numerics import student_t_isf, student_t_sf, threshold_regime
 
 __all__ = [
     "BinCounts",
@@ -75,10 +73,7 @@ class StudentTMarginal:
     def sf(self, x):
         return student_t_sf(x, self.df)
 
-    def upper_quantile(self, q: float) -> float:
-        return -student_t_quantile(q, self.df)
-
-    def upper_quantiles(self, levels) -> np.ndarray:
+    def upper_quantile(self, levels) -> np.ndarray:
         return student_t_isf(levels, self.df)
 
     def describe(self) -> str:
@@ -103,10 +98,7 @@ class StudentizedNormalMarginal:
     def sf(self, x):
         return student_t_sf(np.asarray(x, dtype=float) * self._scale, self.n - 1)
 
-    def upper_quantile(self, q: float) -> float:
-        return -student_t_quantile(q, self.n - 1) / self._scale
-
-    def upper_quantiles(self, levels) -> np.ndarray:
+    def upper_quantile(self, levels) -> np.ndarray:
         return student_t_isf(levels, self.n - 1) / self._scale
 
     def describe(self) -> str:
@@ -165,9 +157,7 @@ def bin_thresholds(
             f"k * beta / p = {k * beta / p:g} must stay below 1; "
             "fewer bins or smaller beta required"
         )
-    thresholds = np.array(
-        [marginal.upper_quantile(j * beta / p) for j in range(1, k + 1)]
-    )
+    thresholds = marginal.upper_quantile(np.arange(1, k + 1) * beta / p)
     if np.any(np.diff(thresholds) >= 0.0):
         raise ValueError("marginal produced non-decreasing thresholds")
     valid = None
@@ -406,7 +396,7 @@ class TailDecider:
     then exactly those with p <= u_k at that stage.  N(u_k) is counted by
     searching the sorted candidate T for c_k, the upper ``marginal``
     quantile of u_k.  The table of c_k is solved by one vectorised call of
-    ``marginal.upper_quantiles`` for the stages of both procedures; it is
+    ``marginal.upper_quantile`` for the stages of both procedures; it is
     kept for every panel of the same m, and grows on demand to an eighth
     more stages than the most candidates seen.  A T within
     ``_BAND * max(1, |c_k|)`` of c_k gets its p-value, but only where it
@@ -421,7 +411,7 @@ class TailDecider:
         _check_level(a, "FWER level a")
         self.marginal, self.q, self.a = marginal, q, a
         level = max(q, a) * (1.0 + _CUT_MARGIN)
-        self.cut = marginal.upper_quantile(level) if level < 1.0 else -math.inf
+        self.cut = float(marginal.upper_quantile(level)) if level < 1.0 else -math.inf
         # levels u_k and band ends around c_k; rows BH and step-down, columns k = 1, 2, ..
         self._m = None
         self._u = self._lo = self._hi = np.empty((2, 0))
@@ -440,7 +430,7 @@ class TailDecider:
         levels = np.concatenate([self._u, u], axis=1)
         if np.any(np.diff(levels, axis=1) < 0.0):
             raise ArithmeticError("a critical value decreases from one stage to the next")
-        c = np.asarray(self.marginal.upper_quantiles(u), dtype=float)
+        c = np.asarray(self.marginal.upper_quantile(u), dtype=float)
         width = _BAND * np.maximum(1.0, np.abs(c))
         lo, hi = c - width, c + width
         sf_lo, sf_hi = np.asarray(self.marginal.sf(np.stack([lo, hi])), dtype=float)

@@ -4,8 +4,10 @@ Everything here is pure and reentrant.  The Student t CDF is evaluated
 through the regularized incomplete beta function along two independent
 routes (a Lentz-style continued fraction and a power series, both behind
 the same symmetry switch); their agreement is a shipped self-test, see
-:func:`student_t_dual_gap`.  Quantiles are found by safeguarded
-bracketing Newton iteration, favouring correctness over speed.
+:func:`student_t_dual_gap`.  Every Student t quantile comes from one
+vectorised Newton solve on the log sf, kept inside the bracket its own
+evaluations give (:func:`student_t_isf`); the normal quantile polishes
+Acklam's rational guess by Newton steps.
 
 The calibration quantities follow the dependent-panel calculus:
 
@@ -42,7 +44,6 @@ __all__ = [
     "student_t_cdf",
     "student_t_dual_gap",
     "student_t_isf",
-    "student_t_pdf",
     "student_t_quantile",
     "student_t_sf",
     "threshold_regime",
@@ -72,8 +73,8 @@ def normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-# Rational initial guess for the normal quantile (Acklam's approximation),
-# polished below by Newton steps against normal_cdf.
+# Acklam's rational approximation of the normal quantile: the first guess of
+# normal_quantile, polished below by Newton steps, and of student_t_isf.
 _ACKLAM_A = (
     -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
     1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
@@ -92,22 +93,15 @@ _ACKLAM_D = (
 )
 
 
-def _normal_quantile_guess(u: float) -> float:
+def _normal_isf_guess(u: np.ndarray) -> np.ndarray:
+    """Acklam's rational approximation of z with 1 - Phi(z) = u, elementwise."""
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if u < 0.02425:
-        q = math.sqrt(-2.0 * math.log(u))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if u > 1.0 - 0.02425:
-        return -_normal_quantile_guess(1.0 - u)
-    q = u - 0.5
-    r = q * q
-    return (
-        (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-        * q
-        / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    )
+    small = np.minimum(u, 1.0 - u)
+    r = np.sqrt(-2.0 * np.log(small))
+    tail = np.polyval(c, r) / np.polyval((*d, 1.0), r)  # Phi^{-1}(small) < 0
+    s = u - 0.5
+    central = np.polyval(a, s * s) * s / np.polyval((*b, 1.0), s * s)
+    return np.where(small < 0.02425, np.where(u <= 0.5, -tail, tail), -central)
 
 
 def normal_quantile(u: float) -> float:
@@ -122,7 +116,7 @@ def normal_quantile(u: float) -> float:
         return -math.inf
     if u == 1.0:
         return math.inf
-    x = _normal_quantile_guess(u)
+    x = -float(_normal_isf_guess(u))
     # Newton polish; the tail branch works on the smaller of cdf/sf so the
     # residual stays well conditioned out to u = 1e-300.
     for _ in range(4):
@@ -280,17 +274,6 @@ def _check_df(df: float) -> float:
     return df
 
 
-def student_t_pdf(x: float, df: float) -> float:
-    """Student t density with ``df`` degrees of freedom."""
-    df = _check_df(df)
-    lognorm = (
-        math.lgamma(0.5 * (df + 1.0))
-        - math.lgamma(0.5 * df)
-        - 0.5 * math.log(df * math.pi)
-    )
-    return math.exp(lognorm - 0.5 * (df + 1.0) * math.log1p(x * x / df))
-
-
 def student_t_cdf(x, df: float):
     """Student t distribution function via the regularized incomplete beta.
 
@@ -344,36 +327,20 @@ def student_t_dual_gap(x, df: float):
     return float(gap) if gap.ndim == 0 else gap
 
 
-def _normal_isf_guess(u: np.ndarray) -> np.ndarray:
-    """Acklam's rational approximation of z with 1 - Phi(z) = u, elementwise.
-
-    Apart from :func:`_normal_quantile_guess`, whose scalar arithmetic fixes
-    the bits of :func:`normal_quantile` and the levels derived from it.
-    """
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    small = np.minimum(u, 1.0 - u)
-    r = np.sqrt(-2.0 * np.log(small))
-    tail = np.polyval(c, r) / np.polyval((*d, 1.0), r)  # Phi^{-1}(small) < 0
-    s = u - 0.5
-    central = np.polyval(a, s * s) * s / np.polyval((*b, 1.0), s * s)
-    return np.where(small < 0.02425, np.where(u <= 0.5, -tail, tail), -central)
-
-
 def student_t_isf(u, df: float) -> np.ndarray:
     """Upper quantiles: x with ``student_t_sf(x, df) = u``, elementwise on (0, 1).
 
-    The vectorised counterpart of ``-student_t_quantile(u, df)``, for many
-    levels at once.  Newton steps on log sf start from the closed form at
-    df = 1 and 2, and otherwise from the Cornish-Fisher expansion about
-    the normal quantile.  A step that leaves the bracket the evaluated sf
-    values give bisects it, or steps max(1, |end|) past the end of a
-    one-sided one.  Each step evaluates the sf of every level not yet
-    converged in one call.  A level has converged when its Newton step is
-    within 1e-8 * max(1, |x|), so its error is about the square of that;
-    the looser bound is what the sf's own rounding allows near u = 1/2 at
-    df in the millions.  After 100 steps the last iterate is returned, as
-    :func:`student_t_quantile` does after 200.  The results need not equal
-    that function's bit for bit.
+    The one Student t quantile solve; :func:`student_t_quantile` calls it
+    for the smaller tail.  Newton steps on log sf start from the closed
+    form at df = 1 and 2, and otherwise from the Cornish-Fisher expansion
+    about the normal quantile.  A step that leaves the bracket the
+    evaluated sf values give bisects it, or steps max(1, |end|) past the
+    end of a one-sided one.  Each step evaluates the sf of every level not
+    yet converged in one call.  A level has converged when its Newton step
+    is within 1e-8 * max(1, |x|), so its error is about the square of
+    that; the looser bound is what the sf's own rounding allows near
+    u = 1/2 at df in the millions.  After 100 steps the last iterate is
+    returned.
     """
     df = _check_df(df)
     levels = np.asarray(u, dtype=float)
@@ -420,52 +387,15 @@ def student_t_isf(u, df: float) -> np.ndarray:
 def student_t_quantile(u: float, df: float) -> float:
     """Inverse Student t CDF on (0, 1); round-trips to better than 1e-9.
 
-    A safeguarded bracketing Newton solve of cdf(x) = u: Newton steps that
-    leave the bracket bisect it instead.  The residual is evaluated through
-    whichever of cdf and sf is smaller, so deep-tail quantiles remain well
-    conditioned.
+    By symmetry, :func:`student_t_isf` of the smaller tail: of u below 1/2,
+    and of 1 - u, which is exact, above it.  u = 1/2 gives exactly 0.
     """
-    df = _check_df(df)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {u!r}")
+    _check_df(df)
     if u == 0.5:
         return 0.0
-    z = normal_quantile(u)
-    if df == 1.0:
-        x0 = math.tan(math.pi * (u - 0.5))
-    else:
-        x0 = z + (z ** 3 + z) / (4.0 * df)
-    # Expand an initial bracket around the guess.
-    step = max(1.0, abs(x0))
-    lo_b = hi_b = x0
-    while student_t_cdf(lo_b, df) > u:
-        lo_b -= step
-        step *= 2.0
-    step = max(1.0, abs(x0))
-    while student_t_cdf(hi_b, df) < u:
-        hi_b += step
-        step *= 2.0
-
-    x = x0
-    for _ in range(200):
-        if u <= 0.5:
-            err = student_t_cdf(x, df) - u
-        else:
-            err = (1.0 - u) - student_t_sf(x, df)
-        if err > 0.0:
-            hi_b = min(hi_b, x)
-        elif err < 0.0:
-            lo_b = max(lo_b, x)
-        else:
-            return x
-        dens = student_t_pdf(x, df)
-        x_new = x - err / dens if dens > 0.0 else 0.5 * (lo_b + hi_b)
-        if not lo_b <= x_new <= hi_b:
-            x_new = 0.5 * (lo_b + hi_b)
-        if abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
+    if u < 0.5:
+        return -float(student_t_isf(u, df))
+    return float(student_t_isf(1.0 - u, df))
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,28 @@ def test_cli_replay_of_a_manifest_without_seed_fails_cleanly(tmp_path, capsys):
     assert err.startswith("replay failed:") and "seed" in err
 
 
-def test_experiment_runner_demo_exits_0_under_runtime_warnings_as_errors(tmp_path):
+@pytest.mark.parametrize("key, value", [("outputs", [{"sha256": "x"}]), ("outputs", "abc"),
+                                        ("config", 3), ("environment", [])])
+def test_cli_replay_of_a_malformed_manifest_value_fails_before_the_rerun(key, value, tmp_path,
+                                                                          capsys):
+    out = tmp_path / "run"
+    ex.run(_SMALL["calibrate"], out_dir=out)
+    raw = json.loads((out / "manifest.json").read_text())
+    raw[key] = value
+    (out / "manifest.json").write_text(json.dumps(raw))
+    rc = cli.main(["replay", "--manifest", str(out / "manifest.json"),
+                   "--work-dir", str(tmp_path / "w")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay failed:") and f"manifest {key} must be" in err
+    assert not (tmp_path / "w").exists()
+
+
+# the demos that call student_t_quantile, bin_thresholds, both marginals and
+# the runner; demo 04 takes about 19 s and stays out of Tier-1
+@pytest.mark.parametrize("demo", ["02_threshold_calculus", "06_multiple_testing",
+                                  "07_experiment_runner"])
+def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
     import os
     import subprocess
     import sys
@@ -314,11 +335,13 @@ def test_experiment_runner_demo_exits_0_under_runtime_warnings_as_errors(tmp_pat
     root = Path(ex.__file__).resolve().parents[2]
     env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    demo = root / "demos" / "07_experiment_runner.py"
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(root / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert "replay verdict: outputs reproduced" in done.stdout
+    assert not list(tmp_path.glob("exceedlab_demo_*"))
+    if demo == "07_experiment_runner":
+        assert "replay verdict: outputs reproduced" in done.stdout
 
 
 def test_default_jobs_env(monkeypatch, tmp_path, capsys):
@@ -1006,7 +1029,7 @@ def test_mtc_p_values_use_the_exact_studentized_scale(tmp_path):
     n = 40
     marginal = mtc.StudentizedNormalMarginal(n)
     us = np.array([0.3, 1e-3, 5e-5, 5e-6, 1e-6])
-    t = np.array([marginal.upper_quantile(u) for u in us])
+    t = marginal.upper_quantile(us)
     # rows with mean t / sqrt(n) and variance 1 have T = t
     rows = stu.studentize_sums(t * math.sqrt(n), n + t * t, n)
     assert np.allclose(rows.t, t, rtol=1e-13)

@@ -311,10 +311,7 @@ class _PValueMarginal:
     def sf(self, x):
         return np.clip(-np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def upper_quantile(self, q):
-        return -q
-
-    def upper_quantiles(self, levels):
+    def upper_quantile(self, levels):
         return -np.asarray(levels, dtype=float)
 
 
@@ -363,7 +360,7 @@ def _critical_value(code, marginal, q, a, m):
     k = (k - 1) % m
     level = (mtc._bh_levels(q, m, k, k + 1) if kind == "bh"
              else mtc._stepdown_levels(a, m, k, k + 1))
-    c = float(marginal.upper_quantiles(level)[0])
+    c = float(marginal.upper_quantile(level)[0])
     if isinstance(shift, float):
         return c + shift
     for _ in range(abs(shift)):
@@ -454,7 +451,7 @@ def test_tail_decider_computes_p_values_only_near_a_critical_value(monkeypatch):
     marginal = mtc.StudentizedNormalMarginal(40)
     sizes = _count_p_values(monkeypatch)
     values = np.full(500, -1.0)
-    c1 = float(marginal.upper_quantiles(mtc._bh_levels(0.1, 500, 0, 1))[0])
+    c1 = float(marginal.upper_quantile(mtc._bh_levels(0.1, 500, 0, 1))[0])
     values[[70, 71]] = [2.5, c1 * (1.0 + 2e-6)]  # both outside every band
     _decide_both_ways(values, marginal, 0.1, 0.05, [4])
     assert sizes == [500]  # the oracle's alone

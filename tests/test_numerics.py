@@ -129,18 +129,18 @@ def test_student_t_quantile_roundtrip():
         for u in grid:
             x = nm.student_t_quantile(float(u), df)
             assert abs(nm.student_t_cdf(x, df) - u) < 1e-9
+        assert nm.student_t_quantile(0.5, df) == 0.0
 
 
 def test_student_t_isf_inverts_the_sf_elementwise():
-    # the vectorised upper quantiles keep their input's shape and invert the
-    # sf into the deep tail and past u = 1/2; in the upper tail they agree
-    # with the scalar solve (near u = 1 the sf is too flat to pin x down)
+    # the upper quantiles keep their input's shape and invert the sf into
+    # the deep tail and past u = 1/2; in the upper tail they agree with
+    # scipy's (near u = 1 the sf is too flat to pin x down)
     grid = np.concatenate([np.geomspace(1e-12, 0.5, 30), 1 - np.geomspace(1e-8, 0.45, 10)])
     for df in (1, 1.5, 2, 3.5, 39, 399, 1e4):
         x = nm.student_t_isf(grid.reshape(5, 8), df).ravel()
         assert np.allclose(nm.student_t_sf(x, df), grid, rtol=1e-11, atol=0)
-        scalar = np.array([-nm.student_t_quantile(float(u), df) for u in grid[:30]])
-        assert np.allclose(x[:30], scalar, rtol=1e-11, atol=1e-11)
+        assert np.allclose(x[:30], st.t.isf(grid[:30], df), rtol=1e-11, atol=1e-11)
     with pytest.raises(ValueError):
         nm.student_t_isf([0.5, 1.0], 10)
 
