@@ -20,16 +20,18 @@ other.
 The coupling machinery estimates per-block hit probabilities for a
 dependent panel and a matched independent panel (same marginal law,
 common random numbers where the construction permits), forms the
-count-match lower bound ``1 - sum_j |pi_j - pi'_j|`` and verifies it by
-realizing the shared-uniform construction: draw U_j once, count
+count-match lower bound ``1 - sum_j |pi_j - pi'_j|`` and verifies it
+against the shared-uniform construction: draw U_j once, count
 ``N = #{U_j <= pi_j}`` and ``N' = #{U_j <= pi'_j}`` and measure
-``P(N = N')``.  Both panels of a pair arrive as row sums from
+``P(N = N')``, which is also computed exactly by convolution.  Both
+panels of a pair arrive as row sums from
 ``panelgen.matched_sums``, which alone decides how they are drawn, and R
 comes from ``studentize_sums``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +53,7 @@ __all__ = [
     "block_scheme",
     "cluster_stats",
     "count_match_lower_bound",
+    "count_match_probability",
     "coupling_estimate",
     "extract",
     "simulate_count_match",
@@ -425,19 +428,41 @@ def tail_probability_pair(
 # ---------------------------------------------------------------------------
 
 
-def count_match_lower_bound(pi, pi_prime) -> float:
-    """The coupling lower bound 1 - sum_j |pi_j - pi'_j| on P(N = N')."""
+def _probability_vectors(pi, pi_prime) -> tuple[np.ndarray, np.ndarray]:
+    """``pi`` and ``pi_prime`` as equal-length vectors of probabilities."""
     pi = np.asarray(pi, dtype=float)
     pp = np.asarray(pi_prime, dtype=float)
     if pi.shape != pp.shape or pi.ndim != 1:
         raise ValueError("pi and pi_prime must be equal-length vectors")
     for name, v in (("pi", pi), ("pi_prime", pp)):
-        if np.any((v < 0.0) | (v > 1.0)):
-            raise ValueError(f"{name} entries must lie in [0, 1]")
+        if not np.all((v >= 0.0) & (v <= 1.0)):  # NaN fails both
+            raise ValueError(f"{name} entries must be finite and lie in [0, 1]")
+    return pi, pp
+
+
+def count_match_lower_bound(pi, pi_prime) -> float:
+    """The coupling lower bound 1 - sum_j |pi_j - pi'_j| on P(N = N')."""
+    pi, pp = _probability_vectors(pi, pi_prime)
     return 1.0 - float(np.abs(pi - pp).sum())
 
 
-_MATCH_CHUNK = 500_000  # uniforms simulate_count_match draws at a time: bounds its memory
+def count_match_probability(pi, pi_prime) -> float:
+    """P(N = N') under the shared-uniform construction, exactly.
+
+    One uniform per block steps both counts with probability
+    min(pi_j, pi'_j) and only the larger side with probability
+    |pi_j - pi'_j|, so N - N' is a sum of independent {-1, 0, +1} steps:
+    up with max(pi_j - pi'_j, 0), down with max(pi'_j - pi_j, 0).  Its
+    law takes O(m^2) to convolve; the result is clamped to [0, 1].
+    """
+    pi, pp = _probability_vectors(pi, pi_prime)
+    dist = np.ones(1)
+    for up, down in zip(np.maximum(pi - pp, 0.0), np.maximum(pp - pi, 0.0)):
+        dist = np.convolve(dist, [down, 1.0 - up - down, up])
+    return min(max(float(dist[dist.size // 2]), 0.0), 1.0)
+
+
+_MATCH_CHUNK = 65_536  # uniforms drawn at a time (bounds memory), and the least a thread draws
 
 
 def simulate_count_match(
@@ -445,33 +470,67 @@ def simulate_count_match(
     pi_prime,
     draws: int,
     rng: np.random.Generator,
+    jobs: int = 1,
 ) -> tuple[float, float]:
-    """Realize the shared-uniform coupling and measure P(N = N').
+    """Realize the shared-uniform coupling ``draws`` times and measure P(N = N').
 
     Each draw shares one uniform vector U across both probability
-    vectors: N counts U_j <= pi_j and N' counts U_j <= pi'_j.  Returns
-    (match frequency, its standard error).
+    vectors: N counts U_j <= pi_j and N' counts U_j <= pi'_j.  Only a U_j
+    between pi_j and pi'_j moves N - N', up when pi_j is the larger, so a
+    draw matches when its moves cancel; the match count is
+    Binomial(draws, P) in law, with P = :func:`count_match_probability`.
+    The draws are split over ``jobs`` threads, each jumped ahead to its
+    stretch of ``rng``'s stream, so neither the count nor the state
+    ``rng`` is left in depends on ``jobs``.  Returns (match frequency,
+    its standard error).
     """
-    pi = np.asarray(pi, dtype=float)
-    pp = np.asarray(pi_prime, dtype=float)
-    if pi.shape != pp.shape or pi.ndim != 1:
-        raise ValueError("pi and pi_prime must be equal-length vectors")
+    pi, pp = _probability_vectors(pi, pi_prime)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     m = pi.shape[0]
-    matches = 0
-    done = 0
+    lo, hi = np.minimum(pi, pp), np.maximum(pi, pp)
+    step = np.sign(pi - pp).astype(np.float32)
     per = max(1, min(_MATCH_CHUNK // max(m, 1), draws))
-    while done < draws:
-        c = min(per, draws - done)
-        u = rng.random((c, m))
-        n_dep = (u <= pi).sum(axis=1)
-        n_ind = (u <= pp).sum(axis=1)
-        matches += int((n_dep == n_ind).sum())
-        done += c
+
+    def count_matches(gen: np.random.Generator, start: int, stop: int) -> int:
+        u = np.empty((min(per, stop - start), m))
+        count = 0
+        for a in range(start, stop, per):
+            c = min(per, stop - a)
+            gen.random(out=u[:c])
+            moved = (u[:c] > lo) & (u[:c] <= hi)
+            count += int(np.count_nonzero(moved.astype(np.float32) @ step == 0.0))
+        return count
+
+    bg = rng.bit_generator
+    parts = min(max(int(jobs), 1), max(draws * m // _MATCH_CHUNK, 1))
+    if parts == 1 or not isinstance(bg, np.random.PCG64):
+        matches = count_matches(rng, 0, draws)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        def ahead(rows: int) -> np.random.PCG64:
+            return copy.deepcopy(bg).advance(rows * m)
+
+        cuts = [k * draws // parts for k in range(parts + 1)]
+        gens = [rng] + [np.random.Generator(ahead(a)) for a in cuts[1:-1]]
+        with ThreadPoolExecutor(parts) as pool:
+            matches = sum(pool.map(count_matches, gens, cuts[:-1], cuts[1:]))
+        # rng drew the first stretch: move it past the others, keeping the
+        # buffered 32-bit half-draw that advance() drops
+        kept = bg.state
+        bg.state = {**ahead(draws - cuts[1]).state,
+                    "has_uint32": kept["has_uint32"], "uinteger": kept["uinteger"]}
     freq = matches / draws
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / draws)
     return freq, se
+
+
+def _shared_uniform_matches(pi, pi_prime, draws: int, rng: np.random.Generator) -> int:
+    """Matches N = N' among ``draws`` uniform vectors, counted as written: the oracle."""
+    pi, pp = _probability_vectors(pi, pi_prime)
+    u = rng.random((draws, pi.shape[0]))
+    return int(((u <= pi).sum(axis=1) == (u <= pp).sum(axis=1)).sum())
 
 
 @dataclass
@@ -480,9 +539,11 @@ class CouplingEstimate:
 
     ``pi`` comes from dependent panels, ``pi_prime`` from matched
     independent panels (same marginal law, common random numbers where
-    the construction shares them).  ``realized_match`` measures
-    P(N = N') under the shared-uniform construction applied to the
-    estimated vectors.
+    the construction shares them).  ``realized_match`` is the match
+    frequency of ``match_draws`` realizations of the shared-uniform
+    construction applied to the estimated vectors, so it is
+    Binomial(match_draws, P)/match_draws in law, with P = P(N = N')
+    computed exactly by :func:`count_match_probability`.
     """
 
     s: float
@@ -542,11 +603,15 @@ def coupling_estimate(
     Simulates ``reps`` matched panel pairs, estimates the per-large-block
     any-hit probabilities pi_j (dependent) and pi'_j (independent),
     computes the lower bound 1 - sum |pi_j - pi'_j| and verifies it by
-    the shared-uniform construction with ``match_draws`` draws.  The call
-    is rejected unless ``reps`` caps every estimate's worst-case standard
+    the shared-uniform construction with ``match_draws`` draws
+    (:func:`simulate_count_match`): ``realized_match`` is
+    Binomial(match_draws, P)/match_draws in law, with P = P(N = N')
+    computed exactly by :func:`count_match_probability`.  The call is
+    rejected unless ``reps`` caps every estimate's worst-case standard
     error at ``se_cap``.  The panel pairs are split over ``jobs`` worker
-    processes (:func:`panelgen.map_replicates`); hit counts are integers,
-    so the estimate does not depend on ``jobs``.
+    processes (:func:`panelgen.map_replicates`) and the match draws over
+    ``jobs`` threads; hit counts are integers and the draws keep their
+    stream, so the estimate does not depend on ``jobs``.
     """
     spec.validate()
     if scheme.width != spec.p:
@@ -571,7 +636,7 @@ def coupling_estimate(
     se_pp = np.sqrt(pp * (1.0 - pp) / reps)
     bound = count_match_lower_bound(pi, pp)
     rng = _pg.stream(spec.seed, reps, lane=3)
-    freq, freq_se = simulate_count_match(pi, pp, match_draws, rng)
+    freq, freq_se = simulate_count_match(pi, pp, match_draws, rng, jobs=jobs)
     return CouplingEstimate(
         s=s, pi=pi, pi_prime=pp, se_pi=se_pi, se_pi_prime=se_pp,
         lower_bound=bound, realized_match=freq, realized_se=freq_se,

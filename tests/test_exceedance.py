@@ -1,5 +1,6 @@
 """Exceedance extraction, block schemes, tail estimators, coupling bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -505,12 +506,91 @@ def test_count_match_bound_validity_random_vectors():
 
 
 def test_count_match_input_validation():
-    with pytest.raises(ValueError):
-        xc.count_match_lower_bound([0.5], [0.5, 0.6])
-    with pytest.raises(ValueError):
-        xc.count_match_lower_bound([1.5], [0.5])
+    def simulate(pi, pp):
+        return xc.simulate_count_match(pi, pp, 100, np.random.default_rng(0))
+
+    for call in (xc.count_match_lower_bound, xc.count_match_probability, simulate):
+        with pytest.raises(ValueError, match="equal-length"):
+            call([0.5], [0.5, 0.6])
+        # NaN fails both v < 0 and v > 1, so it must be refused on its own
+        for bad in (math.nan, math.inf, 1.5):
+            for name in ("pi", "pi_prime"):
+                vectors = {"pi": [0.5, 0.2], "pi_prime": [0.5, 0.2]}
+                vectors[name] = [0.5, bad]
+                with pytest.raises(ValueError, match=rf"^{name} entries"):
+                    call(vectors["pi"], vectors["pi_prime"])
     with pytest.raises(ValueError):
         xc.simulate_count_match([0.5], [0.5], 0, np.random.default_rng(0))
+
+
+def _count_match_by_enumeration(pi, pp) -> float:
+    # one shared uniform per block falls below both probabilities, between
+    # them (only the larger side hits) or above both: 3^m outcomes
+    total = 0.0
+    for outcome in itertools.product(range(3), repeat=len(pi)):
+        prob, n_dep, n_ind = 1.0, 0, 0
+        for k, a, b in zip(outcome, pi, pp):
+            lo, hi = min(a, b), max(a, b)
+            prob *= (lo, hi - lo, 1.0 - hi)[k]
+            n_dep += k == 0 or (k == 1 and a > b)
+            n_ind += k == 0 or (k == 1 and b > a)
+        total += prob if n_dep == n_ind else 0.0
+    return total
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_count_match_probability_equals_the_enumerated_construction(m):
+    rng = np.random.default_rng(40 + m)
+    for _ in range(3):
+        pi = rng.random(m)
+        pp = np.where(rng.random(m) < 0.3, pi, rng.random(m))  # some blocks tie
+        pp[rng.random(m) < 0.2] = rng.choice([0.0, 1.0])
+        assert xc.count_match_probability(pi, pp) == pytest.approx(
+            _count_match_by_enumeration(pi, pp), abs=1e-13)
+
+
+@pytest.mark.parametrize("pi, pp", [
+    ([0.1, 0.2], [0.15, 0.2]),
+    ([0.3, 0.7, 0.05, 0.5], [0.4, 0.6, 0.05, 0.9]),
+    (np.linspace(0.05, 0.95, 12), np.linspace(0.95, 0.05, 12)),
+], ids=["worked", "four", "reversed"])
+def test_shared_uniform_oracle_lands_on_the_exact_law(pi, pp):
+    draws = 20_000
+    exact = xc.count_match_probability(pi, pp)
+    freq = xc._shared_uniform_matches(pi, pp, draws, np.random.default_rng(8)) / draws
+    assert freq == pytest.approx(exact, abs=4.0 * math.sqrt(exact * (1.0 - exact) / draws))
+
+
+@pytest.mark.parametrize("m, draws", [(0, 5), (1, 1), (2, 70_001), (7, 40_000), (300, 999)])
+def test_simulate_count_match_counts_what_the_oracle_counts_at_every_jobs(m, draws):
+    # same uniforms, same matches, and rng left where the oracle leaves it,
+    # with a buffered 32-bit half-draw (from integers) kept across the call
+    rng = np.random.default_rng(60 + m)
+    pi = rng.random(m)
+    pp = np.where(rng.random(m) < 0.3, pi, np.clip(pi + rng.uniform(-0.1, 0.1, m), 0.0, 1.0))
+    pp[: m // 4] = (pi[: m // 4] < 0.5).astype(float)  # pi' at 0 and 1 too
+
+    def after(call):
+        gen = np.random.default_rng(61)
+        gen.integers(1, 101)
+        out = call(gen)
+        return out, gen.integers(1, 101, 4).tolist(), gen.random()
+
+    want, *state = after(lambda gen: xc._shared_uniform_matches(pi, pp, draws, gen))
+    se = math.sqrt(want / draws * (1.0 - want / draws) / draws)
+    for jobs in (1, 2, 3):
+        got = after(lambda gen: xc.simulate_count_match(pi, pp, draws, gen, jobs=jobs))
+        assert got == ((want / draws, se), *state), jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+def test_count_match_probability_meets_the_coupling_bound(pairs):
+    pi, pp = (np.array(v) for v in zip(*pairs))
+    exact = xc.count_match_probability(pi, pp)
+    assert 0.0 <= exact <= 1.0
+    assert exact >= xc.count_match_lower_bound(pi, pp) - 1e-12
+    assert xc.count_match_probability(pi, pi) == 1.0
 
 
 def test_coupling_estimate_guard():
