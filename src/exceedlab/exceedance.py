@@ -479,10 +479,10 @@ def simulate_count_match(
     between pi_j and pi'_j moves N - N', up when pi_j is the larger, so a
     draw matches when its moves cancel; the match count is
     Binomial(draws, P) in law, with P = :func:`count_match_probability`.
-    The draws are split over ``jobs`` threads, each jumped ahead to its
-    stretch of ``rng``'s stream, so neither the count nor the state
-    ``rng`` is left in depends on ``jobs``.  Returns (match frequency,
-    its standard error).
+    The draws are split over ``jobs`` threads, no more than the CPUs this
+    process may use, each jumped ahead to its stretch of ``rng``'s stream,
+    so neither the count nor the state ``rng`` is left in depends on
+    ``jobs``.  Returns (match frequency, its standard error).
     """
     pi, pp = _probability_vectors(pi, pi_prime)
     if draws < 1:
@@ -503,7 +503,7 @@ def simulate_count_match(
         return count
 
     bg = rng.bit_generator
-    parts = min(max(int(jobs), 1), max(draws * m // _MATCH_CHUNK, 1))
+    parts = min(max(int(jobs), 1), max(draws * m // _MATCH_CHUNK, 1), _pg._usable_cpus())
     if parts == 1 or not isinstance(bg, np.random.PCG64):
         matches = count_matches(rng, 0, draws)
     else:

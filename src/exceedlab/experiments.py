@@ -76,14 +76,14 @@ _JOBS_ENV = "EXCEEDLAB_JOBS"
 
 
 def default_jobs() -> int:
-    """Worker count: the EXCEEDLAB_JOBS override, else the CPU count."""
+    """Worker count: the EXCEEDLAB_JOBS override, else the CPUs this process may use."""
     env = os.environ.get(_JOBS_ENV)
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise pg.SpecError(f"{_JOBS_ENV} must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+    return pg._usable_cpus()
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cholesky_banded
 
 __all__ = [
     "DependenceModel",
@@ -302,7 +301,7 @@ def _verify_weights(w: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
     implied = np.array(
         [float(np.dot(w[: kappa + 1 - m], w[m:])) for m in range(1, kappa + 1)]
     )
-    if float(np.max(np.abs(implied - r))) > tol:
+    if float(np.max(np.abs(implied - r), initial=0.0)) > tol:
         raise SpecError(
             "filter weight solve failed verification; implied lag "
             f"correlations {implied} vs requested {r}"
@@ -311,96 +310,57 @@ def _verify_weights(w: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
     return w
 
 
-def _bauer_weights(r: np.ndarray) -> np.ndarray | None:
-    """Stationary rows of the banded Toeplitz Cholesky factor, or None.
-
-    Converges geometrically when the spectral density stays away from
-    zero; returns None (rather than raising) when it does not settle.
-    """
-    kappa = r.shape[0]
-    size = max(256, 32 * kappa)
-    while size <= (1 << 16):
-        ab = np.zeros((kappa + 1, size))
-        ab[0] = 1.0
-        for m in range(1, kappa + 1):
-            ab[m] = r[m - 1]
-        try:
-            chol = cholesky_banded(ab, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SpecError(
-                f"correlation matrix is not positive definite: {exc}"
-            ) from exc
-        w = np.array([chol[k, size - 1 - k] for k in range(kappa + 1)])
-        w_prev = np.array([chol[k, size - 2 - k] for k in range(kappa + 1)])
-        if float(np.max(np.abs(w - w_prev))) < 1e-13:
-            return w
-        size *= 4
-    return None
-
-
-def _root_factor_weights(r: np.ndarray) -> np.ndarray:
-    """Spectral factorization through the covariance polynomial roots.
-
-    Handles boundary spectra (density touching zero): the roots of
-    z^kappa * (1 + sum_m rho_m (z^m + z^-m)) come in (root, 1/root) pairs
-    with even multiplicity on the unit circle; one conjugate-closed half
-    is selected and expanded into the filter coefficients.
-    """
-    kappa = r.shape[0]
-    coeffs = np.concatenate([r[::-1], [1.0], r])  # degree 2*kappa, palindromic
-    roots = np.roots(coeffs[::-1])
-    order = np.argsort(np.abs(roots))
-    inside = [z for z in roots[order[:kappa]]]
-    # Enforce conjugate closure (unit-circle ties can split pairs).
-    selected: list[complex] = []
-    pool = list(roots[order])
-    while len(selected) < kappa and pool:
-        z = pool.pop(0)
-        selected.append(z)
-        if abs(z.imag) > 1e-9:
-            match = min(
-                range(len(pool)),
-                key=lambda j: abs(pool[j] - z.conjugate()),
-                default=None,
-            )
-            if match is not None and len(selected) < kappa:
-                selected.append(pool.pop(match))
-    if len(selected) != kappa:
-        selected = inside
-    w = np.real(np.poly(selected)[::-1])
-    return np.ascontiguousarray(w, dtype=float)
+_NEWTON_STEPS = 200  # cap; boundary spectra, converging only linearly, take ~30
 
 
 @lru_cache(maxsize=128)
 def ma_filter_weights(rho: tuple[float, ...]) -> np.ndarray:
-    """Filter weights hitting the requested lag correlations exactly.
+    """Filter weights hitting the requested lag correlations exactly (read-only).
 
-    Solves for w_0..w_kappa with sum_k w_k w_{k+m} = rho_m (rho_0 = 1)
-    from the banded Toeplitz correlation equations: the Cholesky rows
-    converge to the stationary weights for interior spectra, and a root
-    factorization covers spectra touching zero.  Correlation vectors with
-    a negative spectral density are not realizable and are rejected.
+    Solves f_m(w) = sum_j w_j w_{j+m} = c_m for w_0..w_kappa, with
+    c = (1, rho_1, ..., rho_kappa), by Wilson's Newton iteration
+    (G. T. Wilson, SIAM J. Numer. Anal. 6, 1969): from w = e_0 each step
+    solves J(w) step = c - f(w), J[m, k] = w_{k-m} + w_{k+m}.  It returns
+    the minimum-phase factor: every root of sum_k w_k z^k lies on or
+    outside the unit circle.  Convergence is quadratic for interior
+    spectra and linear where the spectral density touches zero, so the
+    solve stops at the first step that does not shrink (rounding has
+    taken over) and the implied correlations are then verified to 1e-9,
+    or to 1e-6 on the boundary.  Correlation vectors with a negative
+    spectral density are not realizable and are rejected.
     """
     kappa = len(rho)
-    if kappa == 0:
-        return np.ones(1)
     r = np.asarray(rho, dtype=float)
     if np.any((r < 0.0) | (r >= 1.0)):
         raise SpecError(f"lag correlations must lie in [0, 1), got {rho}")
     omega = np.linspace(0.0, math.pi, 8192)
-    density = 1.0 + 2.0 * sum(r[m] * np.cos((m + 1) * omega) for m in range(kappa))
+    density = 1.0 + 2.0 * sum(
+        (r[m] * np.cos((m + 1) * omega) for m in range(kappa)), np.zeros_like(omega)
+    )
     fmin = float(density.min())
     if fmin < -1e-9:
         raise SpecError(
             "lag correlations are not realizable as a kappa-dependent sequence "
             f"(spectral density minimum {fmin:.3e} below zero)"
         )
-    if fmin > 1e-6:
-        w = _bauer_weights(r)
-        if w is not None:
-            return _verify_weights(w, r, 1e-9)
-    w = _root_factor_weights(r)
-    return _verify_weights(w, r, 1e-6)
+    c = np.concatenate([[1.0], r])
+    k = np.arange(kappa + 1)
+    lag, lead = k - k[:, None], k + k[:, None]  # row m: k - m and k + m
+    w = np.zeros(kappa + 1)
+    w[0] = 1.0
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        padded = np.concatenate([w, np.zeros(kappa + 1)])  # k - m < 0 wraps into the zeros
+        f = np.correlate(w, w, "full")[kappa:]
+        try:
+            step = np.linalg.solve(padded[lag] + padded[lead], c - f)
+        except np.linalg.LinAlgError:
+            break
+        norm = float(np.max(np.abs(step)))
+        if not norm < last:
+            break
+        w, last = w + step, norm
+    return _verify_weights(w, r, 1e-9 if fmin > 1e-6 else 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +456,13 @@ def stream(seed: int, replicate: int = 0, lane: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_replicates(fn, reps: int, jobs: int, *args) -> list:
     """``fn(*args, start, stop)`` on ``jobs`` contiguous chunks of 0..reps-1.
 
@@ -515,12 +482,8 @@ def map_replicates(fn, reps: int, jobs: int, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(spans), cpus), mp_context=ctx) as pool:
+    with ProcessPoolExecutor(min(len(spans), _usable_cpus()), mp_context=ctx) as pool:
         futures = [pool.submit(fn, *args, a, b) for a, b in spans]
         try:
             return [f.result() for f in futures]

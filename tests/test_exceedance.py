@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -562,9 +563,11 @@ def test_shared_uniform_oracle_lands_on_the_exact_law(pi, pp):
 
 
 @pytest.mark.parametrize("m, draws", [(0, 5), (1, 1), (2, 70_001), (7, 40_000), (300, 999)])
-def test_simulate_count_match_counts_what_the_oracle_counts_at_every_jobs(m, draws):
+def test_simulate_count_match_counts_what_the_oracle_counts_at_every_jobs(m, draws, monkeypatch):
     # same uniforms, same matches, and rng left where the oracle leaves it,
-    # with a buffered 32-bit half-draw (from integers) kept across the call
+    # with a buffered 32-bit half-draw (from integers) kept across the call;
+    # four usable CPUs, so that jobs = 3 runs three threads on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     rng = np.random.default_rng(60 + m)
     pi = rng.random(m)
     pp = np.where(rng.random(m) < 0.3, pi, np.clip(pi + rng.uniform(-0.1, 0.1, m), 0.0, 1.0))

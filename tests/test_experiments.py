@@ -323,11 +323,8 @@ def test_cli_replay_of_a_malformed_manifest_value_fails_before_the_rerun(key, va
     assert not (tmp_path / "w").exists()
 
 
-# the demos that call student_t_quantile, bin_thresholds, both marginals and
-# the runner; demo 04 takes about 19 s and stays out of Tier-1
-@pytest.mark.parametrize("demo", ["02_threshold_calculus", "06_multiple_testing",
-                                  "07_experiment_runner"])
-def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
+def _run_python(args, tmp_path):
+    """Run this interpreter on ``args`` in ``tmp_path`` with the package on its path."""
     import os
     import subprocess
     import sys
@@ -335,13 +332,33 @@ def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
     root = Path(ex.__file__).resolve().parents[2]
     env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           str(root / "demos" / f"{demo}.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+
+
+# the demos that print the filter weights, call student_t_quantile,
+# bin_thresholds, both marginals and the runner; demo 04 takes about 19 s
+# and stays out of Tier-1
+@pytest.mark.parametrize("demo", ["01_panel_models", "02_threshold_calculus",
+                                  "06_multiple_testing", "07_experiment_runner"])
+def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
+    root = Path(ex.__file__).resolve().parents[2]
+    done = _run_python(["-W", "error::RuntimeWarning", str(root / "demos" / f"{demo}.py")],
+                       tmp_path)
     assert done.returncode == 0, done.stderr
     assert not list(tmp_path.glob("exceedlab_demo_*"))
     if demo == "07_experiment_runner":
         assert "replay verdict: outputs reproduced" in done.stdout
+
+
+def test_import_loads_no_heavy_scipy_module(tmp_path):
+    # linalg, integrate and stats each cost import time and memory that no
+    # run's hot path needs; numerics imports quad only when it is called
+    heavy = ("scipy.linalg", "scipy.integrate", "scipy.stats")
+    done = _run_python(["-c", f"import sys, exceedlab; print([m for m in {heavy!r} "
+                              "if m in sys.modules])"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_default_jobs_env(monkeypatch, tmp_path, capsys):

@@ -165,6 +165,68 @@ def test_filter_weights_solve():
     assert float(np.dot(interior, interior)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _min_root(w):
+    """Smallest |z| over the roots of sum_k w_k z^k."""
+    return float(np.min(np.abs(np.roots(w[::-1])), initial=np.inf))
+
+
+def test_filter_weights_closed_forms_on_the_boundary():
+    # the density touches zero: one unit root, two unit roots (their taps
+    # are checked in test_filter_weights_solve), a triple one
+    for rho in [(0.5,), (2 / 3, 1 / 3)]:
+        assert _min_root(pg.ma_filter_weights(rho)) >= 1.0 - 1e-6
+    # (1 + z)^3 / sqrt(20).  Rounding 0.3 and 0.05 puts the density at
+    # -2.8e-17 at omega = pi, so no exact factor exists, and near a six-fold
+    # zero that fixes the taps only to ~1e-3: moving 0.3 or 0.05 by a few
+    # ulps moves them by 6e-4 to 1.2e-3
+    triple = pg.ma_filter_weights((0.75, 0.3, 0.05))
+    assert triple == pytest.approx(np.array([1, 3, 3, 1]) / math.sqrt(20), abs=2e-3)
+
+
+def _dense_cholesky_row(rho, size):
+    """Last row of the Cholesky factor of the size-square banded Toeplitz matrix."""
+    kappa = len(rho)
+    col = np.zeros(size)
+    col[0], col[1:kappa + 1] = 1.0, rho
+    lags = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+    return np.linalg.cholesky(col[lags])[-1, size - 1 - np.arange(kappa + 1)]
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 5, 10, 40, 100])
+@pytest.mark.parametrize("rho_max", [0.01, 0.3, 0.4999])
+def test_filter_weights_match_the_dense_cholesky_row(kappa, rho_max):
+    # the criterion-4 band: lag correlations falling linearly from rho_max.
+    # The rows settle like |z_min|^(-2 size); at kappa = 100 the nearest
+    # root is at |z| = 1.006, so that band needs the larger matrix
+    rho = tuple(rho_max * (kappa - m + 1) / kappa for m in range(1, kappa + 1))
+    w = pg.ma_filter_weights(rho)
+    oracle = _dense_cholesky_row(rho, 2048 if kappa > 40 else 1024)
+    assert np.max(np.abs(w - oracle)) <= 1e-12
+    assert _min_root(w) >= 1.0 - 1e-6
+
+
+def test_filter_weights_are_minimum_phase_near_the_boundary():
+    # kappa = 12 taps with a root just outside the unit circle: the
+    # density's minimum is ~3.6e-6, where the stationary Cholesky rows
+    # converge too slowly to settle
+    w = np.random.default_rng(6643).random(13)
+    w /= np.linalg.norm(w)
+    rho = tuple(float(np.dot(w[:13 - m], w[m:])) for m in range(1, 13))
+    got = pg.ma_filter_weights(rho)
+    assert _min_root(got) >= 1.0 - 1e-6
+    assert _min_root(w) < 1.0  # the taps that made rho are not the factor returned
+    implied = [float(np.dot(got[:13 - m], got[m:])) for m in range(1, 13)]
+    assert implied == pytest.approx(rho, abs=1e-9)
+
+
+def test_filter_weights_are_read_only_at_every_kappa():
+    for rho in [(), (0.2,), (0.3, 0.1)]:
+        w = pg.ma_filter_weights(rho)
+        with pytest.raises(ValueError):
+            w[0] = 5.0
+    assert pg.ma_filter_weights(()).tolist() == [1.0]
+
+
 def test_spec_rejections():
     model = pg.DependenceModel.iid()
     law = pg.InnovationLaw.normal()
@@ -792,6 +854,31 @@ def test_map_replicates_starts_no_more_workers_than_usable_cpus(monkeypatch):
     assert pg.map_replicates(_span, 10, 3) == [(0, 3), (3, 6), (6, 10)]
     assert pg.map_replicates(_span, 60, 60) == [(r, r + 1) for r in range(60)]
     assert sizes[2:] == [3, 4]
+
+
+def test_every_worker_count_follows_a_one_cpu_affinity(monkeypatch):
+    # default jobs, the replicate pool and the match-count threads all count
+    # the CPUs this process may use, not the CPUs of the machine
+    import concurrent.futures
+    import os
+
+    from exceedlab import exceedance as xc
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool started on one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delenv("EXCEEDLAB_JOBS", raising=False)
+    assert ex.default_jobs() == 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(AssertionError, match="one usable CPU"):
+        pg.map_replicates(_span, 10, 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    pi, pp = np.linspace(0.1, 0.9, 40), np.linspace(0.9, 0.1, 40)
+    got = xc.simulate_count_match(pi, pp, 20_000, np.random.default_rng(5), jobs=4)
+    assert got == xc.simulate_count_match(pi, pp, 20_000, np.random.default_rng(5), jobs=1)
 
 
 def test_map_replicates_reraises_a_worker_error():
