@@ -336,9 +336,10 @@ def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: i
                    seed: int | None) -> TailEstimate:
     """P(R > s in every one of ``rows``), the body of both tail estimators.
 
-    The expected hit count under a reference law must reach 50: the
-    Student t tail of the divisor-n statistic for one row, the bivariate
-    normal tail at the lag correlation for two.
+    The expected hit count under a reference law must reach 50: for one row
+    the tail of the divisor-n statistic of normal rows, sqrt(n / (n - 1))
+    times a t on n - 1 df; for two the bivariate normal tail at the lag
+    correlation.
     """
     if s < 0.0:
         raise ValueError(f"level s must be nonnegative, got {s!r}")
@@ -346,10 +347,10 @@ def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: i
     if s * s >= n:
         q_ref = 0.0
     elif len(rows) == 1:
-        q_ref = float(student_t_sf(_stu.r_level_to_t_level(s, n), n - 1)) if s else 0.5
+        t_level = _stu.r_level_to_t_level(s, n) * math.sqrt((n - 1) / n) if s else 0.0
+        q_ref = float(student_t_sf(t_level, n - 1))
     else:
-        rho = spec.model.lag_correlation(rows[1] - rows[0])
-        q_ref = bivariate_normal_tail(s, min(rho, 0.999))
+        q_ref = bivariate_normal_tail(s, spec.model.lag_correlation(rows[1] - rows[0]))
     if reps * q_ref < _MIN_EXPECTED_HITS:
         required = 2 ** 62 if q_ref <= 0.0 else int(math.ceil(_MIN_EXPECTED_HITS / q_ref))
         raise InsufficientReplicates(

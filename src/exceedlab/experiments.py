@@ -37,7 +37,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from exceedlab import __version__ as _CODE_VERSION
 from exceedlab import exceedance as xc
@@ -645,7 +644,7 @@ def _experiment_tails(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     if cfg.pair is not None:
         i1, i2 = cfg.pair
         pair_est = xc.tail_probability_pair(cfg.panel, i1, i2, s, cfg.reps)
-        ref_pair = bivariate_normal_tail(s, min(pair_est.rho_lag, 0.999))
+        ref_pair = bivariate_normal_tail(s, pair_est.rho_lag)
         rows.append(["pair", i1, i2, pair_est.lag, pair_est.rho_lag, s,
                      pair_est.estimate, pair_est.se, pair_est.wilson_low,
                      pair_est.wilson_high, pair_est.hits, pair_est.reps,
@@ -814,11 +813,10 @@ _MANIFEST_VALUES = {
 
 
 def environment() -> dict:
-    """The software that fixes a run's random streams and arithmetic."""
+    """What fixes a run's streams and arithmetic; replay ignores other keys, such as scipy."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "bit_generator": type(pg.stream(0).bit_generator).__name__,
         "rademacher": "packed-bytes",  # how +-1 cells are drawn; unrecorded before
         # how row_sums draws: Bartlett blocks of L - 1 new drivers and, for

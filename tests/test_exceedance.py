@@ -280,6 +280,16 @@ def test_single_tail_guard():
     xc.tail_probability_single(spec, 3.5, err.value.required)
 
 
+@pytest.mark.parametrize("s", [1.2, 3.0, 4.0])
+def test_single_tail_guard_asks_for_50_hits_under_the_exact_law(s):
+    spec = _normal_spec(n=30)
+    q = _exact_single_tail(s, 30)
+    with pytest.raises(xc.InsufficientReplicates) as err:
+        xc.tail_probability_single(spec, s, 10)
+    assert err.value.required == math.ceil(50 / q)
+    assert f"expected hits {10 * q:.2f} below" in str(err.value)
+
+
 def test_tail_row_indices_range_checked():
     spec = _normal_spec(p=5, n=20, offsets=((5, 3.0),))
     for i in (0, 6):

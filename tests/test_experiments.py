@@ -336,6 +336,10 @@ def _run_python(args, tmp_path):
                           capture_output=True, text=True)
 
 
+# what a host without scipy sees: any import of it fails
+_NO_SCIPY = "import sys; sys.modules['scipy'] = None; "
+
+
 # the demos that print the filter weights, call student_t_quantile,
 # bin_thresholds, both marginals and the runner; demo 04 takes about 19 s
 # and stays out of Tier-1
@@ -343,7 +347,9 @@ def _run_python(args, tmp_path):
                                   "06_multiple_testing", "07_experiment_runner"])
 def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
     root = Path(ex.__file__).resolve().parents[2]
-    done = _run_python(["-W", "error::RuntimeWarning", str(root / "demos" / f"{demo}.py")],
+    path = str(root / "demos" / f"{demo}.py")
+    done = _run_python(["-W", "error::RuntimeWarning", "-c",
+                        _NO_SCIPY + f"import runpy; runpy.run_path({path!r}, run_name='__main__')"],
                        tmp_path)
     assert done.returncode == 0, done.stderr
     assert not list(tmp_path.glob("exceedlab_demo_*"))
@@ -352,13 +358,36 @@ def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_module(tmp_path):
-    # linalg, integrate and stats each cost import time and memory that no
-    # run's hot path needs; numerics imports quad only when it is called
-    heavy = ("scipy.linalg", "scipy.integrate", "scipy.stats")
-    done = _run_python(["-c", f"import sys, exceedlab; print([m for m in {heavy!r} "
-                              "if m in sys.modules])"], tmp_path)
+    # numpy is the only runtime dependency, so no scipy module loads at all;
+    # numpy.polynomial (~2 MB with its Gauss-Legendre solve) loads only when a
+    # bivariate tail is computed
+    done = _run_python(["-c", "import sys, exceedlab; print([m for m in sys.modules if "
+                              "m.split('.')[0] == 'scipy' or m == 'numpy.polynomial'])"],
+                       tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_kind_and_replay_run_without_scipy(tmp_path):
+    small = ["--p", "200", "--n", "30", "--model", "moving-average", "--kappa", "2",
+             "--seed", "9"]
+    runs = {
+        "calibrate": ["--p", "1e6", "--n", "100", "--rho-max", "0.1"],
+        "paper-table": ["--n", "100"],
+        "tails": ["--p", "20", "--n", "30", "--s", "1.5", "--pair", "1,2", "--reps", "20000"],
+        "coupling": [*small, "--reps", "100", "--se-cap", "0.05", "--match-draws", "20000"],
+        "cluster": [*small, "--reps", "20", "--eta", "0.1"],
+        "mtc": [*small, "--reps", "5", "--eta", "0.1"],
+    }
+    code = _NO_SCIPY + "from exceedlab import cli\n"
+    for kind, args in runs.items():
+        code += f"assert cli.main({[kind, *args, '--out', kind]!r}) == 0, {kind!r}\n"
+        code += (f"assert cli.main(['replay', '--manifest', '{kind}/manifest.json', "
+                 f"'--work-dir', '{kind}-replay']) == 0, {kind!r}\n")
+    done = _run_python(["-W", "error::RuntimeWarning", "-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("reproduced") == len(runs)
+    assert (tmp_path / "tails" / "tails.csv").read_text().count("\npair,") == 1
 
 
 def test_default_jobs_env(monkeypatch, tmp_path, capsys):
@@ -1060,8 +1089,7 @@ def test_manifest_records_environment_and_replay_reports_it(tmp_path, monkeypatc
     out = tmp_path / "run"
     m = ex.run(_cfg(reps=10, eta=0.1, jobs=1), out_dir=out)
     assert m.environment == ex.environment()
-    assert set(m.environment) == {"python", "numpy", "scipy", "bit_generator", "rademacher",
-                                  "row_sums"}
+    assert set(m.environment) == {"python", "numpy", "bit_generator", "rademacher", "row_sums"}
     assert m.environment["bit_generator"] == "PCG64"
     assert m.environment["rademacher"] == "packed-bytes"
     assert m.environment["row_sums"] == "blocks-of-L-1; cluster cut at p*delta = 2^-64"
@@ -1089,3 +1117,27 @@ def test_manifest_records_environment_and_replay_reports_it(tmp_path, monkeypatc
     monkeypatch.undo()
     ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r4")
     assert not ok and any(line.startswith("MISMATCH cluster.csv") for line in report)
+
+
+def test_manifest_that_records_scipy_still_replays(tmp_path):
+    # manifests written while scipy was a dependency carry its version
+    out = tmp_path / "run"
+    ex.run(_cfg(kind="tails", reps=20_000, s_level=1.5, pair=(1, 2), jobs=1), out_dir=out)
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["environment"]["scipy"] = "1.17.1"
+    (out / "manifest.json").write_text(json.dumps(raw))
+    ok, report = ex.replay(out / "manifest.json", work_dir=tmp_path / "r")
+    assert ok and report[0].startswith("ENV same") and "scipy" not in report[0]
+    assert report[1:] == ["OK tails.csv", "OK tails_summary.json"]
+
+
+def test_tails_reference_takes_a_lag_correlation_above_0_999(tmp_path):
+    # a long moving average: rho at lag 1 is 1999 / 2000 = 0.9995
+    cfg = _cfg(kind="tails", p=20, n=30, model=pg.DependenceModel.moving_average(2000),
+               reps=5_000, s_level=2.0, pair=(1, 2), jobs=1)
+    ex.run(cfg, out_dir=tmp_path)
+    _, header, _, pair = (tmp_path / "tails.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), pair.split(",")))
+    assert float(row["rho_lag"]) == 0.9995
+    # the double-integral oracle of the bivariate tail at rho = 0.9995
+    assert float(row["reference"]) == pytest.approx(0.0220690852774538, rel=1e-13)

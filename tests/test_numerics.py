@@ -184,14 +184,15 @@ def test_student_t_sf_where_x_squared_overflows():
 
 
 def test_import_leaves_quadrature_and_optimisation_unloaded():
-    # scipy.integrate (and the scipy.optimize it pulls in) loads only when
-    # bivariate_normal_tail is called: no run's hot path needs them.
+    # the bivariate tail is a fixed Gauss-Legendre rule: computing one loads
+    # no scipy module (scipy.integrate and the scipy.optimize it pulls in
+    # among them)
     import subprocess
     import sys
 
-    code = ("import sys, exceedlab; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+    code = ("import sys, exceedlab; from exceedlab import numerics; "
+            "numerics.bivariate_normal_tail(2.0, 0.5); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]", out.stdout
@@ -227,6 +228,27 @@ def test_bivariate_tail_against_quadrature_oracle():
         assert nm.bivariate_normal_tail(s, rho) == pytest.approx(
             oracle(s, rho), abs=1e-12
         )
+    # lag correlations of long moving averages come close to 1
+    for rho in (0.999, 0.9995, 0.9999, 0.99999, 0.999999):
+        for s in (0.5, 2.0, 5.0):
+            assert nm.bivariate_normal_tail(s, rho) == pytest.approx(
+                oracle(s, rho), rel=1e-13, abs=0.0
+            )
+
+
+def test_bivariate_tail_rule_matches_adaptive_quadrature_on_a_grid():
+    # the same tetrachoric integral, integrated adaptively
+    def adaptive(s, rho):
+        val, _ = quad(lambda theta: math.exp(-s * s / (1.0 + math.sin(theta))),
+                      0.0, math.asin(rho), epsabs=1e-15, epsrel=1e-13, limit=200)
+        return nm.normal_sf(s) ** 2 + val / (2.0 * math.pi)
+
+    for s in np.linspace(0.0, 8.0, 81):
+        for rho in np.linspace(0.001, 0.999, 200):
+            want = adaptive(s, rho)
+            assert abs(nm.bivariate_normal_tail(s, rho) - want) <= 1e-13 * want, (s, rho)
+        for rho in np.linspace(-0.999, -0.001, 200):
+            assert abs(nm.bivariate_normal_tail(s, rho) - adaptive(s, rho)) <= 1e-15, (s, rho)
 
 
 def test_bivariate_tail_monotone_in_rho_and_guards():
