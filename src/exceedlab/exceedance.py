@@ -18,15 +18,13 @@ one R definition.  The test suite cross-checks the two draws against each
 other.
 
 The coupling machinery estimates per-block hit probabilities for a
-dependent panel and a matched independent panel (same marginal law,
-common random numbers where the construction permits), forms the
-count-match lower bound ``1 - sum_j |pi_j - pi'_j|`` and verifies it
-against the shared-uniform construction: draw U_j once, count
+dependent panel and a matched independent panel (same marginal law),
+forms the count-match lower bound ``1 - sum_j |pi_j - pi'_j|`` and
+verifies it against the shared-uniform construction: draw U_j once, count
 ``N = #{U_j <= pi_j}`` and ``N' = #{U_j <= pi'_j}`` and measure
 ``P(N = N')``, which is also computed exactly by convolution.  Both
-panels of a pair arrive as row sums from
-``panelgen.matched_sums``, which alone decides how they are drawn, and R
-comes from ``studentize_sums``.
+panels arrive as row sums from ``panelgen.matched_sums``, a batch of
+replicates at a time, and R comes from ``studentize_sums``.
 """
 
 from __future__ import annotations
@@ -339,18 +337,19 @@ def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: i
     The expected hit count under a reference law must reach 50: for one row
     the tail of the divisor-n statistic of normal rows, sqrt(n / (n - 1))
     times a t on n - 1 df; for two the bivariate normal tail at the lag
-    correlation.
+    correlation, capped by the single-row tail that bounds it (near
+    s = sqrt(n) the normal limit is far larger).
     """
     if s < 0.0:
         raise ValueError(f"level s must be nonnegative, got {s!r}")
     n, what = spec.n, ("single", "pair")[len(rows) - 1]
-    if s * s >= n:
-        q_ref = 0.0
-    elif len(rows) == 1:
+    q_ref = 0.0
+    if s * s < n:
         t_level = _stu.r_level_to_t_level(s, n) * math.sqrt((n - 1) / n) if s else 0.0
         q_ref = float(student_t_sf(t_level, n - 1))
-    else:
-        q_ref = bivariate_normal_tail(s, spec.model.lag_correlation(rows[1] - rows[0]))
+    if len(rows) == 2:
+        rho = spec.model.lag_correlation(rows[1] - rows[0])
+        q_ref = min(q_ref, bivariate_normal_tail(s, rho))
     if reps * q_ref < _MIN_EXPECTED_HITS:
         required = 2 ** 62 if q_ref <= 0.0 else int(math.ceil(_MIN_EXPECTED_HITS / q_ref))
         raise InsufficientReplicates(
@@ -539,8 +538,8 @@ class CouplingEstimate:
     """Per-block hit probabilities and the count-match bound.
 
     ``pi`` comes from dependent panels, ``pi_prime`` from matched
-    independent panels (same marginal law, common random numbers where
-    the construction shares them).  ``realized_match`` is the match
+    independent panels (:func:`panelgen.matched_sums`: same marginal law,
+    for Gaussian panels the iid twin).  ``realized_match`` is the match
     frequency of ``match_draws`` realizations of the shared-uniform
     construction applied to the estimated vectors, so it is
     Binomial(match_draws, P)/match_draws in law, with P = P(N = N')
@@ -579,15 +578,15 @@ def _coupling_hits(
     start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dependent, independent) any-hit counts per large block, start..stop-1."""
-    hits_dep = np.zeros(starts.size, dtype=np.int64)
-    hits_ind = np.zeros(starts.size, dtype=np.int64)
-    for rep in range(start, stop):
-        dep, ind = _pg.matched_sums(spec.with_replicate(rep))
-        r_dep = _stu.studentize_sums(*dep, spec.n).r
-        r_ind = r_dep if ind is dep else _stu.studentize_sums(*ind, spec.n).r
-        hits_dep += _counts_in(np.flatnonzero(r_dep > s) + 1, starts, ends) >= 1
-        hits_ind += _counts_in(np.flatnonzero(r_ind > s) + 1, starts, ends) >= 1
-    return hits_dep, hits_ind
+    hits = np.zeros((2, starts.size), dtype=np.int64)
+    batch = max(1, min(64, spec.n // 4))  # the cluster and mtc workers' batches
+    for lo in range(start, stop, batch):
+        arms = _pg.matched_sums(spec, range(lo, min(lo + batch, stop)))
+        for arm, (s1, s2) in enumerate(arms):
+            r = _stu.studentize_sums(s1.ravel(), s2.ravel(), spec.n).r.reshape(s1.shape)
+            upto = np.pad(np.cumsum(r > s, axis=1), ((0, 0), (1, 0)))  # hits in rows 1..i
+            hits[arm] += (upto[:, ends] > upto[:, starts - 1]).sum(axis=0)
+    return hits[0], hits[1]
 
 
 def coupling_estimate(

@@ -359,13 +359,13 @@ _RETIRED_KEYS = {
 
 def resolve_sampler(cfg: ExperimentConfig) -> str:
     """The summaries' tag for how :mod:`panelgen` draws the row sums:
-    "sufficiency-v2" (mtc, :func:`panelgen.row_sums` in blocks of L - 1
-    new drivers), "sufficiency-v2-cut" (cluster, the same blocks drawn only
-    for the rows that can reach the level, :func:`panelgen.level_cut`) or
-    "packed-sums" (coupling) where no cell is drawn, otherwise "explicit",
-    the panel's own stream."""
-    if cfg.kind == "coupling":
-        return "packed-sums" if pg.rademacher_sums_supported(cfg.panel) else "explicit"
+    "sufficiency-v2" (mtc, Gaussian coupling: :func:`panelgen.row_sums` in
+    blocks of L - 1 new drivers), "sufficiency-v2-cut" (cluster, the same
+    blocks drawn only for the rows that can reach the level,
+    :func:`panelgen.level_cut`) or "packed-sums" (Rademacher coupling)
+    where no cell is drawn, otherwise "explicit", the panel's own stream."""
+    if cfg.kind == "coupling" and pg.rademacher_sums_supported(cfg.panel):
+        return "packed-sums"
     if not pg.row_sums_preferred(cfg.panel):
         return "explicit"
     return "sufficiency-v2-cut" if cfg.kind == "cluster" else "sufficiency-v2"
@@ -682,7 +682,7 @@ def _experiment_coupling(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
         for j in range(est.pi.shape[0])
     ]
     summary = {
-        "schema_version": "exceedlab.coupling.v2",
+        "schema_version": "exceedlab.coupling.v3",
         **est.to_json_dict(),
         "sampler": resolve_sampler(cfg),
         "ell": scheme.ell,

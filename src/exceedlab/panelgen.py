@@ -31,12 +31,14 @@ be generated concurrently in any schedule.
 
 Every statistic the lab compares depends on a row only through its sum
 and sum of squares, and this module alone decides how a replicate's
-sums are drawn.  ``panel_sums`` (cluster, mtc) and ``matched_sums``
-(coupling) pick from the spec: ``row_sums`` draws Gaussian panels
-without their cells where ``row_sums_preferred`` holds; otherwise the
-replicate is one ``copies_sums`` copy from its stream, which is exactly
-``generate``'s draw, summed from packed bits for Rademacher iid and
-moving-average panels and from the filtered cells for every other.
+sums are drawn.  ``panel_sums`` (cluster, mtc) picks from the spec:
+``row_sums`` draws Gaussian panels without their cells where
+``row_sums_preferred`` holds; otherwise the replicate is one
+``copies_sums`` copy from its stream, which is exactly ``generate``'s
+draw, summed from packed bits for Rademacher iid and moving-average
+panels and from the filtered cells for every other.  ``matched_sums``
+(coupling) adds an independent match: ``panel_sums`` of the iid twin of
+a Gaussian panel, p one-row panels drawn after a moving-average one.
 ``rows_sums`` (tails) draws one or two rows of many independent panels:
 from the exact law of their sums for Gaussian panels with n above the
 number of rows, otherwise as ``copies_sums`` of the panel those rows
@@ -468,17 +470,19 @@ def map_replicates(fn, reps: int, jobs: int, *args) -> list:
 
     Chunks run in forked workers, no more at once than the CPUs this
     process may use (``fn`` must pickle: a top-level function), and their
-    results come back in chunk order; with one chunk ``fn`` runs in this
-    process.  Replicate r draws only from
-    ``stream(seed, r)``, so merged results do not depend on ``jobs``.  A
-    worker that dies raises RuntimeError naming the unfinished replicates.
+    results come back in chunk order; with one chunk, or where the OS
+    cannot fork, the chunks run one after another in this process.
+    Replicate r draws only from ``stream(seed, r)``, so merged results do
+    not depend on ``jobs``.  A worker that dies raises RuntimeError naming
+    the unfinished replicates.
     """
+    import multiprocessing
+
     jobs = max(1, int(jobs))
     bounds = [i * reps // jobs for i in range(jobs + 1)]
     spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(spans) <= 1:
+    if len(spans) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(*args, a, b) for a, b in spans]
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -505,19 +509,18 @@ def _driver_filter(model: DependenceModel) -> np.ndarray:
 
 
 def _filtered_drivers(spec: PanelSpec, rng: np.random.Generator, copies=()):
-    """``copies`` panels without offsets and the drivers they filter: (data, eps).
+    """``copies`` panels without offsets, filtered from drivers drawn from ``rng``.
 
     Data row i is sum_k w_k eps_{i+k} along axis -2, and the drivers are
     drawn as (*copies, p + L - 1, n); an iid panel is its own drivers.
     """
     p, n = spec.p, spec.n
     if spec.model.kind == "iid":
-        data = spec.law.sample(rng, (*copies, p, n))
-        return data, data
+        return spec.law.sample(rng, (*copies, p, n))
     w = _driver_filter(spec.model)
     eps = spec.law.sample(rng, (*copies, p + w.shape[0] - 1, n))
     windows = sliding_window_view(eps, w.shape[0], axis=-2)
-    return np.einsum("...ijk,k->...ij", windows, w), eps
+    return np.einsum("...ijk,k->...ij", windows, w)
 
 
 def _add_offsets(data: np.ndarray, spec: PanelSpec) -> None:
@@ -539,7 +542,7 @@ def generate(spec: PanelSpec) -> Panel:
     order (drivers first, row-major), offsets added last.
     """
     spec.validate()
-    data, _ = _filtered_drivers(spec, stream(spec.seed, spec.replicate))
+    data = _filtered_drivers(spec, stream(spec.seed, spec.replicate))
     _add_offsets(data, spec)
     return Panel(spec=spec, data=data)
 
@@ -577,22 +580,16 @@ def copies_sums(spec: PanelSpec, copies: int, rng: np.random.Generator):
     one copy being exactly :func:`generate`'s draw.
     """
     spec.validate()
-    if not rademacher_sums_supported(spec):
-        return _cells_sums(_filtered_drivers(spec, rng, (copies,))[0], spec)
     n = spec.n
-    kappa = max(spec.model.kappa, 1)
-    s1, s2 = _window_sums(rademacher_bits(rng, (copies, spec.p + kappa - 1, n)), kappa, n)
-    s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
+    if rademacher_sums_supported(spec):
+        kappa = max(spec.model.kappa, 1)
+        s1, s2 = _window_sums(rademacher_bits(rng, (copies, spec.p + kappa - 1, n)), kappa, n)
+        s1, s2 = s1 / math.sqrt(kappa), s2 / kappa
+    else:
+        data = _filtered_drivers(spec, rng, (copies,))
+        s1, s2 = data.sum(axis=-1), np.einsum("...i,...i->...", data, data)
     if spec.offsets:
         _shift_sums(s1, s2, spec.offset_vector(), n)
-    return s1, s2
-
-
-def _cells_sums(data: np.ndarray, spec: PanelSpec):
-    """Row sums (S1, S2) of cells ``data`` without offsets, then shifted by them."""
-    s1, s2 = data.sum(axis=-1), np.einsum("...i,...i->...", data, data)
-    if spec.offsets:
-        _shift_sums(s1, s2, spec.offset_vector(), spec.n)
     return s1, s2
 
 
@@ -610,36 +607,38 @@ def panel_sums(spec: PanelSpec, replicates,
         return row_sums(spec, replicates, u_min)
     s1, s2 = np.empty((2, len(replicates), spec.p))
     for k, r in enumerate(replicates):
-        c1, c2 = copies_sums(spec, 1, stream(spec.seed, r))
-        s1[k], s2[k] = c1[0], c2[0]
+        s1[k], s2[k] = copies_sums(spec, 1, stream(spec.seed, r))  # (1, p) each
     return s1, s2
 
 
-def matched_sums(spec: PanelSpec):
-    """Row sums of :func:`generate`'s panel and of a matched independent one.
+def matched_sums(spec: PanelSpec, replicates):
+    """Row sums of the panels of ``spec`` and of matched independent ones.
 
-    Returns ((S1, S2), (S1', S2')).  The panel is one :func:`copies_sums`
-    copy from ``stream(seed, replicate)``.  The matched panel has the same
-    law in every row, rows independent: gaussian-kdep sums the panel's
-    first p drivers (common random numbers), moving-average draws p copies
-    of a one-row panel next from the same stream, each shifted by its
-    row's offset, and an iid panel is its own counterpart (the same pair
-    twice).
+    Returns ((S1, S2), (S1', S2')), each laid out as by :func:`panel_sums`.
+    The matched panel has the panel's law in every row, rows independent,
+    and draws from the panel's stream.  An iid panel is its own match.  A
+    Gaussian row is N(d_i, 1) in every model (the filter has unit norm), so
+    a Gaussian panel is matched by :func:`panel_sums` of its iid twin, whose
+    a_j (row sums) or rows (cells) are the panel's first p drivers where
+    both take the same path.  A moving-average panel of another law is one
+    :func:`copies_sums` copy, matched by p one-row panels drawn next, each
+    shifted by its row's offset.
     """
-    rng = stream(spec.seed, spec.replicate)
-    if spec.model.kind == "gaussian-kdep":
-        spec.validate()
-        data, eps = _filtered_drivers(spec, rng)
-        return _cells_sums(data, spec), _cells_sums(eps[: spec.p], spec)
-    s1, s2 = copies_sums(spec, 1, rng)
-    dep = (s1[0], s2[0])
-    if spec.model.kind != "moving-average":
+    if spec.model.kind == "iid":
+        dep = panel_sums(spec, replicates)
         return dep, dep
+    if spec.law.is_gaussian:
+        twin = replace(spec, model=DependenceModel.iid())
+        return panel_sums(spec, replicates), panel_sums(twin, replicates)
     one_row = replace(spec, p=1, offsets=())
-    s1, s2 = (s.reshape(spec.p) for s in copies_sums(one_row, spec.p, rng))
+    s1, s2, t1, t2 = np.empty((4, len(replicates), spec.p))
+    for k, r in enumerate(replicates):
+        rng = stream(spec.seed, r)
+        s1[k], s2[k] = copies_sums(spec, 1, rng)
+        t1[k], t2[k] = (s.T for s in copies_sums(one_row, spec.p, rng))  # (p, 1) each
     if spec.offsets:
-        _shift_sums(s1, s2, spec.offset_vector(), spec.n)
-    return dep, (s1, s2)
+        _shift_sums(t1, t2, spec.offset_vector(), spec.n)
+    return (s1, s2), (t1, t2)
 
 
 _CELL_BUDGET = 1 << 22  # cells one explicit draw may take, filter window included

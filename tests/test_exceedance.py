@@ -290,6 +290,19 @@ def test_single_tail_guard_asks_for_50_hits_under_the_exact_law(s):
     assert f"expected hits {10 * q:.2f} below" in str(err.value)
 
 
+@pytest.mark.parametrize("s", [4.5, 5.0])
+def test_pair_tail_guard_asks_at_least_what_one_row_needs(s):
+    # a pair exceeds only where its first row does; near s = sqrt(n) the
+    # bivariate normal limit (lag correlation 2/3 here) is far above that
+    spec = pg.PanelSpec(p=10, n=30, model=pg.DependenceModel.moving_average(3),
+                        law=pg.InnovationLaw.normal())
+    q = _exact_single_tail(s, 30)
+    assert q < bivariate_normal_tail(s, 2.0 / 3.0)
+    with pytest.raises(xc.InsufficientReplicates) as err:
+        xc.tail_probability_pair(spec, 1, 2, s, 1)
+    assert err.value.required == math.ceil(50 / q)
+
+
 def test_tail_row_indices_range_checked():
     spec = _normal_spec(p=5, n=20, offsets=((5, 3.0),))
     for i in (0, 6):
@@ -678,6 +691,22 @@ def test_coupling_from_packed_sums_equals_the_cells(model, monkeypatch):
     assert 0.0 < packed.pi.sum() and 0.0 < packed.pi_prime.sum()
     for name, value in vars(cells).items():
         assert np.array_equal(getattr(packed, name), value), name
+
+
+def test_gaussian_coupling_from_row_sums_agrees_with_the_cells(monkeypatch):
+    # both arms are exact in law on either path: their pi and pi' agree
+    # with the cells path (the panel's cells and its first p drivers)
+    spec = pg.PanelSpec(p=120, n=30, model=pg.DependenceModel.gaussian_kdep((0.3, 0.1)),
+                        law=pg.InnovationLaw.normal(), seed=37, offsets=((5, 0.8),))
+    assert pg.row_sums_preferred(spec)
+    scheme = xc.block_scheme(120, 2, s=1.8)
+    rows = xc.coupling_estimate(spec, scheme, 1.8, 2000, match_draws=1000)
+    monkeypatch.setattr(pg, "row_sums_preferred", lambda spec: False)
+    cells = xc.coupling_estimate(spec, scheme, 1.8, 2000, match_draws=1000)
+    for a, b in ((rows.pi, cells.pi), (rows.pi_prime, cells.pi_prime)):
+        assert not np.array_equal(a, b)
+        se = np.sqrt((a * (1 - a) + b * (1 - b)) / 2000)
+        assert np.all(np.abs(a - b) <= 4.0 * se), (a - b) / se
 
 
 def test_coupling_iid_panels_match_perfectly():

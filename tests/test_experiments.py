@@ -341,10 +341,11 @@ _NO_SCIPY = "import sys; sys.modules['scipy'] = None; "
 
 
 # the demos that print the filter weights, call student_t_quantile,
-# bin_thresholds, both marginals and the runner; demo 04 takes about 19 s
-# and stays out of Tier-1
+# bin_thresholds, the coupling bound, both marginals and the runner; demo
+# 04 takes about 19 s and stays out of Tier-1
 @pytest.mark.parametrize("demo", ["01_panel_models", "02_threshold_calculus",
-                                  "06_multiple_testing", "07_experiment_runner"])
+                                  "05_coupling_bound", "06_multiple_testing",
+                                  "07_experiment_runner"])
 def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
     root = Path(ex.__file__).resolve().parents[2]
     path = str(root / "demos" / f"{demo}.py")
@@ -964,9 +965,10 @@ def _rademacher_coupling(**kw):
 
 def test_coupling_tags_how_it_drew_the_panels(tmp_path):
     # Rademacher iid and moving-average panels are studentized from
-    # packed-bit row sums, every other law from the cells
+    # packed-bit row sums, Gaussian ones from row_sums as in mtc, every
+    # other law from the cells
     cases = [(pg.InnovationLaw.rademacher(), "packed-sums"),
-             (pg.InnovationLaw.normal(), "explicit"),
+             (pg.InnovationLaw.normal(), "sufficiency-v2"),
              (pg.InnovationLaw.two_point(0.3), "explicit")]
     for law, drawn in cases:
         cfg = _rademacher_coupling(law=law)
@@ -975,11 +977,15 @@ def test_coupling_tags_how_it_drew_the_panels(tmp_path):
         ex.run(cfg, out_dir=out)
         summary = json.loads((out / "coupling_summary.json").read_text())
         assert summary["sampler"] == drawn
-        assert summary["schema_version"] == "exceedlab.coupling.v2"
-        assert (out / "coupling.csv").read_text().startswith("# schema: exceedlab.coupling.v2\n")
+        assert summary["schema_version"] == "exceedlab.coupling.v3"
+        assert (out / "coupling.csv").read_text().startswith("# schema: exceedlab.coupling.v3\n")
     iid = replace(_rademacher_coupling(), panel=replace(
         _rademacher_coupling().panel, model=pg.DependenceModel.iid()))
     assert ex.resolve_sampler(iid) == "packed-sums"
+    # below the row-sums crossover a Gaussian panel is drawn from its cells
+    short = _rademacher_coupling(law=pg.InnovationLaw.normal())
+    short = replace(short, panel=replace(short.panel, n=8))
+    assert ex.resolve_sampler(short) == "explicit"
 
 
 def test_manifest_of_the_unpacked_rademacher_draw_replays_as_a_mismatch(tmp_path, monkeypatch):

@@ -690,25 +690,32 @@ def test_rows_sums_sufficiency_exact_law(model):
 
 
 def _matched_cells(spec):
-    """The cells of both panels :func:`pg.matched_sums` sums: the generated
-    panel, and the matched independent one rebuilt from the same stream."""
+    """The cells of both panels :func:`pg.matched_sums` sums on the cells
+    path: the generated panel, and the matched independent one rebuilt
+    from the same stream."""
     dep = pg.generate(spec).data
     model, law, p, n = spec.model, spec.law, spec.p, spec.n
     rng = pg.stream(spec.seed, spec.replicate)
     d = spec.offset_vector()[:, None]
-    if model.kind == "gaussian-kdep":  # the panel's own first p drivers
-        return dep, rng.standard_normal((p + model.kappa, n))[:p] + d
-    if model.kind == "moving-average":  # fresh windows drawn after the panel's
-        law.sample(rng, (p + model.kappa - 1, n))
-        fresh = law.sample(rng, (p, model.kappa, n))
-        return dep, fresh.sum(axis=1) / math.sqrt(model.kappa) + d
-    return dep, dep
+    if model.kind == "iid":
+        return dep, dep
+    if law.is_gaussian:  # the panel's own first p drivers
+        return dep, rng.standard_normal((p, n)) + d
+    # fresh windows drawn after the panel's
+    law.sample(rng, (p + model.kappa - 1, n))
+    fresh = law.sample(rng, (p, model.kappa, n))
+    return dep, fresh.sum(axis=1) / math.sqrt(model.kappa) + d
 
 
 def _assert_sums_of(sums, cells):
     for (s1, s2), data in zip(sums, cells):
         np.testing.assert_allclose(s1, data.sum(axis=1), rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(s2, np.einsum("ij,ij->i", data, data), rtol=1e-12, atol=0)
+
+
+def _one_replicate(sums):
+    """The (S1, S2) of each arm of a :func:`pg.matched_sums` batch of one."""
+    return [(s1[0], s2[0]) for s1, s2 in sums]
 
 
 _PARETO, _TWO_POINT = pg.InnovationLaw.pareto(4.5), pg.InnovationLaw.two_point(0.3)
@@ -725,15 +732,18 @@ _PARETO, _TWO_POINT = pg.InnovationLaw.pareto(4.5), pg.InnovationLaw.two_point(0
     (pg.DependenceModel.iid(), _TWO_POINT),
     (pg.DependenceModel.iid(), pg.InnovationLaw.rademacher()),
 ])
-def test_matched_panels_draw_order(model, law):
-    # matched_sums sums the matched panels drawn in the order of _matched_cells
+def test_matched_panels_draw_order(model, law, monkeypatch):
+    # on the cells path, matched_sums sums the matched panels drawn in the
+    # order of _matched_cells: for Gaussian panels the panel's cells and its
+    # first p driver rows
+    monkeypatch.setattr(pg, "row_sums_preferred", lambda spec: False)
     for n in (2, 7, 30):
         for offsets in ((), ((3, 0.5), (30, 1.25))):
             spec = pg.PanelSpec(p=30, n=n, model=model, law=law, seed=8, replicate=5,
                                 offsets=offsets)
-            sums = pg.matched_sums(spec)
+            sums = pg.matched_sums(spec, [spec.replicate])
             assert (sums[1] is sums[0]) == (model.kind == "iid")
-            _assert_sums_of(sums, _matched_cells(spec))
+            _assert_sums_of(_one_replicate(sums), _matched_cells(spec))
 
 
 @pytest.mark.parametrize("kappa", [0, 1, 2, 3, 5], ids=lambda k: f"kappa{k}" if k else "iid")
@@ -744,7 +754,51 @@ def test_rademacher_matched_sums_equal_the_cells(kappa):
         for offsets in ((), ((1, 0.5), (17, 2.25), (40, 0.125))):
             spec = pg.PanelSpec(p=40, n=n, model=model, law=pg.InnovationLaw.rademacher(),
                                 seed=71, replicate=n, offsets=offsets)
-            _assert_sums_of(pg.matched_sums(spec), _matched_cells(spec))
+            _assert_sums_of(_one_replicate(pg.matched_sums(spec, [spec.replicate])),
+                            _matched_cells(spec))
+
+
+_KDEP_ROWS = _strong_spec(40, 30, seed=9, offsets=((2, 0.5), (40, 1.5)))
+
+
+@pytest.mark.parametrize("spec", [
+    _KDEP_ROWS,  # row sums, both arms
+    replace(_KDEP_ROWS, n=8),  # the panel from cells, its twin from row sums
+    replace(_KDEP_ROWS, model=pg.DependenceModel.moving_average(3)),
+    replace(_KDEP_ROWS, model=pg.DependenceModel.iid()),
+    replace(_KDEP_ROWS, model=pg.DependenceModel.moving_average(3),
+            law=pg.InnovationLaw.rademacher()),
+    replace(_KDEP_ROWS, model=pg.DependenceModel.moving_average(2), law=_PARETO),
+    replace(_KDEP_ROWS, model=pg.DependenceModel.iid(), law=_TWO_POINT),
+], ids=["kdep-rows", "kdep-cells", "ma-normal", "iid-normal", "ma-rademacher",
+        "ma-pareto", "iid-two-point"])
+def test_matched_sums_do_not_depend_on_the_batch(spec):
+    reps = [4, 0, 9]
+    batch = pg.matched_sums(spec, reps)
+    assert batch[0][0].shape == batch[1][1].shape == (3, spec.p)
+    for k, r in enumerate(reps):
+        for arms, one in zip(batch, pg.matched_sums(spec, [r])):
+            for a, b in zip(arms, one):
+                assert a[k].tobytes() == b[0].tobytes()
+    # the dependent arm is the panel's own draw
+    for a, b in zip(batch[0], pg.panel_sums(spec, reps)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", [pg.DependenceModel.gaussian_kdep((0.4, 0.2)),
+                                   pg.DependenceModel.moving_average(3)],
+                         ids=["gaussian-kdep", "moving-average"])
+def test_gaussian_twin_shares_the_driver_means(model):
+    # on the row-sums path the twin's row means are the panel's first p a_j
+    spec = replace(_KDEP_ROWS, model=model)
+    assert pg.row_sums_preferred(spec)
+    reps = [3, 1]
+    _, (s1, _) = pg.matched_sums(spec, reps)
+    d, n = spec.offset_vector(), spec.n
+    for k, r in enumerate(reps):
+        a = pg.stream(spec.seed, r).standard_normal(spec.p)
+        np.testing.assert_allclose(s1[k] / math.sqrt(n) - math.sqrt(n) * d, a,
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("spec", [
@@ -879,6 +933,20 @@ def test_every_worker_count_follows_a_one_cpu_affinity(monkeypatch):
     pi, pp = np.linspace(0.1, 0.9, 40), np.linspace(0.9, 0.1, 40)
     got = xc.simulate_count_match(pi, pp, 20_000, np.random.default_rng(5), jobs=4)
     assert got == xc.simulate_count_match(pi, pp, 20_000, np.random.default_rng(5), jobs=1)
+
+
+def test_map_replicates_runs_in_process_where_the_os_cannot_fork(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool started without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert pg.map_replicates(_span, 10, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert pg.map_replicates(_span, 2, 5) == [(0, 1), (1, 2)]
 
 
 def test_map_replicates_reraises_a_worker_error():
