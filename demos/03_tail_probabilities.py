@@ -5,11 +5,10 @@ the exact finite-sample reference (for Gaussian rows) and the bivariate
 normal limit (for pairs), plus the large-deviation decay diagnostics.
 """
 
-import math
-
 from exceedlab import exceedance as xc
 from exceedlab import panelgen as pg
-from exceedlab.numerics import bivariate_normal_tail, student_t_sf
+from exceedlab.numerics import bivariate_normal_tail
+from exceedlab.studentize import normal_r_sf
 
 print("=" * 70)
 print("1. Single-row tails vs the exact finite-sample law")
@@ -23,8 +22,8 @@ print(f"  n = {n}, iid standard normal rows, 2e6 replicates per level")
 print(f"  {'s':>4s} {'estimate':>11s} {'exact':>11s} {'within CI':>9s} "
       f"{'-log(p)/(s^2/2)':>16s}")
 for s in (1.5, 2.0, 2.5):
-    est = xc.tail_probability_single(spec, s, 2_000_000)
-    exact = float(student_t_sf(s * math.sqrt((n - 1.0) / (n - s * s)), n - 1))
+    est = xc.tail_probability(spec, (1,), s, 2_000_000)
+    exact = normal_r_sf(s, n)
     inside = est.wilson_low <= exact <= est.wilson_high
     print(f"  {s:4.1f} {est.estimate:11.3e} {exact:11.3e} {str(inside):>9s} "
           f"{est.exponent:16.4f}")
@@ -34,7 +33,7 @@ print("\n" + "=" * 70)
 print("2. The hit-count guard refuses starved estimates")
 print("=" * 70)
 try:
-    xc.tail_probability_single(spec, 4.5, 10_000)
+    xc.tail_probability(spec, (1,), 4.5, 10_000)
 except xc.InsufficientReplicates as err:
     print(f"  s = 4.5 with 1e4 replicates -> rejected: {err}")
     print(f"  (required attribute: {err.required:,d})")
@@ -47,8 +46,8 @@ flat = pg.PanelSpec(p=10, n=100, model=pg.DependenceModel.iid(),
 shifted = pg.PanelSpec(p=10, n=100, model=pg.DependenceModel.iid(),
                        law=pg.InnovationLaw.normal(), seed=7,
                        offsets=((1, 0.2),))
-a = xc.tail_probability_single(flat, 2.0, 500_000)
-b = xc.tail_probability_single(shifted, 2.0, 500_000)
+a = xc.tail_probability(flat, (1,), 2.0, 500_000)
+b = xc.tail_probability(shifted, (1,), 2.0, 500_000)
 print(f"  P(R > 2) with d = 0.0: {a.estimate:.4f}")
 print(f"  P(R > 2) with d = 0.2: {b.estimate:.4f}  (same random numbers)")
 
@@ -60,9 +59,9 @@ spec = pg.PanelSpec(
     law=pg.InnovationLaw.normal(), seed=33,
 )
 s = 2.5
-near = xc.tail_probability_pair(spec, 1, 2, s, 4_000_000)
-far = xc.tail_probability_pair(spec, 1, 3, s, 4_000_000)
-single = xc.tail_probability_single(spec, s, 4_000_000)
+near = xc.tail_probability(spec, (1, 2), s, 4_000_000)
+far = xc.tail_probability(spec, (1, 3), s, 4_000_000)
+single = xc.tail_probability(spec, (1,), s, 4_000_000)
 print(f"  lag 1 (rho = 0.5):  pair = {near.estimate:.3e}   "
       f"bivariate-normal limit = {bivariate_normal_tail(s, 0.5):.3e}")
 print(f"  lag 2 (rho = 0.0):  pair = {far.estimate:.3e}   "

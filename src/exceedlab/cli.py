@@ -47,6 +47,8 @@ law and [experiment] format).  An invalid value is reported under that
                   standardized-rademacher | two-point-with-atom
   --eta X         slack in the admissible level floor (default 0.05)
   --level T       explicit t-level
+  --s X           R-scale level (tails, coupling), finite and below sqrt(n),
+                  which R never exceeds
   --reps INT      Monte Carlo replicates
   --seed INT      64-bit seed; (seed, replicate) keys every random stream
   --jobs INT      worker processes (0 = auto; env EXCEEDLAB_JOBS overrides)
@@ -126,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(kind, help=f"run the {kind} experiment")
         _add_common(sub)
         if kind in ("tails", "coupling"):
-            sub.add_argument("--s", type=float, dest="level.s", help="R-scale level")
+            sub.add_argument("--s", type=float, dest="level.s",
+                             help="R-scale level, below sqrt(n)")
         if kind == "tails":
             sub.add_argument("--row", type=int, dest="tails.row")
             sub.add_argument("--pair", type=_counts, dest="tails.pair", help="i1,i2 row pair")

@@ -8,14 +8,14 @@ from a level s it follows ``ell = max(kappa + 2, ceil(exp(s^2 / 4)))``,
 so that exceedances in distinct large blocks are independent and, at
 admissible levels, each large block rarely holds more than one.
 
-Monte Carlo tail estimators ship with hit-count guards and Wilson
-intervals.  The single and pair estimators share one body: their rows'
-sums come from ``panelgen.rows_sums``, which alone picks the draw from the
-law and n (for Gaussian laws the exact law of the sums, sample mean plus
-Bartlett-decomposed scatter, instead of whole rows; otherwise the rows
-drawn as a panel of their own), and R from ``studentize_sums``, the lab's
-one R definition.  The test suite cross-checks the two draws against each
-other.
+One Monte Carlo tail estimator, :func:`tail_probability`, covers one row
+and a pair of rows alike, with a hit-count guard and a Wilson interval.
+Its rows' sums come from ``panelgen.rows_sums``, which alone picks the
+draw from the law and n (for Gaussian laws the exact law of the sums,
+sample mean plus Bartlett-decomposed scatter, instead of whole rows;
+otherwise the rows drawn as a panel of their own), and R from
+``studentize_sums``, the lab's one R definition.  The test suite
+cross-checks the two draws against each other.
 
 The coupling machinery estimates per-block hit probabilities for a
 dependent panel and a matched independent panel (same marginal law),
@@ -38,7 +38,7 @@ import numpy as np
 
 from exceedlab import panelgen as _pg
 from exceedlab import studentize as _stu
-from exceedlab.numerics import bivariate_normal_tail, student_t_sf
+from exceedlab.numerics import bivariate_normal_tail
 
 __all__ = [
     "BlockScheme",
@@ -46,7 +46,6 @@ __all__ = [
     "CouplingEstimate",
     "ExceedanceSet",
     "InsufficientReplicates",
-    "PairTailEstimate",
     "TailEstimate",
     "block_scheme",
     "cluster_stats",
@@ -55,8 +54,7 @@ __all__ = [
     "coupling_estimate",
     "extract",
     "simulate_count_match",
-    "tail_probability_pair",
-    "tail_probability_single",
+    "tail_probability",
     "wilson_interval",
 ]
 
@@ -282,10 +280,14 @@ def cluster_stats(exc: ExceedanceSet, scheme: BlockScheme) -> ClusterStats:
 
 @dataclass
 class TailEstimate:
-    """Monte Carlo estimate of P(R > s) with a Wilson 95% interval.
+    """Monte Carlo estimate of P(R_i > s for every i in ``rows``) with a
+    Wilson 95% interval.
 
-    ``exponent`` is the decay diagnostic -log(estimate) / (s^2 / 2), which
-    approaches 1 from above for centered rows as n grows.
+    ``rows`` holds one row or two; ``lag`` is their distance (0 for one
+    row) and ``rho_lag`` the model's correlation at that lag.
+    ``exponent`` is the decay diagnostic -log(estimate) / (s^2 / 2): for
+    one centered row it approaches 1 from above as n grows, for a pair
+    within the dependence range it is to be compared against 1 + alpha.
     """
 
     s: float
@@ -297,17 +299,7 @@ class TailEstimate:
     wilson_high: float
     exponent: float
     method: str
-
-
-@dataclass
-class PairTailEstimate(TailEstimate):
-    """Monte Carlo estimate of P(R_i1 > s, R_i2 > s) with interval.
-
-    ``exponent`` is to be compared against 1 + alpha for within-range
-    pairs; ``lag`` is |i1 - i2| and ``rho_lag`` the model's correlation
-    at that lag.
-    """
-
+    rows: tuple[int, ...]
     lag: int
     rho_lag: float
 
@@ -325,30 +317,34 @@ def _exponent(estimate: float, s: float) -> float:
     return -math.log(estimate) / (0.5 * s * s)
 
 
-def _check_row(spec: _pg.PanelSpec, name: str, i: int) -> None:
-    if not 1 <= i <= spec.p:
-        raise _pg.SpecError(f"{name} = {i} outside the rows [1, {spec.p}]")
+def tail_probability(spec: _pg.PanelSpec, rows, s: float, reps: int) -> TailEstimate:
+    """Estimate P(R_i > s for every i in ``rows``) over panels drawn from ``spec``.
 
-
-def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: int,
-                   seed: int | None) -> TailEstimate:
-    """P(R > s in every one of ``rows``), the body of both tail estimators.
-
-    The expected hit count under a reference law must reach 50: for one row
-    the tail of the divisor-n statistic of normal rows, sqrt(n / (n - 1))
-    times a t on n - 1 df; for two the bivariate normal tail at the lag
-    correlation, capped by the single-row tail that bounds it (near
-    s = sqrt(n) the normal limit is far larger).
+    ``rows`` is one 1-based row or two distinct ones; a pair's joint law
+    enters only through their lag.  The copies draw from
+    ``stream(spec.seed, 0, lane=len(rows))``; pass ``replace(spec,
+    seed=...)`` for another stream.  The expected hit count under a
+    reference law must reach 50, or the call is rejected naming the
+    required replicate count: for one row :func:`studentize.normal_r_sf`,
+    for two the bivariate normal tail at the lag correlation, capped by
+    that single-row tail, which bounds it (near s = sqrt(n) the normal
+    limit is far larger).  :func:`panelgen.rows_sums` picks the draw, and
+    ``method`` names it: ``"sufficiency"`` for Gaussian laws with n above
+    the number of rows, ``"explicit"`` rows otherwise; R comes from
+    :func:`studentize.studentize_sums` either way.
     """
-    if s < 0.0:
+    spec.validate()
+    rows = tuple(rows)
+    if len(rows) not in (1, 2) or len(set(rows)) < len(rows) or not all(
+            isinstance(i, (int, np.integer)) and 1 <= i <= spec.p for i in rows):
+        raise _pg.SpecError(f"rows = {rows!r} is not one row or two distinct rows "
+                            f"in [1, {spec.p}]")
+    if not s >= 0.0:
         raise ValueError(f"level s must be nonnegative, got {s!r}")
-    n, what = spec.n, ("single", "pair")[len(rows) - 1]
-    q_ref = 0.0
-    if s * s < n:
-        t_level = _stu.r_level_to_t_level(s, n) * math.sqrt((n - 1) / n) if s else 0.0
-        q_ref = float(student_t_sf(t_level, n - 1))
-    if len(rows) == 2:
-        rho = spec.model.lag_correlation(rows[1] - rows[0])
+    n, what, lag = spec.n, ("single", "pair")[len(rows) - 1], abs(rows[-1] - rows[0])
+    rho = spec.model.lag_correlation(lag)
+    q_ref = _stu.normal_r_sf(s, n)
+    if lag:
         q_ref = min(q_ref, bivariate_normal_tail(s, rho))
     if reps * q_ref < _MIN_EXPECTED_HITS:
         required = 2 ** 62 if q_ref <= 0.0 else int(math.ceil(_MIN_EXPECTED_HITS / q_ref))
@@ -358,7 +354,7 @@ def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: i
             required=required,
         )
 
-    rng = _pg.stream(spec.seed if seed is None else seed, 0, lane=len(rows))
+    rng = _pg.stream(spec.seed, 0, lane=len(rows))
     hits = 0
     done = 0
     while done < reps:
@@ -374,53 +370,8 @@ def _tail_estimate(spec: _pg.PanelSpec, rows: tuple[int, ...], s: float, reps: i
         s=s, estimate=est, hits=hits, reps=reps,
         se=math.sqrt(max(est * (1.0 - est), 0.0) / reps),
         wilson_low=lo, wilson_high=hi, exponent=_exponent(est, s), method=method,
+        rows=rows, lag=lag, rho_lag=rho,
     )
-
-
-def tail_probability_single(
-    spec: _pg.PanelSpec,
-    s: float,
-    reps: int,
-    i: int = 1,
-    seed: int | None = None,
-) -> TailEstimate:
-    """Estimate P(R_i > s) for row ``i`` of panels drawn from ``spec``.
-
-    Guards against starved estimates: the expected hit count under the
-    Student t reference must reach 50 or the call is rejected naming the
-    required replicate count.  :func:`panelgen.rows_sums` picks the draw,
-    and ``method`` of the result names it: ``"sufficiency"`` for Gaussian
-    laws with n >= 2, ``"explicit"`` rows otherwise; R comes from
-    :func:`studentize.studentize_sums` either way.
-    """
-    spec.validate()
-    _check_row(spec, "i", i)
-    return _tail_estimate(spec, (i,), s, reps, seed)
-
-
-def tail_probability_pair(
-    spec: _pg.PanelSpec,
-    i1: int,
-    i2: int,
-    s: float,
-    reps: int,
-    seed: int | None = None,
-) -> PairTailEstimate:
-    """Estimate P(R_i1 > s, R_i2 > s) for two distinct rows of ``spec`` panels.
-
-    The joint law enters only through the lag |i1 - i2|.  The hit-count
-    guard uses the bivariate normal tail at the model's lag correlation
-    as its reference.  Draws as in :func:`tail_probability_single`, except
-    that sufficiency sampling of a pair needs n >= 3.
-    """
-    spec.validate()
-    _check_row(spec, "i1", i1)
-    _check_row(spec, "i2", i2)
-    if i1 == i2:
-        raise _pg.SpecError(f"i2 = {i2} equals i1: a pair needs two distinct rows")
-    est = _tail_estimate(spec, (i1, i2), s, reps, seed)
-    lag = abs(i2 - i1)
-    return PairTailEstimate(**vars(est), lag=lag, rho_lag=spec.model.lag_correlation(lag))
 
 
 # ---------------------------------------------------------------------------

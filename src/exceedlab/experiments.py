@@ -142,10 +142,11 @@ class ExperimentConfig:
             )
         if self.level_policy not in ("eta", "ma-refined", "explicit"):
             raise pg.SpecError(f"[level] policy {self.level_policy!r} is unknown")
-        if self.level_policy == "explicit" and (
-            self.level_t is None or self.level_t <= 0.0
+        if self.level_policy == "explicit" and not (
+            self.level_t is not None and 0.0 < self.level_t < math.inf
         ):
-            raise pg.SpecError(f"[level] t must be > 0 for policy explicit, got {self.level_t!r}")
+            raise pg.SpecError(f"[level] t must be finite and > 0 for policy explicit, "
+                               f"got {self.level_t!r}")
         if self.level_policy == "ma-refined" and self.panel.model.kind != "moving-average":
             raise pg.SpecError("[level] policy ma-refined needs a moving-average model")
         if self.reps < 1:
@@ -170,28 +171,46 @@ class ExperimentConfig:
             raise pg.SpecError(f"[paper-table] p_list entries must be >= 2, got {self.p_list}")
         if self.p0 < 2:
             raise pg.SpecError(f"[paper-table] p0 must be >= 2, got {self.p0!r}")
-        if not self.eta >= 0.0:
-            raise pg.SpecError(f"[level] eta must be >= 0, got {self.eta!r}")
+        if not 0.0 <= self.eta < math.inf:
+            raise pg.SpecError(f"[level] eta must be finite and >= 0, got {self.eta!r}")
+        # the level floor needs two tests, its moving-average refinement three
+        # (log p + 3 log log p > 0); calibrate reports them under every policy
+        p = self.panel.p
+        refined = self.level_policy == "ma-refined" or (
+            self.kind == "calibrate" and self.panel.model.kind == "moving-average")
+        uses_floor = self.kind == "calibrate" or (
+            self.kind != "paper-table" and self.level_policy != "explicit")
+        if uses_floor and p < 2 + refined:
+            raise pg.SpecError(f"[panel] p must be >= {2 + refined} for the level floor "
+                               f"of this run, got {p}")
         rho = self.rho_max_override
         if rho is not None and not 0.0 <= rho < 1.0:
             raise pg.SpecError(f"[level] rho_max must lie in [0, 1), got {rho!r}")
         ell, kappa = self.block_ell, self.panel.model.kappa
         if ell is not None and ell < kappa + 2:
             raise pg.SpecError(f"[level] ell must be >= kappa + 2 = {kappa + 2}, got {ell}")
-        if ell is not None and self.kind == "coupling" and ell > self.panel.p:
-            raise pg.SpecError(f"[level] ell = {ell} leaves no complete large block "
-                               f"in p = {self.panel.p} rows")
         s = self.s_level
+        if s is not None and not math.isfinite(s):
+            raise pg.SpecError(f"[level] s must be finite, got {s!r}")
         if s is not None and self.kind == "tails" and not s >= 0.0:
             raise pg.SpecError(f"[level] s must be >= 0 for tails, got {s!r}")
         # coupling counts R > s in blocks; cluster derives its blocks from s
         needs_positive = self.kind == "coupling" or self.kind == "cluster" and ell is None
         if s is not None and needs_positive and not s > 0.0:
             raise pg.SpecError(f"[level] s must be > 0 for {self.kind}, got {s!r}")
+        if s is not None and self.kind in ("tails", "coupling") and s * s >= self.panel.n:
+            raise pg.SpecError(f"[level] s must lie below sqrt(n) = "
+                               f"{math.sqrt(self.panel.n):.6g}, which R never exceeds, got {s!r}")
         if not self.se_cap > 0.0:
             raise pg.SpecError(f"[coupling] se_cap must be > 0, got {self.se_cap!r}")
         if self.match_draws < 1:
             raise pg.SpecError(f"[coupling] match_draws must be >= 1, got {self.match_draws!r}")
+        if self.kind == "coupling":
+            scheme = _block_scheme_for(self, resolve_level(self)[1])
+            if scheme.m == 0:
+                key = "[panel] p" if ell is None else "[level] ell"
+                raise pg.SpecError(f"{key} leaves no complete large block: "
+                                   f"ell = {scheme.ell} > p = {p}")
 
     # -- flat text round trip ------------------------------------------------
 
@@ -629,41 +648,25 @@ def _experiment_tails(cfg: ExperimentConfig) -> tuple[list[str], list, dict]:
     header = ["kind", "i1", "i2", "lag", "rho_lag", "s", "estimate", "se",
               "wilson_low", "wilson_high", "hits", "reps", "exponent", "method",
               "reference"]
-    rows = []
-    single = xc.tail_probability_single(cfg.panel, s, cfg.reps, i=cfg.row)
-    ref_single = ""
-    if cfg.panel.law.is_gaussian and s * s < cfg.panel.n:
-        t_eq = stu.r_level_to_t_level(s, cfg.panel.n)
-        ref_single = float(
-            mtc.StudentizedNormalMarginal(cfg.panel.n).sf(t_eq)
-        )
-    rows.append(["single", cfg.row, "", 0, "", s, single.estimate, single.se,
-                 single.wilson_low, single.wilson_high, single.hits, single.reps,
-                 single.exponent, single.method, ref_single])
-    pair_est = None
-    if cfg.pair is not None:
-        i1, i2 = cfg.pair
-        pair_est = xc.tail_probability_pair(cfg.panel, i1, i2, s, cfg.reps)
-        ref_pair = bivariate_normal_tail(s, pair_est.rho_lag)
-        rows.append(["pair", i1, i2, pair_est.lag, pair_est.rho_lag, s,
-                     pair_est.estimate, pair_est.se, pair_est.wilson_low,
-                     pair_est.wilson_high, pair_est.hits, pair_est.reps,
-                     pair_est.exponent, pair_est.method, ref_pair])
+    cells = attrgetter("estimate", "se", "wilson_low", "wilson_high", "hits", "reps",
+                       "exponent", "method")
+    single = xc.tail_probability(cfg.panel, (cfg.row,), s, cfg.reps)
+    ref = stu.normal_r_sf(s, cfg.panel.n) if cfg.panel.law.is_gaussian else ""
+    rows = [["single", cfg.row, "", 0, "", s, *cells(single), ref]]
     summary = {
         "schema_version": "exceedlab.tails.v2",
         "s": s,
         "gamma": gamma,
-        "single": {
-            "estimate": single.estimate, "se": single.se,
-            "exponent": single.exponent, "hits": single.hits,
-        },
+        "single": {"estimate": single.estimate, "se": single.se,
+                   "exponent": single.exponent, "hits": single.hits},
     }
-    if pair_est is not None:
-        summary["pair"] = {
-            "estimate": pair_est.estimate, "se": pair_est.se,
-            "exponent": pair_est.exponent, "lag": pair_est.lag,
-            "rho_lag": pair_est.rho_lag, "hits": pair_est.hits,
-        }
+    if cfg.pair is not None:
+        pair = xc.tail_probability(cfg.panel, cfg.pair, s, cfg.reps)
+        rows.append(["pair", *cfg.pair, pair.lag, pair.rho_lag, s, *cells(pair),
+                     bivariate_normal_tail(s, pair.rho_lag)])
+        summary["pair"] = {"estimate": pair.estimate, "se": pair.se,
+                           "exponent": pair.exponent, "lag": pair.lag,
+                           "rho_lag": pair.rho_lag, "hits": pair.hits}
     return header, rows, summary
 
 

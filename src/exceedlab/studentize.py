@@ -21,6 +21,12 @@ and R = sign(mean) * sqrt(n), the natural limits.
 A row whose sums are not finite (a NaN or infinite cell) is rejected
 with a ValueError naming it, rather than carried on as a NaN statistic.
 
+Since |R_i| <= sqrt(n) by Cauchy-Schwarz, an R-level s is reached only
+below sqrt(n).  For a row of n iid standard normals, T is sqrt(n/(n-1))
+times a Student t on n - 1 degrees of freedom; :func:`normal_r_sf` is
+the exact tail P(R > s) this gives, coded once for every reference and
+guard that needs it.
+
 All computations are pure and row-wise; rows may be processed
 concurrently and merged by index.
 """
@@ -32,8 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from exceedlab.numerics import student_t_sf
+
 __all__ = [
     "StudentizedRows",
+    "normal_r_sf",
     "r_level_to_t_level",
     "studentize_panel",
     "studentize_sums",
@@ -69,6 +78,21 @@ def r_level_to_t_level(r: float, n: float) -> float:
     if r * r >= n:
         raise ValueError(f"R-level {r!r} is not attainable below sqrt(n), n={n!r}")
     return r / math.sqrt(1.0 - r * r / n)
+
+
+def normal_r_sf(s: float, n: int) -> float:
+    """P(R > s) for a row of n iid standard normals, exactly, for s >= 0.
+
+    R > s iff T > :func:`r_level_to_t_level` (s, n), and T scaled by
+    sqrt((n - 1)/n) is a Student t on n - 1 degrees of freedom.  The tail
+    is 1/2 at s = 0 and 0 from s = sqrt(n) on, which R never exceeds.
+    """
+    if not s >= 0.0:
+        raise ValueError(f"level s must be nonnegative, got {s!r}")
+    if s * s >= n:
+        return 0.0
+    t = r_level_to_t_level(s, n) if s else 0.0
+    return float(student_t_sf(t * math.sqrt((n - 1) / n), n - 1))
 
 
 def _finish(sum1: np.ndarray, sum2: np.ndarray, n: int,

@@ -20,6 +20,7 @@ the divisor-n scale of T, must be flagged by the same rule.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,13 +228,13 @@ def test_acceptance_5_pair_tail_shape():
     )
     reps = 10**7
     s = 2.5
-    pair_near = xc.tail_probability_pair(spec, 1, 2, s, reps, seed=SEED)
+    pair_near = xc.tail_probability(replace(spec, seed=SEED), (1, 2), s, reps)
     ref = bivariate_normal_tail(s, 0.5)
     ok_a = abs(pair_near.estimate - ref) <= 3.0 * pair_near.se
 
-    pair_far = xc.tail_probability_pair(spec, 1, 3, s, reps, seed=SEED + 1)
-    s1 = xc.tail_probability_single(spec, s, reps, i=1, seed=SEED + 2)
-    s2 = xc.tail_probability_single(spec, s, reps, i=3, seed=SEED + 3)
+    pair_far = xc.tail_probability(replace(spec, seed=SEED + 1), (1, 3), s, reps)
+    s1 = xc.tail_probability(replace(spec, seed=SEED + 2), (1,), s, reps)
+    s2 = xc.tail_probability(replace(spec, seed=SEED + 3), (3,), s, reps)
     prod = s1.estimate * s2.estimate
     se_prod = math.hypot(s1.estimate * s2.se, s2.estimate * s1.se)
     comb = math.hypot(pair_far.se, se_prod)

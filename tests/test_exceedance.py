@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,12 +273,43 @@ def test_cluster_degeneracy_tracks_phi_shape():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [2, 30, 400])
+def test_normal_r_sf_is_the_exact_single_tail(n):
+    import scipy.stats as sst
+
+    for s in math.sqrt(n) * np.linspace(0.01, 0.99, 25):
+        want = float(sst.t.sf(s * math.sqrt((n - 1.0) / (n - s * s)), n - 1))
+        got = stu.normal_r_sf(float(s), n)
+        assert got == pytest.approx(_exact_single_tail(s, n), rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9)
+    # 1/2 at s = 0 by symmetry, 0 from sqrt(n) on, which R never exceeds
+    assert stu.normal_r_sf(0.0, n) == 0.5
+    for s in (math.sqrt(n), 1.5 * math.sqrt(n), math.inf):
+        assert stu.normal_r_sf(s, n) == 0.0
+    for s in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            stu.normal_r_sf(s, n)
+
+
+def test_tail_estimate_names_its_rows():
+    spec = pg.PanelSpec(p=6, n=40, model=pg.DependenceModel.gaussian_kdep((0.3, 0.2)),
+                        law=pg.InnovationLaw.normal(), seed=9)
+    single = xc.tail_probability(spec, (4,), 1.0, 20_000)
+    pair = xc.tail_probability(spec, (5, 3), 1.0, 20_000)
+    assert (single.rows, single.lag, single.rho_lag) == ((4,), 0, 1.0)
+    assert (pair.rows, pair.lag, pair.rho_lag) == ((5, 3), 2, 0.2)
+    # the stream is the spec's: another seed is another spec
+    again = xc.tail_probability(spec, (4,), 1.0, 20_000)
+    other = xc.tail_probability(replace(spec, seed=10), (4,), 1.0, 20_000)
+    assert again.hits == single.hits and other.hits != single.hits
+
+
 def test_single_tail_guard():
     spec = _normal_spec(n=100)
     with pytest.raises(xc.InsufficientReplicates) as err:
-        xc.tail_probability_single(spec, 3.5, 1000)
+        xc.tail_probability(spec, (1,), 3.5, 1000)
     assert err.value.required > 1000
-    xc.tail_probability_single(spec, 3.5, err.value.required)
+    xc.tail_probability(spec, (1,), 3.5, err.value.required)
 
 
 @pytest.mark.parametrize("s", [1.2, 3.0, 4.0])
@@ -285,7 +317,7 @@ def test_single_tail_guard_asks_for_50_hits_under_the_exact_law(s):
     spec = _normal_spec(n=30)
     q = _exact_single_tail(s, 30)
     with pytest.raises(xc.InsufficientReplicates) as err:
-        xc.tail_probability_single(spec, s, 10)
+        xc.tail_probability(spec, (1,), s, 10)
     assert err.value.required == math.ceil(50 / q)
     assert f"expected hits {10 * q:.2f} below" in str(err.value)
 
@@ -299,36 +331,35 @@ def test_pair_tail_guard_asks_at_least_what_one_row_needs(s):
     q = _exact_single_tail(s, 30)
     assert q < bivariate_normal_tail(s, 2.0 / 3.0)
     with pytest.raises(xc.InsufficientReplicates) as err:
-        xc.tail_probability_pair(spec, 1, 2, s, 1)
+        xc.tail_probability(spec, (1, 2), s, 1)
     assert err.value.required == math.ceil(50 / q)
 
 
 def test_tail_row_indices_range_checked():
     spec = _normal_spec(p=5, n=20, offsets=((5, 3.0),))
-    for i in (0, 6):
-        with pytest.raises(pg.SpecError, match=r"\bi = "):
-            xc.tail_probability_single(spec, 2.0, 10_000, i=i)
+    for rows in ((0,), (6,), (), (1, 1), (1, 2, 3), (1.5,)):
+        with pytest.raises(pg.SpecError, match=r"^rows = "):
+            xc.tail_probability(spec, rows, 2.0, 10_000)
     kdep = pg.PanelSpec(p=5, n=20, model=pg.DependenceModel.gaussian_kdep((0.3,)),
                         law=pg.InnovationLaw.normal())
-    for i1, i2, name in ((0, 2, "i1"), (6, 2, "i1"), (1, 0, "i2"), (1, 6, "i2"),
-                         (3, 3, "i2")):
-        with pytest.raises(pg.SpecError, match=name):
-            xc.tail_probability_pair(kdep, i1, i2, 1.0, 10_000)
+    for rows in ((0, 2), (6, 2), (1, 0), (1, 6), (3, 3)):
+        with pytest.raises(pg.SpecError, match=r"^rows = "):
+            xc.tail_probability(kdep, rows, 1.0, 10_000)
 
 
 def test_single_tail_symmetric_level():
     spec = _normal_spec(n=64)
-    est = xc.tail_probability_single(spec, 0.0, 40_000)
+    est = xc.tail_probability(spec, (1,), 0.0, 40_000)
     assert est.estimate == pytest.approx(0.5, abs=4.0 * est.se + 1e-3)
     assert math.isnan(est.exponent)
     with pytest.raises(ValueError):
-        xc.tail_probability_single(spec, -1.0, 40_000)
+        xc.tail_probability(spec, (1,), -1.0, 40_000)
 
 
 def test_single_tail_matches_exact_reference():
     n = 400
     spec = _normal_spec(n=n, seed=21)
-    est = xc.tail_probability_single(spec, 2.0, 400_000)
+    est = xc.tail_probability(spec, (1,), 2.0, 400_000)
     exact = _exact_single_tail(2.0, n)
     assert est.wilson_low <= exact <= est.wilson_high
     assert est.method == "sufficiency"
@@ -345,9 +376,9 @@ def test_single_tail_explicit_matches_sufficiency(monkeypatch):
         p=10, n=30, model=pg.DependenceModel.gaussian_kdep((0.5,)),
         law=pg.InnovationLaw.normal(), seed=3,
     )
-    fast = xc.tail_probability_single(spec, 1.2, 300_000)
+    fast = xc.tail_probability(spec, (1,), 1.2, 300_000)
     monkeypatch.setattr(pg, "rows_sums", _cells_only)
-    slow = xc.tail_probability_single(spec, 1.2, 300_000)
+    slow = xc.tail_probability(spec, (1,), 1.2, 300_000)
     assert (fast.method, slow.method) == ("sufficiency", "explicit")
     gap = abs(fast.estimate - slow.estimate)
     assert gap < 4.0 * math.hypot(fast.se, slow.se)
@@ -356,8 +387,8 @@ def test_single_tail_explicit_matches_sufficiency(monkeypatch):
 def test_single_tail_offset_raises_probability():
     shifted = _normal_spec(n=100, seed=5, offsets=((1, 0.2),))
     flat = _normal_spec(n=100, seed=5)
-    est_d = xc.tail_probability_single(shifted, 2.0, 150_000)
-    est_0 = xc.tail_probability_single(flat, 2.0, 150_000)
+    est_d = xc.tail_probability(shifted, (1,), 2.0, 150_000)
+    est_0 = xc.tail_probability(flat, (1,), 2.0, 150_000)
     assert est_d.estimate > est_0.estimate + 3.0 * math.hypot(est_d.se, est_0.se)
 
 
@@ -366,7 +397,7 @@ def test_single_tail_non_gaussian_falls_back_to_explicit():
         p=4, n=50, model=pg.DependenceModel.iid(),
         law=pg.InnovationLaw.rademacher(), seed=1,
     )
-    est = xc.tail_probability_single(spec, 1.5, 100_000)
+    est = xc.tail_probability(spec, (1,), 1.5, 100_000)
     assert est.method == "explicit"
 
 
@@ -379,7 +410,7 @@ def test_single_tail_counts_zero_rows_by_the_studentize_convention(model, law):
     # at n = 2, R > 0.5 for the zero row (R = 1/sqrt(1.5) by convention),
     # for (0, +c) either way round and for (+c, +c): 1/4 + 1/4 + 1/16
     spec = pg.PanelSpec(p=5, n=2, model=model, law=law, seed=3)
-    est = xc.tail_probability_single(spec, 0.5, 200_000, i=4)
+    est = xc.tail_probability(spec, (4,), 0.5, 200_000)
     assert abs(est.estimate - 0.5625) < 4.0 * est.se
 
 
@@ -399,7 +430,7 @@ def test_explicit_chunks_stay_within_the_cell_budget(monkeypatch):
     # independent one-row panels
     for i2, rows, panels in ((3, 2, 1), (20, 1, 2)):
         draws.clear()
-        est = xc.tail_probability_pair(spec, 2, i2, 1.0, reps)
+        est = xc.tail_probability(spec, (2, i2), 1.0, reps)
         assert est.method == "explicit" and est.hits > 0
         assert {p for p, _, _ in draws} == {rows}
         assert len(draws) > 2 * panels  # the budget split the run into chunks
@@ -409,7 +440,7 @@ def test_explicit_chunks_stay_within_the_cell_budget(monkeypatch):
 
 def test_pair_tail_independent_quadrant():
     spec = _normal_spec(p=50, n=64, seed=13)
-    est = xc.tail_probability_pair(spec, 1, 30, 0.0, 60_000)
+    est = xc.tail_probability(spec, (1, 30), 0.0, 60_000)
     assert est.estimate == pytest.approx(0.25, abs=4.0 * est.se + 1e-3)
 
 
@@ -418,7 +449,7 @@ def test_pair_tail_clt_limit():
         p=10, n=2000, model=pg.DependenceModel.gaussian_kdep((0.5,)),
         law=pg.InnovationLaw.normal(), seed=29,
     )
-    est = xc.tail_probability_pair(spec, 1, 2, 2.5, 500_000)
+    est = xc.tail_probability(spec, (1, 2), 2.5, 500_000)
     want = bivariate_normal_tail(2.5, 0.5)
     assert abs(est.estimate - want) < 3.0 * est.se + 0.02 * want
 
@@ -428,8 +459,8 @@ def test_pair_tail_beyond_range_factorizes():
         p=10, n=200, model=pg.DependenceModel.gaussian_kdep((0.4,)),
         law=pg.InnovationLaw.normal(), seed=31,
     )
-    pair = xc.tail_probability_pair(spec, 1, 5, 1.8, 400_000)
-    single = xc.tail_probability_single(spec, 1.8, 400_000)
+    pair = xc.tail_probability(spec, (1, 5), 1.8, 400_000)
+    single = xc.tail_probability(spec, (1,), 1.8, 400_000)
     prod = single.estimate**2
     se_prod = 2.0 * single.estimate * single.se
     assert abs(pair.estimate - prod) < 3.0 * math.hypot(pair.se, se_prod)
@@ -441,9 +472,9 @@ def test_pair_tail_explicit_matches_sufficiency(monkeypatch):
         p=10, n=24, model=pg.DependenceModel.moving_average(3),
         law=pg.InnovationLaw.normal(), seed=37,
     )
-    fast = xc.tail_probability_pair(spec, 1, 2, 1.1, 250_000)
+    fast = xc.tail_probability(spec, (1, 2), 1.1, 250_000)
     monkeypatch.setattr(pg, "rows_sums", _cells_only)
-    slow = xc.tail_probability_pair(spec, 1, 2, 1.1, 250_000)
+    slow = xc.tail_probability(spec, (1, 2), 1.1, 250_000)
     assert (fast.method, slow.method) == ("sufficiency", "explicit")
     assert abs(fast.estimate - slow.estimate) < 4.0 * math.hypot(fast.se, slow.se)
 
@@ -454,9 +485,9 @@ def test_gaussian_pair_at_n_2_is_drawn_from_the_cells():
     # and their joint tail is the square of the single one.
     spec = pg.PanelSpec(p=10, n=2, model=pg.DependenceModel.moving_average(2),
                         law=pg.InnovationLaw.normal(), seed=47)
-    near = xc.tail_probability_pair(spec, 2, 3, 0.8, 100_000)
-    far = xc.tail_probability_pair(spec, 2, 6, 0.8, 100_000)
-    single = xc.tail_probability_single(spec, 0.8, 100_000)
+    near = xc.tail_probability(spec, (2, 3), 0.8, 100_000)
+    far = xc.tail_probability(spec, (2, 6), 0.8, 100_000)
+    single = xc.tail_probability(spec, (1,), 0.8, 100_000)
     assert (near.method, far.method, single.method) == ("explicit", "explicit",
                                                         "sufficiency")
     assert far.rho_lag == 0.0 and near.estimate > far.estimate
@@ -469,16 +500,16 @@ def test_pair_exponent_exceeds_single_exponent():
         p=10, n=400, model=pg.DependenceModel.gaussian_kdep((0.1,)),
         law=pg.InnovationLaw.normal(), seed=41,
     )
-    pair = xc.tail_probability_pair(spec, 1, 2, 2.2, 2_000_000)
-    single = xc.tail_probability_single(spec, 2.2, 2_000_000)
+    pair = xc.tail_probability(spec, (1, 2), 2.2, 2_000_000)
+    single = xc.tail_probability(spec, (1,), 2.2, 2_000_000)
     assert pair.exponent > single.exponent
 
 
 @pytest.mark.parametrize("draw", [
-    pytest.param(lambda spec: xc.tail_probability_single(spec, 1.5, 20_000),
-                 id="tail_probability_single"),
-    pytest.param(lambda spec: xc.tail_probability_pair(spec, 1, 2, 0.5, 20_000),
-                 id="tail_probability_pair"),
+    pytest.param(lambda spec: xc.tail_probability(spec, (1,), 1.5, 20_000),
+                 id="tail_probability-row"),
+    pytest.param(lambda spec: xc.tail_probability(spec, (1, 2), 0.5, 20_000),
+                 id="tail_probability-pair"),
     pytest.param(lambda spec: pg.row_sums(spec, [0]), id="row_sums"),
     pytest.param(lambda spec: pg.copies_sums(spec, 1, pg.stream(0)), id="copies_sums"),
     pytest.param(pg.generate, id="generate"),

@@ -340,10 +340,10 @@ def _run_python(args, tmp_path):
 _NO_SCIPY = "import sys; sys.modules['scipy'] = None; "
 
 
-# the demos that print the filter weights, call student_t_quantile,
-# bin_thresholds, the coupling bound, both marginals and the runner; demo
-# 04 takes about 19 s and stays out of Tier-1
+# every demo: the filter weights, student_t_quantile, the tail estimator,
+# the block counts, the coupling bound, both marginals and the runner
 @pytest.mark.parametrize("demo", ["01_panel_models", "02_threshold_calculus",
+                                  "03_tail_probabilities", "04_blocks_and_clusters",
                                   "05_coupling_bound", "06_multiple_testing",
                                   "07_experiment_runner"])
 def test_demo_exits_0_under_runtime_warnings_as_errors(demo, tmp_path):
@@ -618,6 +618,63 @@ def test_cli_out_of_range_key_exits_2_before_any_replicate(argv, fields, key, tm
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["calibrate", "--level", "inf"], "[level] t"),
+    (["calibrate", "--level", "nan"], "[level] t"),
+    (["mtc", "--level", "inf"], "[level] t"),
+    (["cluster", "--level", "nan"], "[level] t"),
+    (["cluster", "--eta", "inf"], "[level] eta"),
+    (["coupling", "--s", "6", "--reps", "700"], "[level] s"),  # sqrt(30) < 6
+    (["coupling", "--s", "inf", "--reps", "700"], "[level] s"),
+    (["tails", "--s", "6"], "[level] s"),
+    (["tails", "--s", "inf"], "[level] s"),
+    (["calibrate", "--p", "1"], "[panel] p"),
+    (["calibrate", "--p", "1", "--level", "4"], "[panel] p"),
+    (["calibrate", "--p", "2", "--model", "moving-average", "--kappa", "1"], "[panel] p"),
+    (["cluster", "--p", "1"], "[panel] p"),
+    (["mtc", "--p", "1"], "[panel] p"),
+    (["tails", "--p", "1"], "[panel] p"),
+    (["coupling", "--p", "1", "--reps", "700"], "[panel] p"),
+    (["coupling", "--p", "1", "--level", "3", "--reps", "700"], "[panel] p"),
+    (["coupling", "--p", "5", "--model", "moving-average", "--kappa", "4", "--level", "3",
+      "--reps", "700"], "[panel] p"),  # p < kappa + 2
+    (["coupling", "--p", "5", "--model", "moving-average", "--kappa", "3", "--level", "3",
+      "--reps", "700"], "[panel] p"),  # the level gives ell = 6
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_level_or_p_that_no_run_can_use_exits_2(argv, key, tmp_path, capsys):
+    kind, *flags = argv
+    out = tmp_path / "o"
+    rc = cli.main([kind, "--p", "300", "--n", "30", "--jobs", "1", *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"invalid configuration: {key} ")
+    assert not out.exists()
+
+
+def test_validate_reports_a_p_too_small_for_the_run(capsys):
+    assert cli.main(["validate", "--p", "1"]) == 0
+    assert capsys.readouterr().out.startswith("error: [panel] p must be >= 2 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["paper-table", "--p", "1"],
+    ["cluster", "--p", "1", "--level", "4", "--reps", "5"],
+    ["mtc", "--p", "1", "--level", "4", "--reps", "5"],
+    ["tails", "--p", "1", "--level", "1", "--reps", "5000"],
+    ["cluster", "--p", "2", "--model", "moving-average", "--kappa", "1", "--reps", "5"],
+], ids=" ".join)
+def test_cli_runs_that_need_no_level_floor_still_run_at_small_p(argv, tmp_path):
+    kind, *flags = argv
+    assert cli.main([kind, "--n", "30", "--jobs", "1", *flags,
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def test_gaussian_tails_at_s_0_take_reference_one_half(tmp_path):
+    assert cli.main(["tails", "--s", "0", "--p", "10", "--n", "30", "--reps", "5000",
+                     "--out", str(tmp_path)]) == 0
+    _, header, single = (tmp_path / "tails.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), single.split(",")))["reference"] == "0.5"
+
+
 @pytest.mark.parametrize("kind", ["calibrate", "tails"])
 def test_cli_group_size_below_2_exits_2(kind, tmp_path, capsys):
     assert cli.main([kind, "--n", "1", "--out", str(tmp_path / "o")]) == 2
@@ -843,6 +900,7 @@ def test_cli_config_text_errors_exit_2_and_percent_is_plain_text(text, rc, tmp_p
     ({"fwer_a": 0.0}, "[mtc] fwer_a"),
     ({"p_list": (10, 1)}, "[paper-table] p_list"),
     ({"p0": 1}, "[paper-table] p0"),
+    ({"kind": "calibrate", "s_level": math.inf}, "[level] s"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_config_errors_name_their_section_and_key(fields, key):
     assert key in {f"[{section}] {name}" for section, name, _, _ in ex._CONFIG_TABLE}
